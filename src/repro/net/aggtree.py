@@ -108,35 +108,38 @@ class AggregationTree:
         shard_size: int | None = None,
         branching: int = 4,
     ) -> "AggregationTree":
-        ids = sorted(int(w) for w in participants)
-        if len(ids) != len(set(ids)):
-            raise ConfigurationError(f"duplicate participants: {ids}")
-        if len(ids) < 2:
+        ids = np.fromiter(participants, dtype=np.int64)
+        ids.sort()
+        if (ids[1:] == ids[:-1]).any():
+            raise ConfigurationError(f"duplicate participants: {ids.tolist()}")
+        n = int(ids.size)
+        if n < 2:
             raise ConfigurationError(
-                f"an aggregation tree needs >= 2 participants, got {ids}"
+                f"an aggregation tree needs >= 2 participants, got {ids.tolist()}"
             )
         if shard_size is None:
-            shard_size = default_shard_size(len(ids))
+            shard_size = default_shard_size(n)
         if shard_size < 2:
             raise ConfigurationError(f"shard_size must be >= 2, got {shard_size}")
         if branching < 2:
             raise ConfigurationError(f"branching must be >= 2, got {branching}")
+        id_list = ids.tolist()
         shards = tuple(
-            tuple(ids[i : i + shard_size])
-            for i in range(0, len(ids), shard_size)
+            tuple(id_list[i : i + shard_size]) for i in range(0, n, shard_size)
         )
         m = len(shards)
-        heads = np.array([shard[0] for shard in shards])
+        # Shard i is ids[i*shard_size : (i+1)*shard_size]: its head is the
+        # first entry, its members the rest.
+        heads = ids[::shard_size].copy()
+        sizes = np.full(m, shard_size - 1, dtype=np.int64)
+        sizes[-1] = n - shard_size * (m - 1) - 1
+        is_member = np.ones(n, dtype=bool)
+        is_member[::shard_size] = False
+        member_ids = ids[is_member]
+        member_head = np.repeat(heads, sizes)
+        member_offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         parent = np.arange(m)
         parent = np.where(parent == 0, -1, (parent - 1) // branching)
-        member_ids = np.array(
-            [w for shard in shards for w in shard[1:]], dtype=int
-        )
-        member_head = np.array(
-            [shard[0] for shard in shards for _ in shard[1:]], dtype=int
-        )
-        sizes = np.array([len(shard) - 1 for shard in shards])
-        member_offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
         # Depth of shard i in the k-ary heap; levels list the shard
         # indices per depth, root (depth 0) first.
         depth = np.zeros(m, dtype=int)
@@ -146,7 +149,7 @@ class AggregationTree:
             np.flatnonzero(depth == d) for d in range(int(depth.max()) + 1)
         )
         return cls(
-            participants=tuple(ids),
+            participants=tuple(id_list),
             shard_size=int(shard_size),
             branching=int(branching),
             shards=shards,

@@ -222,6 +222,14 @@ class DeliveryPlan:
     per-pair values, same counter creation order, same ``received_count``
     advances, same RNG stream consumption.
 
+    Building a plan is array-native: two ``np.unique`` passes (receiver
+    counts; unique pairs in first-occurrence order, kept as int64
+    ``src``/``dst``/``count`` columns) and one ``argsort``. The per-pair
+    Python list that ``_bump_pairs`` walks is built on the first pair
+    bump, so with pair accounting off (``REPRO_PAIR_METRICS=0``) it never
+    exists: at N=10⁶ the 18 plans of a compiled tree round then build
+    in ~0.23 s (``perfbench`` ``fd_tree_1m``, traced).
+
     Payload *values* are never materialized: batched delivery is
     payload-oblivious (only the field count enters the wire size), so a
     plan carries ``payload_fields`` instead of arrays — this is what
@@ -265,39 +273,37 @@ class DeliveryPlan:
         # table the plan keeps (dst, count) arrays instead of resolved
         # node objects — resolving would hydrate every receiver, which
         # at N=10⁶ is exactly what lazy mode exists to avoid.
-        unique_dst, groups = group_by_destination(self.dst, self.dst)
+        unique_dst, recv_counts = np.unique(self.dst, return_counts=True)
         if cluster.lazy_nodes is not None:
             self._recv = None
-            self._recv_dst = unique_dst.astype(np.int64, copy=True)
-            self._recv_counts = np.array(
-                [g.size for g in groups], dtype=np.int64
-            )
+            self._recv_dst = unique_dst
+            self._recv_counts = recv_counts
         else:
+            node = cluster.node
             self._recv = [
-                (cluster.node(int(d)), int(g.size))
-                for d, g in zip(unique_dst.tolist(), groups)
+                (node(d), c)
+                for d, c in zip(unique_dst.tolist(), recv_counts.tolist())
             ]
             self._recv_dst = self._recv_counts = None
         # Unique (src, dst) pairs in first-occurrence frame order — the
-        # counter creation order record_batch_arrays uses — plus each
-        # frame's entry index (for drop=).
-        if self.count:
-            keys = (self.src << 32) | self.dst
-            _, first, inverse, counts = np.unique(
-                keys, return_index=True, return_inverse=True, return_counts=True
-            )
-            order = np.argsort(first, kind="stable")
-            rank = np.empty(order.size, dtype=np.int64)
-            rank[order] = np.arange(order.size)
-            self._frame_entry = rank[inverse]
-            self._pairs = [
-                ((int(self.src[first[k]]), int(self.dst[first[k]])), int(counts[k]))
-                for k in order.tolist()
-            ]
-        else:
-            self._frame_entry = np.empty(0, dtype=np.int64)
-            self._pairs = []
-        self._pair_counters: list = [None] * len(self._pairs)
+        # counter creation order record_batch_arrays uses — as three
+        # int64 columns, plus each frame's entry index (for drop=).
+        keys = (self.src << 32) | self.dst
+        _, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
+        )
+        order = np.argsort(first, kind="stable")
+        rank = np.empty(order.size, dtype=np.int64)
+        rank[order] = np.arange(order.size)
+        self._frame_entry = rank[inverse]
+        self._pair_src = self.src[first[order]]
+        self._pair_dst = self.dst[first[order]]
+        self._pair_count = counts[order]
+        # The per-pair Python list (and its counter handles) is built on
+        # the first pair bump only, so it never exists when pair
+        # accounting is off.
+        self._pairs: list | None = None
+        self._pair_counters: list = []
         self._pair_epoch = -1
 
     def deliver(
@@ -338,6 +344,13 @@ class DeliveryPlan:
         return arrivals
 
     def _bump_pairs(self, metrics, drop: int | None) -> None:
+        if self._pairs is None:
+            self._pairs = list(
+                zip(
+                    zip(self._pair_src.tolist(), self._pair_dst.tolist()),
+                    self._pair_count.tolist(),
+                )
+            )
         if self._pair_epoch != metrics.pair_epoch:
             # Metrics were reset: stale counter objects; re-resolve
             # lazily (creation order = first bump order, like the eager

@@ -1110,7 +1110,7 @@ class FullyDistributedDolbie:
     def _reachable_components(self) -> list[set[int]]:
         """Components of the effective graph: alive peers, restricted to
         topology edges the current partition still allows."""
-        alive = {i for i in range(self.num_workers) if self._alive[i]}
+        alive = set(np.flatnonzero(self._alive).tolist())
         if self.topology is None and not self.cluster.partitioned and alive:
             # Complete graph, no partition: any alive set is one component.
             # Skips the O(N^2) traversal on every healthy round.
@@ -1286,9 +1286,15 @@ class FullyDistributedDolbie:
         self, participants: list[int]
     ) -> _CompiledTreeRound:
         """The compiled round's per-roster cache (rebuilt on membership
-        change, like ``_tree_cache``)."""
+        change, like ``_tree_cache``).
+
+        The clean route passes ``cc.participants`` itself, which needs
+        no N-element tuple compare against the key."""
         cc = self._compiled_cache
-        if cc is None or cc.key != tuple(participants):
+        if cc is None or (
+            participants is not cc.participants
+            and cc.key != tuple(participants)
+        ):
             cc = self._compiled_cache = _CompiledTreeRound(self, participants)
         return cc
 

@@ -70,6 +70,119 @@ class TestBuildStructure:
             AggregationTree.build(range(4), branching=1)
 
 
+def _reference_build(participants, shard_size=None, branching=4):
+    """The list-based construction ``build`` replaced, kept as an oracle:
+    every field of the array-native build must equal this one's."""
+    ids = sorted(int(w) for w in participants)
+    if len(ids) != len(set(ids)):
+        raise ConfigurationError(f"duplicate participants: {ids}")
+    if len(ids) < 2:
+        raise ConfigurationError(
+            f"an aggregation tree needs >= 2 participants, got {ids}"
+        )
+    if shard_size is None:
+        shard_size = default_shard_size(len(ids))
+    shards = tuple(
+        tuple(ids[i : i + shard_size]) for i in range(0, len(ids), shard_size)
+    )
+    m = len(shards)
+    parent = np.arange(m)
+    sizes = np.array([len(shard) - 1 for shard in shards])
+    depth = np.zeros(m, dtype=int)
+    for i in range(1, m):
+        depth[i] = depth[(i - 1) // branching] + 1
+    return {
+        "participants": tuple(ids),
+        "shard_size": int(shard_size),
+        "branching": int(branching),
+        "shards": shards,
+        "heads": np.array([shard[0] for shard in shards]),
+        "parent": np.where(parent == 0, -1, (parent - 1) // branching),
+        "member_ids": np.array(
+            [w for shard in shards for w in shard[1:]], dtype=int
+        ),
+        "member_head": np.array(
+            [shard[0] for shard in shards for _ in shard[1:]], dtype=int
+        ),
+        "member_offsets": np.concatenate(([0], np.cumsum(sizes)[:-1])),
+        "levels": tuple(
+            np.flatnonzero(depth == d) for d in range(int(depth.max()) + 1)
+        ),
+    }
+
+
+class TestBuildParity:
+    """The array-native ``build`` equals the list-based reference on every
+    field (values *and* dtypes), for any roster shape."""
+
+    def _assert_same(self, tree, ref):
+        for name, want in ref.items():
+            got = getattr(tree, name)
+            if name == "levels":
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and np.array_equal(g, w)
+            elif isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype, name
+                assert got.shape == want.shape, name
+                assert np.array_equal(got, want), name
+            else:
+                assert got == want, name
+                assert type(got) is type(want), name
+        assert all(type(w) is int for w in tree.participants)
+        assert all(type(w) is int for shard in tree.shards for w in shard)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_rosters_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        shard_size = int(rng.integers(2, 9))
+        branching = int(rng.integers(2, 6))
+        # Sizes straddle multiples of shard_size (one short, exact, one
+        # over), with gaps in the ids and an unsorted arrival order.
+        k = int(rng.integers(1, 6))
+        size = max(2, k * shard_size + int(rng.integers(-1, 2)))
+        roster = rng.choice(10 * size, size=size, replace=False)
+        for participants in (roster, roster.tolist(), tuple(roster.tolist())):
+            tree = AggregationTree.build(participants, shard_size, branching)
+            ref = _reference_build(roster.tolist(), shard_size, branching)
+            self._assert_same(tree, ref)
+
+    @pytest.mark.parametrize("size", [2, 3, 15, 16, 17, 99, 100, 101])
+    def test_default_shard_size_matches_reference(self, size):
+        roster = np.random.default_rng(size).permutation(size).astype(np.int64)
+        self._assert_same(
+            AggregationTree.build(roster), _reference_build(roster.tolist())
+        )
+
+    def test_generic_iterables_match_reference(self):
+        ref = _reference_build([4, 9, 1, 7, 3], 2, 2)
+        for participants in (
+            {4, 9, 1, 7, 3},
+            frozenset({4, 9, 1, 7, 3}),
+            (w for w in [4, 9, 1, 7, 3]),
+            np.array([4, 9, 1, 7, 3], dtype=np.int32),
+        ):
+            self._assert_same(AggregationTree.build(participants, 2, 2), ref)
+
+    @pytest.mark.parametrize(
+        "participants",
+        [
+            [3, 1, 3],
+            np.array([5, 2, 5, 8], dtype=np.int64),
+            [7],
+            np.array([7], dtype=np.int64),
+            [],
+            np.array([], dtype=np.int64),
+        ],
+    )
+    def test_duplicates_and_tiny_rosters_raise_like_reference(self, participants):
+        with pytest.raises(ConfigurationError) as ref_err:
+            _reference_build(participants)
+        with pytest.raises(ConfigurationError) as err:
+            AggregationTree.build(participants)
+        assert str(err.value) == str(ref_err.value)
+
+
 class TestDeterministicRebuild:
     """Crash -> rejoin correctness: the overlay after any roster change is
     whatever ``build`` yields on the new roster — full coverage, no

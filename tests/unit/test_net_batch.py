@@ -514,6 +514,20 @@ class TestDeliveryPlan:
         assert cluster.metrics.per_pair_messages == {}
         assert cluster.metrics.messages_total == 1
 
+    def test_pair_list_is_built_on_first_pair_bump_only(self):
+        batch = _phase_batch()
+        cluster = _phase_cluster()
+        plan = cluster.batched().plan(batch.src, batch.dst, 2)
+        assert plan._pairs is None
+        cluster.metrics.pair_accounting = False
+        plan.deliver(1, 0.0)
+        assert plan._pairs is None
+        cluster.metrics.pair_accounting = True
+        plan.deliver(2, 0.0)
+        assert plan._pairs == [
+            ((1, 0), 2), ((2, 0), 2), ((3, 1), 1), ((4, 1), 1), ((5, 2), 1)
+        ]
+
     def test_shape_mismatch_raises(self):
         cluster = _phase_cluster()
         with pytest.raises(ValueError):
