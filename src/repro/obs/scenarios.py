@@ -27,6 +27,7 @@ __all__ = [
     "GOLDEN_ROUNDS",
     "build_trace",
     "protocol_trace",
+    "fd_tree_protocol",
     "loop_trace",
     "trainer_trace",
     "serving_trace",
@@ -36,6 +37,16 @@ __all__ = [
 GOLDEN_SEED = 7
 GOLDEN_WORKERS = 6
 GOLDEN_ROUNDS = 30
+
+#: The ``fd-tree`` goldens: tree aggregation over shards of 8 at N=60,
+#: where a member and a shard head crash before round 4 and both rejoin
+#: before round 9. The crash round runs on the event engine (the
+#: survivors' failure detectors shrink their rosters); every other round
+#: takes the tree path, the rejoin round with freshly re-agreed rosters.
+FD_TREE_WORKERS = 60
+FD_TREE_SHARD_SIZE = 8
+FD_TREE_CRASH_ROUND = 4
+FD_TREE_REJOIN_ROUND = 9
 
 
 def _cost_process(num_workers: int, seed: int):
@@ -80,6 +91,51 @@ def protocol_trace(
             "round(s) fell back to the event engine"
         )
     return tracer.trace
+
+
+def fd_tree_protocol(
+    backend: str = "numpy64",
+    num_workers: int = FD_TREE_WORKERS,
+    rounds: int = GOLDEN_ROUNDS,
+    seed: int = GOLDEN_SEED,
+):
+    """Run the tree-aggregation FD protocol through a crash and a rejoin
+    and return it; its trace is ``protocol.tracer.trace``. Each round
+    takes the production route choice (``engine`` does not apply)."""
+    from repro.net.links import Link, UniformLatency
+    from repro.protocols.fully_distributed import FullyDistributedDolbie
+
+    # Worker 17 is a plain member; worker 8 heads the second shard.
+    victims = (17, FD_TREE_SHARD_SIZE)
+    if num_workers <= max(victims):
+        raise ConfigurationError(
+            f"the fd-tree scenario needs > {max(victims)} workers, "
+            f"got {num_workers}"
+        )
+    tracer = Tracer()
+    protocol = FullyDistributedDolbie(
+        num_workers,
+        link=Link(UniformLatency(0.0005, 0.005, np.random.default_rng(seed))),
+        tracer=tracer,
+        aggregation="tree",
+        shard_size=FD_TREE_SHARD_SIZE,
+        backend=backend,
+    )
+    tracer.header(
+        protocol.name, num_workers, rounds,
+        aggregation="tree", shard_size=FD_TREE_SHARD_SIZE,
+        backend=protocol.backend.name,
+    )
+    process = _cost_process(num_workers, seed)
+    for t in range(1, rounds + 1):
+        if t == FD_TREE_CRASH_ROUND:
+            for worker in victims:
+                protocol.crash_worker(worker)
+        if t == FD_TREE_REJOIN_ROUND:
+            for worker in victims:
+                protocol.rejoin_worker(worker)
+        protocol.run_round(t, process.costs_at(t))
+    return protocol
 
 
 def loop_trace(
@@ -165,17 +221,27 @@ SCENARIOS = {
     "loop": lambda engine, n, rounds, seed: loop_trace(n, rounds, seed),
     "trainer": lambda engine, n, rounds, seed: trainer_trace(n, rounds, seed),
     "serving": lambda engine, n, rounds, seed: serving_trace(n, rounds, seed),
+    "fd-tree": lambda engine, n, rounds, seed: fd_tree_protocol(
+        "numpy64", n, rounds, seed
+    ).tracer.trace,
+    "fd-tree-f32": lambda engine, n, rounds, seed: fd_tree_protocol(
+        "numpy32", n, rounds, seed
+    ).tracer.trace,
 }
+
+#: Scenarios whose default fleet is not :data:`GOLDEN_WORKERS`.
+SCENARIO_WORKERS = {"fd-tree": FD_TREE_WORKERS, "fd-tree-f32": FD_TREE_WORKERS}
 
 
 def build_trace(
     scenario: str,
     engine: str = "auto",
-    num_workers: int = GOLDEN_WORKERS,
+    num_workers: int | None = None,
     rounds: int = GOLDEN_ROUNDS,
     seed: int = GOLDEN_SEED,
 ) -> Trace:
-    """Build the named scenario's trace (the CLI/golden entry point)."""
+    """Build the named scenario's trace (the CLI/golden entry point).
+    ``num_workers=None`` picks the scenario's default fleet size."""
     try:
         builder = SCENARIOS[scenario]
     except KeyError:
@@ -183,4 +249,6 @@ def build_trace(
             f"unknown scenario {scenario!r}; choose from "
             f"{sorted(SCENARIOS)}"
         ) from None
+    if num_workers is None:
+        num_workers = SCENARIO_WORKERS.get(scenario, GOLDEN_WORKERS)
     return builder(engine, num_workers, rounds, seed)

@@ -42,6 +42,8 @@ GOLDEN_FILES = {
     "loop": "loop.jsonl",
     "trainer": "trainer.jsonl",
     "serving": "serving.jsonl",
+    "fd-tree": "fd_tree.jsonl",
+    "fd-tree-f32": "fd_tree_f32.jsonl",
 }
 
 

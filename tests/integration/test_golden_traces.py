@@ -13,13 +13,15 @@ On an intentional behavior change, regenerate with::
     PYTHONPATH=src python tests/golden/regenerate.py --bless
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.io import load_trace
 from repro.obs import diff_traces
-from repro.obs.scenarios import build_trace
+from repro.obs.scenarios import build_trace, fd_tree_protocol
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -30,7 +32,7 @@ BLESS_HINT = (
 
 
 def _golden(name: str):
-    path = GOLDEN_DIR / f"{name}.jsonl"
+    path = GOLDEN_DIR / f"{name.replace('-', '_')}.jsonl"
     assert path.exists(), f"missing golden trace {path}"
     return load_trace(path)
 
@@ -117,3 +119,38 @@ def test_serving_scenario_is_bit_identical_across_runs():
         build_trace("serving"), build_trace("serving"), include_header=True
     )
     assert diff.empty, diff.summary()
+
+
+#: Run totals of the fd-tree scenarios that the trace records do not
+#: carry, recorded when the goldens were blessed: scenario -> (backend,
+#: messages_total, bytes_total, final virtual clock, sha256 of the
+#: ledger's sorted-key JSON).
+FD_TREE_PINS = {
+    "fd-tree": (
+        "numpy64", 8589, 138584, 1.9997800194340436,
+        "adbc48587effd0d070ac56bb2d4b4ae65f110e4240048c446e5b4e71f55b9308",
+    ),
+    "fd-tree-f32": (
+        "numpy32", 8589, 138584, 1.9997800194340436,
+        "7769f07caddf520012efe72de2519ab52629f71fa26b10c6ef1be48178310bca",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(FD_TREE_PINS))
+def test_fd_tree_matches_golden_and_pinned_totals(scenario):
+    """Tree rounds through a member + shard-head crash and their rejoin,
+    in both dtypes: trace, message/byte totals, clock and ledger."""
+    backend, messages, nbytes, now, ledger_sha = FD_TREE_PINS[scenario]
+    protocol = fd_tree_protocol(backend)
+    trace = protocol.tracer.trace
+    diff = diff_traces(_golden(scenario), trace, include_header=True)
+    assert diff.empty, f"[{scenario}] {BLESS_HINT}\n{diff.summary()}"
+    assert (protocol.tree_rounds, protocol.fallback_rounds) == (29, 1)
+    assert protocol.metrics.messages_total == messages
+    assert protocol.metrics.bytes_total == nbytes
+    assert protocol.cluster.engine.now == now
+    ledger = json.dumps(
+        [entry.to_dict() for entry in protocol.ledger], sort_keys=True
+    )
+    assert hashlib.sha256(ledger.encode()).hexdigest() == ledger_sha
