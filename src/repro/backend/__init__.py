@@ -18,17 +18,12 @@ mid-loop.
   protocol fast paths; results differ from the float64 reference by
   rounding only (see :attr:`ArrayBackend.eps`), and runs are bit-stable
   run-to-run because nothing about execution order changes.
-- ``compiled`` — float64 with :attr:`ArrayBackend.compiled` set: hot
-  paths that have a fused-kernel implementation (today the FD tree
-  round, see :mod:`repro.backend.kernels`) dispatch to it; everything
-  else treats ``compiled`` exactly like ``numpy64`` (same dtype, same
-  bit-pinned arithmetic). The kernels are numba-njit when numba is
-  importable and vectorized numpy otherwise — *both* bit-identical to
-  the python tree path, so selecting ``compiled`` never changes results,
-  only speed. ``REPRO_BACKEND=compiled`` without numba falls back to
-  ``numpy64`` with a one-time logged warning (an env-var opt-in should
-  not surprise-degrade to fallback kernels); an explicit
-  ``backend="compiled"`` always honors the request.
+
+A backend is only a dtype. The FD protocol's tree round runs the fused
+kernels of :mod:`repro.backend.kernels` in either dtype (numba-njit when
+numba is importable, vectorized numpy otherwise — bit-identical either
+way). ``compiled``, the name that once selected those kernels, remains
+accepted as an alias of ``numpy64`` (see :data:`ALIASES`).
 
 The contract a backend-threaded hot path must keep: every floating-point
 array it allocates goes through the backend (``asarray`` / ``zeros`` /
@@ -46,7 +41,6 @@ Select globally with ``REPRO_BACKEND=numpy32`` or per object via the
 
 from __future__ import annotations
 
-import logging
 import os
 from dataclasses import dataclass, field
 
@@ -55,6 +49,7 @@ import numpy as np
 from repro.exceptions import BackendError
 
 __all__ = [
+    "ALIASES",
     "ArrayBackend",
     "BACKENDS",
     "DEFAULT_BACKEND_NAME",
@@ -80,11 +75,6 @@ class ArrayBackend:
 
     name: str
     dtype: np.dtype = field(repr=False)
-    #: Whether hot paths with a fused-kernel implementation should
-    #: dispatch to :mod:`repro.backend.kernels` (njit when numba is
-    #: importable, vectorized numpy otherwise — bit-identical either
-    #: way). Array allocation semantics are unaffected.
-    compiled: bool = field(default=False, repr=False)
 
     # -- allocation (the only places a hot path may mint float arrays) --
     def asarray(self, data) -> np.ndarray:
@@ -135,56 +125,30 @@ class ArrayBackend:
 BACKENDS: dict[str, ArrayBackend] = {
     "numpy64": ArrayBackend("numpy64", np.dtype(np.float64)),
     "numpy32": ArrayBackend("numpy32", np.dtype(np.float32)),
-    "compiled": ArrayBackend("compiled", np.dtype(np.float64), compiled=True),
 }
 
-#: One-shot latch for the ``REPRO_BACKEND=compiled``-without-numba
-#: warning (module state so repeated resolutions stay quiet; tests reset
-#: it directly).
-_warned_compiled_fallback = False
-
-
-def _warn_compiled_fallback() -> None:
-    global _warned_compiled_fallback
-    if not _warned_compiled_fallback:
-        _warned_compiled_fallback = True
-        logging.getLogger(__name__).warning(
-            "REPRO_BACKEND=compiled requested but numba is not importable; "
-            "falling back to the numpy64 backend. Pass backend='compiled' "
-            "explicitly to opt into the pure-numpy fused kernels instead."
-        )
+#: Accepted names that resolve to a registered backend.
+ALIASES: dict[str, str] = {"compiled": DEFAULT_BACKEND_NAME}
 
 
 def get_backend(spec: "str | ArrayBackend | None" = None) -> ArrayBackend:
     """Resolve ``spec`` to an interned :class:`ArrayBackend`.
 
     ``None`` consults ``$REPRO_BACKEND`` and falls back to ``numpy64``;
-    a string is looked up in :data:`BACKENDS`; an instance passes
-    through. Unknown names raise :class:`~repro.exceptions.BackendError`
-    listing the available backend names.
-
-    ``REPRO_BACKEND=compiled`` on an interpreter without numba resolves
-    to ``numpy64`` with a one-time logged warning instead of a hard
-    failure — the env var is a fleet-wide knob and must not break
-    numba-less hosts. An *explicit* ``"compiled"`` spec (constructor
-    argument or direct call) is always honored; the kernels fall back to
-    their bit-identical numpy implementations.
+    a string is looked up in :data:`BACKENDS` after :data:`ALIASES`; an
+    instance passes through. Unknown names raise
+    :class:`~repro.exceptions.BackendError` listing the accepted names.
     """
     if isinstance(spec, ArrayBackend):
         return spec
     if spec is None:
         spec = os.environ.get(ENV_VAR) or DEFAULT_BACKEND_NAME
-        if spec == "compiled":
-            from repro.backend.kernels import HAVE_NUMBA
-
-            if not HAVE_NUMBA:
-                _warn_compiled_fallback()
-                spec = DEFAULT_BACKEND_NAME
     try:
-        return BACKENDS[spec]
+        return BACKENDS[ALIASES.get(spec, spec)]
     except KeyError:
         raise BackendError(
-            f"unknown array backend {spec!r}; available: {sorted(BACKENDS)}"
+            f"unknown array backend {spec!r}; available: "
+            f"{sorted([*BACKENDS, *ALIASES])}"
         ) from None
 
 

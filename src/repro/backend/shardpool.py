@@ -1,20 +1,19 @@
 """Process-parallel shard execution over shared memory (Layer 10).
 
-The compiled tree round splits its four data-parallel passes (the two
+The FD tree round can split its four data-parallel passes (the two
 input gathers, the per-shard consensus fold, and the per-shard decision
-sums) into disjoint ``[lo, hi)`` ranges. Layer 9 fanned those ranges
-over a thread pool — which buys real speedup only where numba's
-``nogil`` kernels run. On a numba-less interpreter numpy holds the GIL
-between primitives, so the remaining lever is *processes*.
+sums) into disjoint ``[lo, hi)`` ranges. On a numba-less interpreter
+numpy holds the GIL between primitives, so threads cannot run those
+ranges in parallel; *processes* can.
 
 The objection to processes is pickling: shipping (N,) arrays per round
 would cost more than the round. This module removes it with
 ``multiprocessing.shared_memory``:
 
-- :class:`RoundShm` carves **one** shared segment per compiled-round
-  epoch into named numpy views (static topology arrays copied in once;
+- :class:`RoundShm` carves **one** shared segment per tree-round epoch
+  into named numpy views (static topology arrays copied in once;
   per-round staging and output vectors living there permanently). The
-  parent's compiled round reads/writes the views directly — zero-copy.
+  parent's tree round reads/writes the views directly — zero-copy.
 - A persistent :class:`~concurrent.futures.ProcessPoolExecutor` (fork
   start method where available, so numba's jitted state is inherited;
   spawn otherwise) receives tasks of the form ``(segment name, layout,
@@ -23,20 +22,19 @@ would cost more than the round. This module removes it with
   segment name, and runs the **same kernels** from
   :mod:`repro.backend.kernels` over its range, writing only its
   disjoint output slice. Bit-identity with serial execution is
-  therefore structural, exactly like the thread pool: same kernels,
-  same range split (``np.linspace`` bounds), disjoint writes — no merge
-  step at all.
+  therefore structural: same kernels, contiguous ``np.linspace`` range
+  bounds, disjoint writes — no merge step at all.
 
-Lifecycle: a segment belongs to one ``_CompiledTreeRound`` epoch and is
+Lifecycle: a segment belongs to one ``_TreeRound`` epoch and is
 released (close + unlink) when membership churn invalidates the
-compiled cache, with a ``weakref.finalize`` backstop; children evict
+tree-round cache, with a ``weakref.finalize`` backstop; children evict
 stale attachments whenever a task names a segment they don't hold. The
 pool itself is process-global and survives epochs — respawning workers
 per membership change would cost far more than the churn it tracks.
 
 Failure policy: anything that goes wrong while *establishing* the layer
 (no shared-memory support, pool spawn failure, a dead warm-up ping)
-disables it — the caller falls back to the thread/serial path and the
+disables it — the caller falls back to serial execution and the
 round still completes. Failures *inside* a round (a worker killed
 mid-task) raise: a partially written round must never be merged.
 
@@ -172,7 +170,7 @@ def _ping() -> int:
 
 
 class RoundShm:
-    """One shared segment holding a compiled-round epoch's vectors.
+    """One shared segment holding a tree-round epoch's vectors.
 
     ``fields`` maps names to ``(dtype, shape)``; :attr:`arrays` holds
     the parent-side views. The segment is created unlinked-on-release:
@@ -285,8 +283,8 @@ def run_ranges(
     extra: tuple = (),
 ) -> None:
     """Fan ``op`` over ``[0, total)`` split into ``procs`` contiguous
-    ranges — the same ``np.linspace`` bounds as the thread pool's
-    ``_map_ranges``, so any process count is bit-identical to serial."""
+    ``np.linspace`` ranges; each writes only its own output rows, so any
+    process count is bit-identical to serial."""
     if total <= 0:
         return
     bounds = np.linspace(0, total, min(procs, total) + 1).astype(int)

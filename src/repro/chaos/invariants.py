@@ -38,11 +38,10 @@ faults, independently of the allocation's optimality:
    unlike the flat batched path, the overlay is rebuilt from whatever
    quorum survives, so invariant 5's full-roster requirement applies
    only to flat fast rounds. Chaos hooks still disqualify both paths.
-   The check is backend-agnostic: compiled-backend tree rounds (the
-   fused-kernel path of :mod:`repro.backend.kernels`) advance the same
-   ``tree_rounds`` counter, expose the same ``last_tree`` overlay, and
-   write the same peer fields this checker reads — the soak suite runs
-   the tree scenario under both backends to pin that.
+   The check is dtype-agnostic: tree rounds (the fused-kernel path of
+   :mod:`repro.backend.kernels`) advance the ``tree_rounds`` counter,
+   expose the ``last_tree`` overlay, and write the peer fields this
+   checker reads in either backend dtype.
 
 ``check_round_invariants`` returns human-readable violation strings
 (empty list = healthy); :func:`assert_round_invariants` raises

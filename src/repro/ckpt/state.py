@@ -31,6 +31,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.backend import ALIASES
 from repro.core.ledger import LedgerEntry, RoundLedger
 from repro.exceptions import CheckpointError
 from repro.net.links import (
@@ -541,20 +542,21 @@ def _restore_aggregation(protocol, agg: Mapping | None) -> None:
     overlay is rebuilt from its recorded membership and cross-checked
     shard-for-shard, exercising the determinism the protocol relies on.
 
-    ``shard_threads`` is captured for provenance but deliberately NOT
-    part of the identity tuple: the compiled round is bit-identical at
-    any thread count, so resuming a 1-thread snapshot on an 8-thread
-    protocol (or vice versa) is a legal — and tested — configuration
-    change. The backend name IS identity: ``compiled`` vs ``numpy64``
-    would not change results either, but it changes which caches and
-    code paths the restored run trusts, so a mismatch fails loudly.
+    ``shard_procs`` and ``peer_store`` are captured for provenance but
+    deliberately NOT part of the identity tuple: the tree round is
+    bit-identical at any process count and in either peer
+    representation, so resuming under different values is a legal — and
+    tested — configuration change. The thread-count field that older
+    snapshots carry is ignored. The backend IS identity, compared after
+    alias resolution: a ``numpy64`` vs ``numpy32`` mismatch fails loudly,
+    while a snapshot stamped ``compiled`` (an alias of ``numpy64``)
+    restores into a ``numpy64`` protocol.
     """
-    protocol._tree_cache = None
     protocol.last_tree = None
-    if hasattr(protocol, "_invalidate_compiled_round"):
-        # The restored peers/ledgers are new state behind the compiled
+    if hasattr(protocol, "_invalidate_tree_round"):
+        # The restored peers/ledgers are new state behind the tree
         # round's mirrors and bound replica methods.
-        protocol._invalidate_compiled_round()
+        protocol._invalidate_tree_round()
     if agg is None:
         return
     live = (
@@ -567,7 +569,7 @@ def _restore_aggregation(protocol, agg: Mapping | None) -> None:
         str(agg["mode"]),
         agg["shard_size"] if agg["shard_size"] is None else int(agg["shard_size"]),
         int(agg["branching"]),
-        str(agg["backend"]),
+        ALIASES.get(str(agg["backend"]), str(agg["backend"])),
     )
     if snap != live:
         raise CheckpointError(
@@ -670,10 +672,9 @@ def _capture_fully_distributed(protocol) -> dict:
             "backend": str(protocol.backend.name)
             if hasattr(protocol, "backend")
             else "numpy64",
-            # Informational (not restore-checked): any thread/process
-            # count is bit-identical, and the peer store changes memory
-            # layout only — see _restore_aggregation.
-            "shard_threads": int(getattr(protocol, "shard_threads", 1)),
+            # Informational (not restore-checked): any process count is
+            # bit-identical, and the peer store changes memory layout
+            # only — see _restore_aggregation.
             "shard_procs": int(getattr(protocol, "shard_procs", 1)),
             "peer_store": bool(getattr(protocol, "peer_store", False)),
             "last_tree": None

@@ -116,11 +116,7 @@ class BatchedPolicy(abc.ABC):
         self.num_workers = int(num_workers)
         #: Array backend of the (R, N) state (:mod:`repro.backend`);
         #: numpy64 (the default) reproduces the historical float64
-        #: arithmetic bit for bit. The ``compiled`` backend is accepted
-        #: and behaves exactly like numpy64 here — the batched policies
-        #: have no fused-kernel path (they are already single-expression
-        #: numpy over (R, N) matrices); only :attr:`ArrayBackend.dtype`
-        #: matters to this class.
+        #: arithmetic bit for bit.
         self.backend = get_backend(backend)
         if initial_allocation is None:
             initial_allocation = equal_split(self.num_workers)

@@ -78,7 +78,7 @@ class RoundLedger:
         """Append ``entry`` without the monotonicity check.
 
         For replica fan-out of an entry the *authoritative* ledger just
-        validated (the compiled tree round appends one entry to N
+        validated (the FD tree round appends one entry to N
         replicas per round; re-running the check N times is pure
         overhead). Callers must only pass entries that
         :meth:`append` on the authoritative ledger accepted for the

@@ -5,7 +5,7 @@ python object per worker. Each object is small, but N of them is not:
 at N=1,000,000 the roster costs seconds of pure allocation and hundreds
 of megabytes of object headers before the first round runs — and
 checkpointing walks every one of them. The observation that breaks the
-wall is that on the hot (compiled tree) path a peer's whole observable
+wall is that on the hot (tree round) path a peer's whole observable
 state is a handful of scalars:
 
 ========================  =======================================
@@ -28,7 +28,7 @@ existing peer/node API through lazily hydrated flyweight views
 (``_StorePeer`` in :mod:`repro.protocols.fully_distributed`): a view is
 a real ``_Peer`` whose scalar fields are properties over the store's
 arrays, created only when some code path actually addresses that peer
-as an object. A clean compiled tree round hydrates **zero** views.
+as an object. A clean tree round hydrates **zero** views.
 
 Rosters use the shared-frozenset contract the object peers already
 follow (one frozenset for everyone, rebound never mutated):
@@ -256,7 +256,7 @@ class LedgerBook:
     def fanout(self, roster: Iterable[int], entry: LedgerEntry) -> None:
         """Replicate ``entry`` — already appended to the authority as
         its last element — to every worker in ``roster`` (scalar path;
-        the clean compiled route uses :meth:`fanout_ids`)."""
+        the clean tree route uses :meth:`fanout_ids`)."""
         length = len(self._authority)
         assert length and self._authority.entries[-1] is entry
         for worker in roster:
@@ -274,7 +274,7 @@ class LedgerBook:
 
     def fanout_ids(self, ids: np.ndarray, entry: LedgerEntry) -> None:
         """Vectorized :meth:`fanout` for an ascending id array — the
-        O(1)-per-round replica append of the compiled tree route."""
+        O(1)-per-round replica append of the clean tree route."""
         length = len(self._authority)
         if self.materialized:
             # The handful of materialized workers peel off to the

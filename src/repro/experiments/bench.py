@@ -60,11 +60,10 @@ BENCH = replace(
 def _machine_context() -> dict:
     """The machine block stamped into results and history lines.
 
-    Besides the hardware identity, it records the parallelism knobs in
-    effect (``$REPRO_SHARD_THREADS`` / ``$REPRO_SHARD_PROCS``) and
-    whether the compiled kernels are numba-jitted or running the numpy
-    fallback — the three things that most change what a wall-clock
-    number from this machine means.
+    Besides the hardware identity, it records the shard process count in
+    effect (``$REPRO_SHARD_PROCS``) and whether the tree-round kernels
+    are numba-jitted or running the numpy fallback — the things that
+    most change what a wall-clock number from this machine means.
     """
     from repro.backend.kernels import HAVE_NUMBA
 
@@ -79,7 +78,6 @@ def _machine_context() -> dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "shard_threads": _knob("REPRO_SHARD_THREADS"),
         "shard_procs": _knob("REPRO_SHARD_PROCS"),
         "kernel_backend": "numba" if HAVE_NUMBA else "numpy",
     }
@@ -404,14 +402,7 @@ PROTOCOL_SCALES = {30: 60, 100: 20, 300: 5}
 #: flat leg.
 TREE_SCALES = {1000: 10, 3000: 3}
 
-#: Compiled-kernel scale: at N=10,000 the flat leg would move ~10^8
-#: messages per round, so the reference here is the *python tree* path —
-#: the ratio isolates what the compiled backend (fused kernels + frame
-#: plans + slim round bookkeeping) buys over the already-batched tree
-#: round. Protocol construction happens outside the timed legs.
-TREE_COMPILED_N, TREE_COMPILED_ROUNDS = 10_000, 2
-
-#: Completion-only scale: one *compiled* tree round at N=100,000 must
+#: Completion-only scale: one tree round at N=100,000 must
 #: finish in bounded time. There is nothing sane to ratio against at
 #: this size — the entry records throughput with speedup pinned to 1.0
 #: and gates on completing within :data:`TREE_SMOKE_BUDGET_S` seconds.
@@ -497,63 +488,8 @@ def _bench_protocol_tree(n: int, rounds: int, repetitions: int) -> BenchmarkResu
     )
 
 
-def _bench_protocol_tree_compiled(
-    n: int, rounds: int, repetitions: int
-) -> BenchmarkResult:
-    """Compiled FD tree round vs. the python tree path at large N.
-
-    Both legs replay the identical seeded world through pre-packed
-    :class:`~repro.costs.affine_vector.AffineCostVector` rounds (coerce
-    is a pass-through, so cost construction never enters the timing) on
-    protocols built *outside* the timed legs — at N=10,000 construction
-    would otherwise dominate two rounds and squash the ratio. Each timed
-    invocation continues its protocol's round counter, cycling the
-    precomputed cost rounds; the two legs stay in lockstep because they
-    see the same cost sequence in the same order.
-    """
-    from repro.costs.affine_vector import AffineCostVector
-    from repro.costs.timevarying import RandomAffineProcess
-    from repro.net.links import Link, UniformLatency
-    from repro.protocols.fully_distributed import FullyDistributedDolbie
-
-    speeds = [1.0 + (i % 23) for i in range(n)]
-    process = RandomAffineProcess(speeds, sigma=0.1, comm_scale=0.01, seed=n)
-    vectors = [
-        AffineCostVector.coerce(process.costs_at(t)) for t in range(1, rounds + 1)
-    ]
-
-    def make_leg(backend: str) -> Callable[[], None]:
-        link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(n)))
-        protocol = FullyDistributedDolbie(
-            n, link=link, aggregation="tree", backend=backend
-        )
-        state = {"t": 0}
-
-        def leg() -> None:
-            for _ in range(rounds):
-                state["t"] += 1
-                protocol.run_round(
-                    state["t"], vectors[(state["t"] - 1) % len(vectors)]
-                )
-            if protocol.tree_rounds != state["t"]:
-                raise RuntimeError(
-                    f"{backend} leg fell off the tree path "
-                    f"({protocol.tree_rounds}/{state['t']} tree rounds)"
-                )
-
-        return leg
-
-    python_leg = make_leg("numpy64")
-    compiled_leg = make_leg("compiled")
-    compiled_leg()  # warm: first compiled round builds the frame plans
-    python_leg()
-    return _paired(
-        f"proto_fd_tree_n{n}", python_leg, compiled_leg, repetitions, rounds
-    )
-
-
 def _bench_protocol_tree_smoke(repetitions: int) -> BenchmarkResult:
-    """N=100,000 completion smoke: one *compiled* tree round must finish.
+    """N=100,000 completion smoke: one tree round must finish.
 
     Records the round's wall-clock in both columns (speedup 1.0), so the
     baseline comparison can never flag it — the gates are that the round
@@ -578,16 +514,14 @@ def _bench_protocol_tree_smoke(repetitions: int) -> BenchmarkResult:
         process = RandomAffineProcess(speeds, sigma=0.1, comm_scale=0.01, seed=n)
         vector = AffineCostVector.coerce(process.costs_at(1))
         link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(n)))
-        protocol = FullyDistributedDolbie(
-            n, link=link, aggregation="tree", backend="compiled"
-        )
+        protocol = FullyDistributedDolbie(n, link=link, aggregation="tree")
         state = {"t": 0}
 
         def one_round() -> None:
             state["t"] += 1
             protocol.run_round(state["t"], vector)
 
-        one_round()  # untimed: builds the compiled structures + plans
+        one_round()  # untimed: builds the tree-round structures + plans
         times = [_time_once(one_round) for _ in range(max(1, min(repetitions, 2)))]
         if protocol.tree_rounds != state["t"]:
             raise RuntimeError(
@@ -602,7 +536,7 @@ def _bench_protocol_tree_smoke(repetitions: int) -> BenchmarkResult:
     best = min(times)
     if best > TREE_SMOKE_BUDGET_S:
         raise RuntimeError(
-            f"n{n} compiled tree round took {best:.1f}s "
+            f"n{n} tree round took {best:.1f}s "
             f"(budget {TREE_SMOKE_BUDGET_S:.0f}s)"
         )
     return BenchmarkResult(
@@ -614,7 +548,7 @@ def _bench_protocol_tree_smoke(repetitions: int) -> BenchmarkResult:
     )
 
 
-#: Process-parallel smoke: the N=100,000 compiled tree round again, but
+#: Process-parallel smoke: the N=100,000 tree round again, but
 #: fanned over ``PROC_SMOKE_PROCS`` pool processes with the round
 #: vectors in shared memory (Layer 10). On a multi-core runner the
 #: procs leg must beat the single-process leg by
@@ -629,7 +563,7 @@ PROC_SMOKE_MIN_SPEEDUP = 1.5
 
 
 def _bench_protocol_tree_procs(repetitions: int) -> BenchmarkResult:
-    """Single-process vs ``shard_procs=2`` compiled tree round, N=10^5.
+    """Single-process vs ``shard_procs=2`` tree round, N=10^5.
 
     Both legs run the struct-of-arrays peer store (the configuration the
     N=10^6 wall actually uses), pair metrics off, construction untimed.
@@ -658,7 +592,6 @@ def _bench_protocol_tree_procs(repetitions: int) -> BenchmarkResult:
                 n,
                 link=link,
                 aggregation="tree",
-                backend="compiled",
                 peer_store=True,
                 shard_procs=procs,
             )
@@ -671,7 +604,7 @@ def _bench_protocol_tree_procs(repetitions: int) -> BenchmarkResult:
             with warnings.catch_warnings():
                 if procs > 1:
                     warnings.simplefilter("error", RuntimeWarning)
-                one_round()  # untimed: compiled structures + shm + pool
+                one_round()  # untimed: tree-round structures + shm + pool
                 times = [
                     _time_once(one_round)
                     for _ in range(max(1, min(repetitions, 2)))
@@ -724,7 +657,7 @@ PEERSTORE_ARRAYS_CEILING_BYTES = 200 * 2**20
 def _bench_peerstore_construct(repetitions: int) -> BenchmarkResult:
     """Construction-only gate for the N=10^6 roster.
 
-    Times building a full store-mode compiled-tree protocol (packed
+    Times building a full store-mode tree protocol (packed
     peer arrays, ledger spans, aggregation tree, lazy node table — no
     rounds). Gates: under :data:`PEERSTORE_CONSTRUCT_BUDGET_S` seconds,
     and the store's packed arrays total under
@@ -744,7 +677,6 @@ def _bench_peerstore_construct(repetitions: int) -> BenchmarkResult:
             n,
             link=Link(ConstantLatency(0.001)),
             aggregation="tree",
-            backend="compiled",
             peer_store=True,
         )
 
@@ -1002,14 +934,6 @@ def run_benchmarks(
                 ),
             )
         )
-    suite.append(
-        (
-            f"proto_fd_tree_n{TREE_COMPILED_N}",
-            lambda: _bench_protocol_tree_compiled(
-                TREE_COMPILED_N, TREE_COMPILED_ROUNDS, repetitions
-            ),
-        )
-    )
     suite.append(
         (
             f"proto_fd_tree_n{TREE_SMOKE_N}",

@@ -141,11 +141,7 @@ def solve_min_max_rows(
     """
     # Dtype-generic: float32 matrices solve natively in float32 (the
     # array-backend plumbing relies on this); everything else lands on
-    # float64 exactly as the historical dtype=float coercion did. The
-    # "compiled" backend needs no special case: it shares the float64
-    # dtype, and this solver is already a single vectorized pass — the
-    # fused kernels in repro.backend.kernels cover only the FD tree
-    # round's per-shard reductions, which have no counterpart here.
+    # float64 exactly as the historical dtype=float coercion did.
     slopes = as_float(slope_matrix)
     intercepts = np.asarray(intercept_matrix, dtype=slopes.dtype)
     if slopes.ndim != 2 or slopes.shape != intercepts.shape:

@@ -105,8 +105,8 @@ def environment_fingerprint(env, horizon: int, backend=None) -> dict:
     pure functions of these values.
 
     The *storage dtype* of the requested backend is part of the key —
-    not the backend name, so backends sharing a dtype (``numpy64`` and
-    ``compiled``) share cache entries.
+    not the backend name, so names resolving to the same dtype (``numpy64``
+    and its ``compiled`` alias) share cache entries.
     """
     from repro.backend import get_backend
 

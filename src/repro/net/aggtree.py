@@ -87,7 +87,7 @@ class AggregationTree:
 
     Built via :meth:`build`; all arrays are precomputed so the protocol
     fast path does pure indexing per round. Frozen: a membership change
-    means a *new* tree (see ``FullyDistributedDolbie._tree_structures``).
+    means a *new* tree (see ``FullyDistributedDolbie._tree_round_for``).
     """
 
     participants: tuple[int, ...]  #: sorted worker ids this tree covers
@@ -288,7 +288,7 @@ class AggregationTree:
 
         Deepest level first, ascending shard index within a level —
         exactly the iteration order of :meth:`_tree_combine` and
-        :meth:`decision_sums`, flattened so the compiled kernels
+        :meth:`decision_sums`, flattened so the fused kernels
         (:func:`repro.backend.kernels.combine_up_consensus` /
         :func:`~repro.backend.kernels.combine_up_sums`) can replay it as
         a single loop. Empty for a single-level (root-only) tree.

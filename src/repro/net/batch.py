@@ -23,7 +23,7 @@ Two refinements ride on the same contract:
 - **Delivery plans.** A :class:`DeliveryPlan` precomputes everything a
   repeating ``(src, dst)`` frame layout implies — counts, bytes, the
   per-receiver bump list, the per-pair counter handles — so the
-  compiled tree round pays O(unique pairs) cached bumps per phase
+  FD tree round pays O(unique pairs) cached bumps per phase
   instead of an ``np.unique`` pass, with identical observable
   accounting.
 
@@ -211,7 +211,7 @@ class BatchedCluster:
 class DeliveryPlan:
     """Cached delivery accounting for a phase whose frame layout repeats.
 
-    The compiled tree round delivers the same ``(src, dst)`` arrays every
+    The FD tree round delivers the same ``(src, dst)`` arrays every
     round (the overlay is fixed until membership changes), so everything
     :meth:`BatchedCluster.deliver` derives from them per call — frame
     count, wire bytes, the unique-pair histogram in first-occurrence
@@ -227,13 +227,13 @@ class DeliveryPlan:
     ``src``/``dst``/``count`` columns) and one ``argsort``. The per-pair
     Python list that ``_bump_pairs`` walks is built on the first pair
     bump, so with pair accounting off (``REPRO_PAIR_METRICS=0``) it never
-    exists: at N=10⁶ the 18 plans of a compiled tree round then build
+    exists: at N=10⁶ the 18 plans of a tree round then build
     in ~0.23 s (``perfbench`` ``fd_tree_1m``, traced).
 
     Payload *values* are never materialized: batched delivery is
     payload-oblivious (only the field count enters the wire size), so a
     plan carries ``payload_fields`` instead of arrays — this is what
-    "streaming FrameBatch construction" means for the compiled path,
+    "streaming FrameBatch construction" means for the tree round,
     where ~3N frames per round exist only as this plan's columns.
 
     ``deliver(..., drop=k)`` delivers the layout minus frame ``k`` (the

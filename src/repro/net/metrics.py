@@ -27,7 +27,7 @@ __all__ = ["NetworkMetrics"]
 #: O(unique pairs) Python counter objects, ~3N of them for a tree round,
 #: the dominant accounting cost at N=100,000 — is skipped. With it off a
 #: :class:`~repro.net.batch.DeliveryPlan` never builds its per-pair
-#: Python list either, so the 18 plans of an N=10⁶ compiled tree round
+#: Python list either, so the 18 plans of an N=10⁶ tree round
 #: build in ~0.23 s and the run peaks at ~0.9 GiB RSS (``perfbench``
 #: ``fd_tree_1m``). Read once per :class:`NetworkMetrics` construction.
 PAIR_METRICS_ENV = "REPRO_PAIR_METRICS"

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +38,7 @@ from repro.costs.base import CostFunction
 from repro.costs.timevarying import CostProcess
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.net.aggtree import AggregationTree, segment_reduce
-from repro.net.batch import BatchedCluster, DeliveryPlan, default_chunk_frames
+from repro.net.batch import DeliveryPlan, default_chunk_frames
 from repro.net.cluster import Cluster
 from repro.net.links import Link
 from repro.net.message import FrameBatch, Message
@@ -56,13 +55,9 @@ TAG_COST = "cost"
 TAG_DECISION = "decision"
 TAG_FLOOD = "flood"
 
-#: Env default for the compiled tree round's shard thread count (the
-#: ``shard_threads`` constructor parameter wins when passed).
-SHARD_THREADS_ENV = "REPRO_SHARD_THREADS"
-
-#: Env default for the compiled tree round's shard *process* count (the
+#: Env default for the tree round's shard process count (the
 #: ``shard_procs`` constructor parameter wins when passed). Processes
-#: sidestep the GIL entirely — see :mod:`repro.backend.shardpool`.
+#: sidestep the GIL — see :mod:`repro.backend.shardpool`.
 SHARD_PROCS_ENV = "REPRO_SHARD_PROCS"
 
 #: Env default for the struct-of-arrays peer store (the ``peer_store``
@@ -76,15 +71,15 @@ _warned_shard_procs_fallback = False
 def _warn_shard_procs_fallback(exc: BaseException) -> None:
     """Warn once per process when ``shard_procs > 1`` was requested but
     the process layer could not be established (pool spawn failure, no
-    shared-memory support); execution falls back to threads/serial."""
+    shared-memory support); execution falls back to serial."""
     global _warned_shard_procs_fallback
     if _warned_shard_procs_fallback:
         return
     _warned_shard_procs_fallback = True
     warnings.warn(
         "shard_procs > 1 requested but the process-parallel layer is "
-        f"unavailable ({exc!r}); falling back to thread/serial shard "
-        "execution (results are identical, just slower)",
+        f"unavailable ({exc!r}); falling back to serial shard execution "
+        "(results are identical, just slower)",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -496,11 +491,11 @@ class _PeerSeq(Sequence):
             yield cluster.node(i)
 
 
-class _CompiledTreeRound:
-    """Everything the compiled tree round precomputes for one roster.
+class _TreeRound:
+    """Everything the tree round precomputes for one roster.
 
-    Built once per membership epoch (keyed by the participant tuple,
-    like ``_tree_cache``) and reused every round until the protocol's
+    Built once per membership epoch (keyed by the participant tuple)
+    and reused every round until the protocol's
     ``_membership_dirty`` flag forces a resync or a roster change forces
     a rebuild. Holds three kinds of state:
 
@@ -512,9 +507,10 @@ class _CompiledTreeRound:
       B/C (per-level consensus frames, 3 fields), D (member fan-out, 3
       fields), E (member decisions, 1 field), F (per-level partial sums,
       1 field). Payload values are never materialized; the plans carry
-      only the accounting the eager path would produce.
-    - **Mirrors and buffers**: float64 copies of every peer's ``x`` /
-      ``alpha_bar`` (so a clean round never scans N Python objects), the
+      only the accounting a materialized frame batch would produce.
+    - **Mirrors and buffers**: copies of every peer's ``x`` (float64) and
+      ``alpha_bar`` (backend dtype, the precision the consensus reduces
+      in) so a clean round never scans N Python objects, the
       per-shard reduction outputs, and bound ``replicate`` methods of
       the participants' ledger replicas.
     """
@@ -604,7 +600,7 @@ class _CompiledTreeRound:
         self.out_alpha = np.empty(m, dtype=dtype)
         self.acc_sum = np.empty(m, dtype=dtype)
         self.x_arr = np.empty(n, dtype=float)
-        self.alpha_arr = np.empty(n, dtype=float)
+        self.alpha_arr = np.empty(n, dtype=dtype)
         self._store = protocol._store
         #: Bound unchecked-append methods of the participants' ledger
         #: replicas (validated once on the authoritative ledger per
@@ -619,10 +615,10 @@ class _CompiledTreeRound:
         else:
             self.replicas = []
         #: Process-parallel shard execution (Layer 10): one shared
-        #: segment per compiled-round epoch carrying the static index
+        #: segment per tree-round epoch carrying the static index
         #: arrays, the per-round staging vectors, and every kernel
         #: output; ``None`` when ``shard_procs == 1`` or the process
-        #: layer is unavailable (thread/serial fallback).
+        #: layer is unavailable (serial fallback).
         self.shm = None
         self.proc_pool = None
         if protocol.shard_procs > 1:
@@ -636,10 +632,10 @@ class _CompiledTreeRound:
                         "full_offsets": (np.int64, (m,)),
                         "ends": (np.int64, (m,)),
                         "local": (dtype, (n,)),
-                        "alphas": (np.float64, (n,)),
+                        "alphas": (dtype, (n,)),
                         "x_new": (dtype, (n,)),
                         "ordered_local": (dtype, (self.n_parts,)),
-                        "ordered_alpha": (np.float64, (self.n_parts,)),
+                        "ordered_alpha": (dtype, (self.n_parts,)),
                         "ordered_x": (dtype, (self.n_parts,)),
                         "out_max": (dtype, (m,)),
                         "out_arg": (np.int64, (m,)),
@@ -647,7 +643,7 @@ class _CompiledTreeRound:
                         "acc_sum": (dtype, (m,)),
                     }
                 )
-            except Exception as exc:  # fall back to threads/serial
+            except Exception as exc:  # fall back to serial
                 _warn_shard_procs_fallback(exc)
             else:
                 arrays = shm.arrays
@@ -679,8 +675,8 @@ class _CompiledTreeRound:
 
     def resync(self, peers: "Sequence[_Peer]") -> None:
         """Refresh the x/alpha mirrors from live peer state (needed
-        whenever a non-compiled round or a membership event touched the
-        peers since the last compiled round)."""
+        whenever an event/flat round or a membership event touched the
+        peers since the last tree round)."""
         if self._store is not None:
             self.x_arr[:] = self._store.x
             self.alpha_arr[:] = self._store.alpha_bar
@@ -708,7 +704,6 @@ class FullyDistributedDolbie:
         shard_size: int | None = None,
         branching: int = 4,
         backend: "str | ArrayBackend | None" = None,
-        shard_threads: int | None = None,
         shard_procs: int | None = None,
         peer_store: bool | None = None,
     ) -> None:
@@ -730,49 +725,36 @@ class FullyDistributedDolbie:
         (:mod:`repro.net.aggtree`): O(N) frames per round instead of
         O(N^2), identical consensus outcomes (exact semilattice
         reductions), a differently-associated decision sum (regret impact
-        measured, see ``docs/performance.md``). Tree rounds run on the
-        batched fast path only; rounds that are not batch-eligible
-        (chaos, inconsistent rosters) degrade to the flat event engine.
-        ``shard_size`` defaults to ~sqrt(N).
+        measured, see ``docs/performance.md``). Tree rounds run the fused
+        kernels of :mod:`repro.backend.kernels` over cached delivery
+        plans, without materializing the ~3N per-round frames; rounds
+        that are not batch-eligible (chaos, inconsistent rosters) degrade
+        to the flat event engine. ``shard_size`` defaults to ~sqrt(N).
 
         ``backend`` picks the float dtype of the fast paths'
         array arithmetic once, at config time (:mod:`repro.backend`):
         ``"numpy64"`` (default, bit-identical to the historical code) or
         ``"numpy32"``. Event-engine fallback rounds always compute in
         float64 — the backend governs the vectorized paths only.
-        ``"compiled"`` keeps float64 arithmetic but routes healthy tree
-        rounds through the fused kernels of
-        :mod:`repro.backend.kernels` plus cached delivery plans — bit-
-        identical to the python tree path (same traces, same ledgers,
-        same metrics), just faster and without materializing the ~3N
-        per-round frames.
-
-        ``shard_threads`` (default ``$REPRO_SHARD_THREADS`` or 1) splits
-        the compiled round's per-shard kernels across a persistent
-        thread pool. Each thread writes a disjoint shard range, so any
-        thread count is bit-identical to serial; actual parallelism
-        requires numba (the njit kernels release the GIL — the numpy
-        fallbacks keep threading correct but not faster).
+        ``"compiled"`` is accepted as another name for ``"numpy64"``.
 
         ``shard_procs`` (default ``$REPRO_SHARD_PROCS`` or 1) fans the
-        same disjoint shard ranges over a persistent **process** pool
-        instead, with the round vectors living in one
-        ``multiprocessing.shared_memory`` segment per compiled-round
-        epoch (:mod:`repro.backend.shardpool`) — no per-round pickling
-        of (N,) arrays. Same kernels, same ``np.linspace`` range split,
-        disjoint output slices: any process count is bit-identical to
-        serial. Beats threads wherever numba is absent (numpy holds the
-        GIL) and scales past it where numba is present. If the process
-        layer cannot be established the round falls back to the
-        thread/serial path with a one-time ``RuntimeWarning``; values
-        above 1 apply to compiled tree rounds only.
+        tree round's per-shard kernels over a persistent process pool,
+        with the round vectors living in one
+        ``multiprocessing.shared_memory`` segment per tree-round epoch
+        (:mod:`repro.backend.shardpool`) — no per-round pickling of (N,)
+        arrays. Each process writes a disjoint shard range, so any
+        process count is bit-identical to serial. If the process layer
+        cannot be established the round falls back to serial execution
+        with a one-time ``RuntimeWarning``; values above 1 apply to tree
+        rounds only.
 
         ``peer_store`` (default ``$REPRO_PEER_STORE`` or off) keeps all
         peer scalar state in packed struct-of-arrays columns
         (:class:`repro.core.peerstore.PeerStore`) instead of N python
         peer objects, with node objects hydrated lazily as flyweight
         views over the columns. Bit-identical observables — views read
-        and write the same arrays the compiled round uses — but roster
+        and write the same arrays the tree round uses — but roster
         construction and checkpointing become O(N) array allocations,
         which is what makes N=10⁶ tractable. Requires
         ``topology=None`` (the complete graph; sparse-topology flooding
@@ -805,14 +787,6 @@ class FullyDistributedDolbie:
                 f"branching must be >= 2, got {self.branching}"
             )
         self.backend = get_backend(backend)
-        if shard_threads is None:
-            raw = os.environ.get(SHARD_THREADS_ENV)
-            shard_threads = int(raw) if raw else 1
-        self.shard_threads = int(shard_threads)
-        if self.shard_threads < 1:
-            raise ConfigurationError(
-                f"shard_threads must be >= 1, got {self.shard_threads}"
-            )
         if shard_procs is None:
             raw = os.environ.get(SHARD_PROCS_ENV)
             shard_procs = int(raw) if raw else 1
@@ -830,7 +804,6 @@ class FullyDistributedDolbie:
                 "peer_store requires topology=None (the struct-of-arrays "
                 "store does not model per-peer flooding state)"
             )
-        self._shard_pool: ThreadPoolExecutor | None = None
         self._chunk_frames = default_chunk_frames()
         self.num_workers = int(num_workers)
         self.topology = topology
@@ -896,15 +869,14 @@ class FullyDistributedDolbie:
         #: :attr:`fast_rounds`.
         self.tree_rounds = 0
         self._fast_cache: tuple | None = None
-        self._tree_cache: tuple | None = None
-        #: The compiled tree round's per-roster cache, and whether its
+        #: The tree round's per-roster cache, and whether its
         #: mirrors/invariants can be trusted. ``_membership_dirty`` is
-        #: cleared only at the end of a successful compiled tree round;
+        #: cleared only at the end of a successful tree round;
         #: every other way peer state can change (event/flat rounds,
         #: crash/rejoin/readmit, ledger restore, checkpoint restore)
         #: sets it back, which routes the next round through the full
         #: membership-resolution path.
-        self._compiled_cache: _CompiledTreeRound | None = None
+        self._tree_round: _TreeRound | None = None
         self._membership_dirty = True
         #: The overlay used by the most recent tree round (``None`` until
         #: one runs) — the chaos invariant checker revalidates it against
@@ -951,7 +923,7 @@ class FullyDistributedDolbie:
             self._store.failed[worker] = True  # no need to hydrate a view
         else:
             self.peers[worker].failed = True
-        self._invalidate_compiled_round()
+        self._invalidate_tree_round()
         # Process memory is gone: the peer's ledger replica dies with it.
         if self._ledger_book is not None:
             self._ledger_book.wipe(worker)
@@ -983,7 +955,7 @@ class FullyDistributedDolbie:
             self._store.failed[worker] = False
         else:
             self.peers[worker].failed = False
-        self._invalidate_compiled_round()
+        self._invalidate_tree_round()
         self._readmit(worker, share)
         emit_membership(
             self.tracer, self.cluster.trace_round, "rejoin", [worker],
@@ -1005,22 +977,22 @@ class FullyDistributedDolbie:
             self._ledger_book.restore_replica(worker, entries)
         else:
             self._worker_ledgers[worker] = RoundLedger(entries)
-        # The compiled cache holds bound methods of the old replica.
-        self._invalidate_compiled_round()
+        # The tree-round cache holds bound methods of the old replica.
+        self._invalidate_tree_round()
 
-    def _invalidate_compiled_round(self) -> None:
-        """Drop the compiled round's cache and mark its mirrors stale.
+    def _invalidate_tree_round(self) -> None:
+        """Drop the tree round's cache and mark its mirrors stale.
 
-        Called on every mutation the compiled round does not itself
+        Called on every mutation the tree round does not itself
         perform — crash/rejoin/restore change the roster or replace a
         ledger replica the cache holds bound methods of; ``_readmit``
         rewrites allocations and step sizes behind the mirrors."""
         self._membership_dirty = True
-        if self._compiled_cache is not None:
+        if self._tree_round is not None:
             # Epoch teardown: the shared segment (if any) belongs to the
             # dropped round cache and must be unlinked now, not at GC.
-            self._compiled_cache.release()
-            self._compiled_cache = None
+            self._tree_round.release()
+            self._tree_round = None
 
     def _participants(self) -> list[int]:
         """Peers expected to take part in the next round."""
@@ -1036,7 +1008,7 @@ class FullyDistributedDolbie:
         """Reshard the live allocation over ``participants + worker`` and
         re-merge every participant's roster (the heal-side half of the
         failure-detector protocol)."""
-        self._invalidate_compiled_round()
+        self._invalidate_tree_round()
         self._stalled.discard(worker)
         incumbents = [i for i in self._participants() if i != worker]
         if not incumbents:
@@ -1234,29 +1206,6 @@ class FullyDistributedDolbie:
             for i in participants
         )
 
-    def _tree_structures(self, participants: list[int]) -> tuple:
-        """Cached overlay + index arrays for the current roster.
-
-        Rebuilt (deterministically, from the sorted roster alone — every
-        peer could do the same locally) whenever membership changes; see
-        :class:`repro.net.aggtree.AggregationTree`.
-        """
-        key = tuple(participants)
-        if self._tree_cache is None or self._tree_cache[0] != key:
-            tree = AggregationTree.build(key, self.shard_size, self.branching)
-            parts = np.array(key)
-            shard_sizes = np.array([len(s) for s in tree.shards])
-            # Segment starts of the *full* shards (head included) within
-            # participant order, and each member's shard index.
-            full_offsets = np.concatenate(([0], np.cumsum(shard_sizes)[:-1]))
-            member_counts = shard_sizes - 1
-            member_shard = np.repeat(np.arange(tree.num_shards), member_counts)
-            self._tree_cache = (
-                key, tree, parts, full_offsets, member_shard,
-                self.cluster.batched(),
-            )
-        return self._tree_cache
-
     def _fast_structures(self) -> tuple:
         """Cached frame-order index structures for the batched phases.
 
@@ -1282,87 +1231,72 @@ class FullyDistributedDolbie:
             self._fast_cache = (self.cluster.batched(), src, dst, in_frames)
         return self._fast_cache
 
-    def _compiled_structures(
-        self, participants: list[int]
-    ) -> _CompiledTreeRound:
-        """The compiled round's per-roster cache (rebuilt on membership
-        change, like ``_tree_cache``).
+    def _tree_round_for(self, participants: list[int]) -> _TreeRound:
+        """The tree round's per-roster cache (rebuilt on membership
+        change, deterministically from the sorted roster alone — every
+        peer could do the same locally).
 
         The clean route passes ``cc.participants`` itself, which needs
         no N-element tuple compare against the key."""
-        cc = self._compiled_cache
+        cc = self._tree_round
         if cc is None or (
             participants is not cc.participants
             and cc.key != tuple(participants)
         ):
-            cc = self._compiled_cache = _CompiledTreeRound(self, participants)
+            cc = self._tree_round = _TreeRound(self, participants)
         return cc
 
-    def _map_ranges(self, total: int, fn) -> None:
-        """Run ``fn(lo, hi)`` over a partition of ``range(total)``.
-
-        With ``shard_threads == 1`` this is one direct ``fn(0, total)``
-        call. Otherwise the ranges are dispatched to the persistent
-        shard pool and joined. Every kernel passed here writes only its
-        own ``[lo, hi)`` output rows, so the merged result is the same
-        bytes for any thread count — the deterministic shard-ordered
-        merge is the disjointness of the ranges. Parallel *speed* needs
-        numba (the njit kernels release the GIL); without it the numpy
-        fallbacks still run correctly, just serialized by the GIL.
-        """
-        threads = self.shard_threads
-        if threads <= 1 or total <= 1:
-            fn(0, total)
-            return
-        if self._shard_pool is None:
-            self._shard_pool = ThreadPoolExecutor(
-                max_workers=threads, thread_name_prefix="repro-shard"
-            )
-        bounds = np.linspace(0, total, min(threads, total) + 1).astype(int)
-        futures = [
-            self._shard_pool.submit(fn, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        for future in futures:
-            future.result()
-
-    def _run_round_tree_compiled(
+    def _run_round_tree(
         self,
         round_index: int,
         costs: Sequence[CostFunction],
         x_played: np.ndarray,
         participants: list[int],
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        """The tree round on the compiled backend — same phases A-G as
-        :meth:`_run_round_fast_tree`, bit-identical observables.
+        """One round with hierarchical (tree) aggregation — O(N) frames.
 
-        What changes is purely mechanical: payload packing, the shard
-        reductions, and the documented-order decision sums run as fused
-        kernels (:mod:`repro.backend.kernels`) over preallocated flat
-        buffers, optionally split across shard threads; deliveries go
-        through cached :class:`~repro.net.batch.DeliveryPlan` objects,
-        so no FrameBatch — and none of the ~3N per-round payload
-        columns — is ever materialized. Every delay draw, metric bump,
-        arrival time, and peer/ledger write matches the python tree
-        path (pinned by the integration trace-diff test and the kernel
-        property suite).
+        Phases (each delivered as one vectorized delay draw, in
+        deterministic frame order):
 
-        Peer writes are slimmed to the fields any later code path can
+        A. members -> shard heads: ``(l_i, alpha-bar_i)`` reports;
+        B. heads -> parents, deepest level first: subtree consensus
+           aggregates ``(max l, straggler candidate, min alpha-bar)``;
+        C. root -> heads, top level first: the agreed global triple;
+        D. heads -> members: the triple, fanned out;
+        E. non-straggler members -> heads: updated decisions;
+        F. heads -> parents: subtree decision *partial sums*;
+        G. root -> straggler: the grand total (skipped if the root is the
+           straggler), which closes the simplex.
+
+        The consensus quantities are exact semilattice reductions, so
+        the tree computes bit for bit what the flat broadcast computes
+        (asserted below). Only the decision sum's association differs —
+        the measured tree-vs-flat trajectory gap. A send fires the
+        moment its inputs are in: per-frame send times thread head
+        readiness through the levels, so virtual time reflects the
+        tree's O(log) sequential depth.
+
+        Packing, the shard reductions and the documented-order decision
+        sums run as fused kernels (:mod:`repro.backend.kernels`) over
+        preallocated flat buffers; deliveries go through cached
+        :class:`~repro.net.batch.DeliveryPlan` objects, so no frame batch
+        — and none of the ~3N per-round payload columns — is ever
+        materialized (pinned by the ``fd-tree`` golden traces and the
+        kernel property suite).
+
+        Peer writes are limited to the fields any later code path can
         observe before the next round rewrites them (``current_round``,
         ``global_cost``, ``straggler_id``, ``x``, the straggler's
         ``alpha_bar`` cap — what the chaos invariants, the public
-        properties, and the next round's inputs read). Fields the
-        python tree path also rewrites every round but nothing reads
-        between rounds (``cost_fn``, ``local_cost``, ``is_straggler``,
-        ``_peer_decisions``) are skipped; an event-engine fallback
-        round re-initializes all of them via ``observe_round`` before
-        use.
+        properties, and the next round's inputs read). ``cost_fn``,
+        ``local_cost``, ``is_straggler`` and ``_peer_decisions`` are
+        left alone; an event-engine fallback round re-initializes all of
+        them via ``observe_round`` before use.
         """
         n = self.num_workers
         peers = self.peers
         backend = self.backend
-        cc = self._compiled_structures(participants)
+        cc = self._tree_round_for(participants)
         if self._membership_dirty:
             cc.resync(peers)
         m = cc.m
@@ -1395,18 +1329,12 @@ class FullyDistributedDolbie:
                 self.shard_procs,
             )
         else:
-            ordered_local = np.empty(cc.n_parts, dtype=local.dtype)
-            ordered_alpha = np.empty(cc.n_parts, dtype=alphas.dtype)
-            self._map_ranges(
-                cc.n_parts,
-                lambda lo, hi: (
-                    kernels.gather(local, parts, ordered_local, lo, hi),
-                    kernels.gather(alphas, parts, ordered_alpha, lo, hi),
-                ),
-            )
+            ordered_local = kernels.gather(local, parts)
+            ordered_alpha = kernels.gather(alphas, parts)
 
         # Lines 5-7 as flat reductions, kept (cheap) to cross-check the
-        # tree combine exactly like the python tree path does.
+        # tree combine: max/min/lowest-index-argmax are exact under any
+        # combination order (see repro.net.aggtree).
         straggler = int(parts[identify_straggler(ordered_local)])
         global_cost = float(ordered_local.max())
         alpha = float(ordered_alpha.min())
@@ -1435,12 +1363,9 @@ class FullyDistributedDolbie:
                 cc.proc_pool, shm, m, "tree_consensus", self.shard_procs
             )
         else:
-            self._map_ranges(
-                m,
-                lambda lo, hi: kernels.shard_consensus(
-                    ordered_local, ordered_alpha, parts, cc.full_offsets,
-                    cc.ends, out_max, out_arg, out_alpha, lo, hi,
-                ),
+            kernels.shard_consensus(
+                ordered_local, ordered_alpha, parts, cc.full_offsets,
+                cc.ends, out_max, out_arg, out_alpha,
             )
         kernels.combine_up_consensus(
             out_max, out_arg, out_alpha, cc.order, cc.parent64
@@ -1479,7 +1404,8 @@ class FullyDistributedDolbie:
         else:
             member_know = np.empty(0)
 
-        # Line 8 at every non-straggler (vectorized, same as python).
+        # Line 8 at every non-straggler (vectorized; the straggler's slot
+        # is overwritten by the closure below).
         if vector is not None:
             x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
         else:
@@ -1492,8 +1418,7 @@ class FullyDistributedDolbie:
 
         # Phase E: member decisions to their heads (straggler excluded;
         # plan delivery with drop= draws count-1 delays against the
-        # masked send times, exactly like the python path's masked
-        # batch).
+        # masked send times, exactly like a masked frame batch).
         sum_ready = down_ready.copy()  # heads' own decisions ready on D
         if cc.plan_e is not None:
             member_ids = cc.member_ids
@@ -1531,19 +1456,9 @@ class FullyDistributedDolbie:
                 extra=(exclude_pos,),
             )
         else:
-            ordered_x = np.empty(cc.n_parts, dtype=x_new.dtype)
-            self._map_ranges(
-                cc.n_parts,
-                lambda lo, hi: kernels.gather(
-                    x_new, parts, ordered_x, lo, hi
-                ),
-            )
-            self._map_ranges(
-                m,
-                lambda lo, hi: kernels.shard_decision_sums(
-                    ordered_x, cc.full_offsets, cc.ends, exclude_pos,
-                    acc_sum, lo, hi,
-                ),
+            ordered_x = kernels.gather(x_new, parts)
+            kernels.shard_decision_sums(
+                ordered_x, cc.full_offsets, cc.ends, exclude_pos, acc_sum
             )
         kernels.combine_up_sums(acc_sum, cc.order, cc.parent64)
         backend.ensure(acc_sum, "decision partial sums")
@@ -1738,267 +1653,6 @@ class FullyDistributedDolbie:
         # no-op pass-through on the default backend).
         return x_played, np.asarray(local, dtype=float), global_cost, straggler
 
-    def _run_round_fast_tree(
-        self,
-        round_index: int,
-        costs: Sequence[CostFunction],
-        x_played: np.ndarray,
-        participants: list[int],
-    ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        """One round with hierarchical (tree) aggregation — O(N) frames.
-
-        Phases (all delivered batched, one vectorized delay draw each, in
-        deterministic frame order):
-
-        A. members -> shard heads: ``(l_i, alpha-bar_i)`` reports;
-        B. heads -> parents, deepest level first: subtree consensus
-           aggregates ``(max l, straggler candidate, min alpha-bar)``;
-        C. root -> heads, top level first: the agreed global triple;
-        D. heads -> members: the triple, fanned out;
-        E. non-straggler members -> heads: updated decisions;
-        F. heads -> parents: subtree decision *partial sums*;
-        G. root -> straggler: the grand total (skipped if the root is the
-           straggler), which closes the simplex.
-
-        The consensus quantities are exact semilattice reductions, so
-        steps B/C compute bit-for-bit what the flat broadcast computes
-        (asserted below; pinned by the property suite). Only the decision
-        sum's association differs — the measured tree-vs-flat trajectory
-        gap. A send fires the moment its inputs are in: per-frame send
-        times thread head readiness through the levels, so virtual time
-        reflects the tree's O(log) sequential depth.
-        """
-        n = self.num_workers
-        peers = self.peers
-        backend = self.backend
-        _, tree, parts, full_offsets, member_shard, batched = (
-            self._tree_structures(participants)
-        )
-        m = tree.num_shards
-        t0 = self.cluster.engine.now
-        x = backend.asarray(x_played)
-        alphas = backend.asarray([p.alpha_bar for p in peers])
-        vector = AffineCostVector.coerce(costs)
-        if vector is not None:
-            vector = vector.astype(backend.dtype)
-            local = vector.values(x)
-        else:
-            local = backend.asarray([fn(xi) for fn, xi in zip(costs, x)])
-        backend.ensure(local, "local costs")
-
-        # Lines 5-7 on the participant quorum. These flat reductions ARE
-        # the tree reductions — max/min/lowest-index-argmax are exact
-        # under any combination order (see repro.net.aggtree) — and the
-        # root's accumulated aggregates are asserted against them below.
-        local_p = local[parts]
-        straggler = int(parts[identify_straggler(local_p)])
-        global_cost = float(local_p.max())
-        alpha = float(alphas[parts].min())
-
-        # Phase A: member cost reports to their shard head.
-        member_ids = tree.member_ids
-        member_head = tree.member_head
-        events = 0
-        final_now = t0
-        if member_ids.size:
-            report = FrameBatch(
-                TAG_COST, member_ids, member_head,
-                {"l": local[member_ids], "alpha_bar": alphas[member_ids]},
-                round_index,
-            )
-            report_arrivals = batched.deliver(
-                report, t0, chunk_frames=self._chunk_frames
-            )
-            events += report_arrivals.size
-            final_now = max(final_now, float(report_arrivals.max()))
-            head_ready = np.maximum(
-                segment_reduce(
-                    np.maximum, report_arrivals, tree.member_offsets, -np.inf
-                ),
-                t0,
-            )
-        else:
-            head_ready = np.full(m, t0)
-
-        # Subtree consensus aggregates (the up-tree frame payloads).
-        ordered_local = local[parts]
-        acc_max = segment_reduce(np.maximum, ordered_local, full_offsets, -np.inf)
-        acc_alpha = segment_reduce(np.minimum, alphas[parts], full_offsets, np.inf)
-        acc_arg = np.empty(m, dtype=int)
-        ends = np.append(full_offsets[1:], ordered_local.size)
-        for i in range(m):
-            segment = ordered_local[full_offsets[i] : ends[i]]
-            # First max within the segment = lowest worker id (sorted).
-            acc_arg[i] = parts[full_offsets[i] + int(np.argmax(segment))]
-
-        # Phase B: aggregates climb the head tree, deepest level first. A
-        # child's subtree aggregate is final before its level sends
-        # because its own children sit one level deeper.
-        up_ready = head_ready.copy()
-        for level in tree.levels[:0:-1]:
-            payload = {
-                "l_max": acc_max[level],
-                "straggler": acc_arg[level].astype(float),
-                "alpha_min": acc_alpha[level],
-            }
-            batch = FrameBatch(
-                TAG_COST, tree.heads[level], tree.heads[tree.parent[level]],
-                payload, round_index,
-            )
-            arrivals = batched.deliver(batch, up_ready[level])
-            events += arrivals.size
-            final_now = max(final_now, float(arrivals.max()))
-            for k, i in enumerate(level.tolist()):
-                p = int(tree.parent[i])
-                if acc_max[i] > acc_max[p] or (
-                    acc_max[i] == acc_max[p] and acc_arg[i] < acc_arg[p]
-                ):
-                    acc_max[p] = acc_max[i]
-                    acc_arg[p] = acc_arg[i]
-                if acc_alpha[i] < acc_alpha[p]:
-                    acc_alpha[p] = acc_alpha[i]
-                if arrivals[k] > up_ready[p]:
-                    up_ready[p] = arrivals[k]
-        assert (
-            float(acc_max[0]) == global_cost
-            and int(acc_arg[0]) == straggler
-            and float(acc_alpha[0]) == alpha
-        ), "tree aggregation diverged from the flat reduction"
-
-        # Phase C: the global triple descends the head tree.
-        down_ready = np.full(m, np.inf)
-        down_ready[0] = up_ready[0]
-        for level in tree.levels[1:]:
-            payload = {
-                "l_max": backend.full(level.size, global_cost),
-                "straggler": np.full(level.size, float(straggler)),
-                "alpha_min": backend.full(level.size, alpha),
-            }
-            batch = FrameBatch(
-                TAG_COST, tree.heads[tree.parent[level]], tree.heads[level],
-                payload, round_index,
-            )
-            arrivals = batched.deliver(batch, down_ready[tree.parent[level]])
-            events += arrivals.size
-            final_now = max(final_now, float(arrivals.max()))
-            down_ready[level] = arrivals
-
-        # Phase D: heads fan the triple out to their members.
-        if member_ids.size:
-            payload = {
-                "l_max": backend.full(member_ids.size, global_cost),
-                "straggler": np.full(member_ids.size, float(straggler)),
-                "alpha_min": backend.full(member_ids.size, alpha),
-            }
-            batch = FrameBatch(
-                TAG_COST, member_head, member_ids, payload, round_index
-            )
-            member_know = batched.deliver(
-                batch, down_ready[member_shard],
-                chunk_frames=self._chunk_frames,
-            )
-            events += member_know.size
-            final_now = max(final_now, float(member_know.max()))
-        else:
-            member_know = np.empty(0)
-
-        # Line 8 at every non-straggler (vectorized; the straggler's slot
-        # is overwritten by the closure below).
-        if vector is not None:
-            x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
-        else:
-            x_prime = backend.asarray(
-                [min(fn.max_acceptable(global_cost), 1.0) for fn in costs]
-            )
-        x_prime = np.maximum(x_prime, x)
-        x_new = x - alpha * (x - x_prime)
-        backend.ensure(x_new, "updated allocation")
-
-        # Phase E: member decisions to their heads (straggler excluded).
-        sender_mask = member_ids != straggler
-        sum_ready = down_ready.copy()  # heads' own decisions ready on D
-        if sender_mask.any():
-            e_src = member_ids[sender_mask]
-            batch = FrameBatch(
-                TAG_DECISION, e_src, member_head[sender_mask],
-                {"x": x_new[e_src]}, round_index,
-            )
-            arrivals = batched.deliver(
-                batch, member_know[sender_mask],
-                chunk_frames=self._chunk_frames,
-            )
-            events += arrivals.size
-            final_now = max(final_now, float(arrivals.max()))
-            np.maximum.at(sum_ready, member_shard[sender_mask], arrivals)
-
-        # Phase F: decision partial sums climb the head tree in the
-        # documented hierarchical order (see AggregationTree.decision_sums
-        # — THE summation-association difference vs. the flat protocol).
-        acc_sum = tree.decision_sums(x_new, exclude=straggler)
-        backend.ensure(acc_sum, "decision partial sums")
-        for level in tree.levels[:0:-1]:
-            batch = FrameBatch(
-                TAG_DECISION, tree.heads[level],
-                tree.heads[tree.parent[level]],
-                {"x": acc_sum[level]}, round_index,
-            )
-            arrivals = batched.deliver(batch, sum_ready[level])
-            events += arrivals.size
-            final_now = max(final_now, float(arrivals.max()))
-            np.maximum.at(sum_ready, tree.parent[level], arrivals)
-
-        # Phase G + line 12: the grand total reaches the straggler.
-        total = acc_sum[0]
-        if straggler != tree.root:
-            batch = FrameBatch(
-                TAG_DECISION, np.array([tree.root]), np.array([straggler]),
-                {"x": np.array([total])}, round_index,
-            )
-            arrivals = batched.deliver(batch, float(sum_ready[0]))
-            events += 1
-            final_now = max(final_now, float(arrivals.max()))
-        x_close = 1.0 - total
-        if x_close < -1e-9:
-            raise ProtocolError(
-                f"straggler workload went negative ({x_close:.3e}); the "
-                "verbatim Eq. (8) cap was insufficient this round"
-            )
-        x_close = float(x_close) if x_close >= 1e-12 else 0.0
-        x_new = np.asarray(x_new, dtype=float)
-
-        # Write the post-round state every peer would hold. Only the
-        # quorum participated; a non-participant's share was folded into
-        # the straggler by the closure (exactly like the event path).
-        participant_set = set(participants)
-        local64 = np.full(n, np.nan)
-        local64[parts] = np.asarray(local, dtype=float)[parts]
-        for i in participants:
-            peer = peers[i]
-            peer.current_round = round_index
-            peer.cost_fn = costs[i]
-            peer.local_cost = float(local64[i])
-            peer.is_straggler = False
-            peer.global_cost = global_cost
-            peer.straggler_id = straggler
-            peer.x = float(x_new[i])
-            peer._peer_decisions = {}
-        for peer in peers:
-            if peer.node_id not in participant_set:
-                peer.x = 0.0
-        straggler_peer = peers[straggler]
-        straggler_peer.x = x_close
-        # Limited information, sharpened: the straggler learns only the
-        # aggregate sum, not individual decisions, so its decision buffer
-        # stays empty (vs. the flat protocol's N-1 entries).
-        straggler_peer.alpha_bar = min(
-            straggler_peer.alpha_bar,
-            feasibility_cap(x_close, len(participants)),
-        )  # line 13 / Eq. (8)
-
-        batched.finish_round(final_now, events)
-        self.last_tree = tree
-        return x_played, local64, global_cost, straggler
-
     def run_round(
         self, round_index: int, costs: Sequence[CostFunction]
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
@@ -2022,20 +1676,19 @@ class FullyDistributedDolbie:
         # resharding; alive peers that just became unreachable stall and
         # have their shares folded by the participants' failure
         # detectors during this round.
-        # Clean compiled route: when the previous round was a compiled
-        # tree round and nothing touched membership, chaos, or peer
-        # state since (``_membership_dirty`` is the single gate — every
-        # mutation path sets it), the membership resolution and the O(N)
+        # Clean tree route: when the previous round was a tree round and
+        # nothing touched membership, chaos, or peer state since
+        # (``_membership_dirty`` is the single gate — every mutation path
+        # sets it), the membership resolution and the O(N)
         # eligibility/allocation scans are skipped outright. Sound
         # because with no chaos hooks, no partition, and no stalled
         # peers the primary component and the rosters are exactly what
         # the cached round left them; ``batch_eligible`` still runs (it
         # also covers frames in flight).
-        cc = self._compiled_cache
+        cc = self._tree_round
         if (
             cc is not None
             and not self._membership_dirty
-            and self.backend.compiled
             and self.use_fast_path
             and self.aggregation == "tree"
             and not self._stalled
@@ -2070,16 +1723,13 @@ class FullyDistributedDolbie:
         if route == "tree":
             self.fast_rounds += 1
             self.tree_rounds += 1
-            runner = (
-                self._run_round_tree_compiled
-                if self.backend.compiled
-                else self._run_round_fast_tree
-            )
             if profiler is None:
-                result = runner(round_index, costs, x_played, participants)
+                result = self._run_round_tree(
+                    round_index, costs, x_played, participants
+                )
             else:
                 with profiler.span("protocol.tree_round"):
-                    result = runner(
+                    result = self._run_round_tree(
                         round_index, costs, x_played, participants
                     )
         elif route == "fast":
@@ -2103,17 +1753,13 @@ class FullyDistributedDolbie:
                         round_index, costs, x_played, participants,
                         participant_set,
                     )
-        if (
-            route == "tree"
-            and self.backend.compiled
-            and not self._membership_dirty
-        ):
-            # Compiled round completed: the roster is the cached tuple
+        if route == "tree":
+            # Tree round completed: the roster is the cached tuple
             # by the clean-route invariant, and the replicas take the
             # authoritative-validated entry via their cached unchecked
             # appends (same entry object, same ledgers, ~10x cheaper at
             # N=10,000 than N validated appends).
-            cc = self._compiled_cache
+            cc = self._tree_round
             assert cc is not None
             entry = LedgerEntry(
                 round_index=round_index,

@@ -1,9 +1,9 @@
-"""Property tests: compiled tree-phase kernels are bitwise-exact.
+"""Property tests: the FD tree round's kernels are bitwise-exact.
 
-The ``compiled`` backend ships every kernel twice — an njit-compatible
-loop (compiled when numba is importable, plain python otherwise) and a
-vectorized numpy fallback — and the FD tree round dispatches to
-whichever is active. The contract that makes the backend safe to select
+:mod:`repro.backend.kernels` ships every kernel twice — an
+njit-compatible loop (compiled when numba is importable, plain python
+otherwise) and a vectorized numpy fallback — and the FD tree round
+dispatches to whichever is active. The contract that makes either safe
 is that **both flavors equal the reference semantics bit for bit, in
 either float dtype, on any roster** (including sparse "degraded" id
 sets left behind by crashes). These properties pin that contract:
@@ -12,7 +12,7 @@ sets left behind by crashes). These properties pin that contract:
   each other and with the :class:`~repro.net.aggtree.AggregationTree`
   reference reductions;
 - running a kernel over split ``lo``/``hi`` ranges equals the full-range
-  call (the deterministic shard-ordered merge of the thread pool);
+  call (the deterministic shard-ordered merge of the process pool);
 - the decision sums replay the documented association exactly — the
   numpy fallback's column-wise ``np.where`` chain is operand-for-operand
   the sequential per-shard chain, so even float32 matches bitwise.
@@ -24,6 +24,7 @@ reassociation).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,9 +74,36 @@ def _layout(tree: AggregationTree):
 
 
 def _split_points(m: int) -> list[tuple[int, int]]:
-    """Two uneven ranges covering [0, m) — the thread-pool split shape."""
+    """Two uneven ranges covering [0, m) — a process-pool split shape."""
     mid = max(1, m // 3)
     return [(0, mid), (mid, m)] if m > 1 else [(0, m)]
+
+
+def _consensus(ordered_local, ordered_alpha, parts, offsets, ends, tree):
+    """Phase B's aggregates as the tree round computes them: per-shard
+    reductions, then the up-tree combine. Entry 0 is the root's triple."""
+    m = tree.num_shards
+    out = (
+        np.empty(m, dtype=ordered_local.dtype),
+        np.empty(m, dtype=np.int64),
+        np.empty(m, dtype=ordered_alpha.dtype),
+    )
+    kernels.shard_consensus(
+        ordered_local, ordered_alpha, parts, offsets, ends, *out
+    )
+    return kernels.combine_up_consensus(
+        *out, tree.up_order(), tree.parent.astype(np.int64)
+    )
+
+
+def _decision_sums(ordered, offsets, ends, exclude_pos, tree):
+    """Phase F's partial sums as the tree round computes them: per-shard
+    sums, then the up-tree combine. Entry 0 is the grand total."""
+    out = np.empty(tree.num_shards, dtype=ordered.dtype)
+    kernels.shard_decision_sums(ordered, offsets, ends, exclude_pos, out)
+    return kernels.combine_up_sums(
+        out, tree.up_order(), tree.parent.astype(np.int64)
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,9 +150,8 @@ def test_phase_b_consensus_root_equals_flat_reductions(case, dtype):
     parts, offsets, ends = _layout(tree)
     values = values.astype(dtype)
     alphas = alphas.astype(dtype)
-    acc_max, acc_arg, acc_alpha = kernels.phase_b_consensus(
-        values[parts], alphas[parts], parts, offsets, ends,
-        tree.up_order(), tree.parent.astype(np.int64),
+    acc_max, acc_arg, acc_alpha = _consensus(
+        values[parts], alphas[parts], parts, offsets, ends, tree
     )
     assert float(acc_max[0]) == tree.reduce_max(values)
     assert int(acc_arg[0]) == tree.reduce_argmax(values)
@@ -143,10 +170,7 @@ def test_decision_sums_bitwise_equal_documented_order(case, dtype):
     m = tree.num_shards
 
     reference = tree.decision_sums(by_worker, exclude=straggler)
-    full = kernels.phase_f_decision_sums(
-        ordered, offsets, ends, exclude_pos,
-        tree.up_order(), tree.parent.astype(np.int64),
-    )
+    full = _decision_sums(ordered, offsets, ends, exclude_pos, tree)
     assert full.dtype == np.dtype(dtype)
     assert np.array_equal(full, reference.astype(dtype))
 
@@ -166,11 +190,27 @@ def test_decision_sums_without_exclusion(case, dtype):
     tree = AggregationTree.build(ids, shard_size, branching)
     parts, offsets, ends = _layout(tree)
     by_worker = values.astype(dtype)
-    full = kernels.phase_f_decision_sums(
-        by_worker[parts], offsets, ends, -1,
-        tree.up_order(), tree.parent.astype(np.int64),
-    )
+    full = _decision_sums(by_worker[parts], offsets, ends, -1, tree)
     assert np.array_equal(full, tree.decision_sums(by_worker).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("straggler", [None, 3])
+def test_decision_sums_keep_the_reference_sign_of_zero(dtype, straggler):
+    # Signed zeros and exact cancellations: equal values are not enough,
+    # the sign of every zero partial sum must match the reference too.
+    ids = list(range(10))
+    tree = AggregationTree.build(ids, 3, 2)
+    parts, offsets, ends = _layout(tree)
+    by_worker = np.array(
+        [-0.0, -0.0, -0.0, 1.5, -1.5, -0.0, 0.25, -0.25, -0.0, -0.0],
+        dtype=dtype,
+    )
+    exclude_pos = -1 if straggler is None else straggler
+    full = _decision_sums(by_worker[parts], offsets, ends, exclude_pos, tree)
+    reference = tree.decision_sums(by_worker, exclude=straggler)
+    assert np.array_equal(full, reference)
+    assert np.array_equal(np.signbit(full), np.signbit(reference))
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,24 +236,6 @@ def test_gather_and_scatter_max_are_exact(case, dtype):
     assert np.array_equal(acc_kernel, acc_ref)
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=kernel_cases(), dtype=st.sampled_from(DTYPES))
-def test_phase_e_pack_masks_exactly_the_straggler(case, dtype):
-    ids, shard_size, branching, values, _, straggler = case
-    tree = AggregationTree.build(ids, shard_size, branching)
-    x = values.astype(dtype)
-    member_ids = tree.member_ids.astype(np.int64)
-    src, payload, drop = kernels.phase_e_pack(x, member_ids, straggler)
-    if straggler in set(member_ids.tolist()):
-        assert drop == int(np.searchsorted(member_ids, straggler))
-        assert straggler not in set(src.tolist())
-        assert src.size == member_ids.size - 1
-    else:
-        assert drop == -1
-        assert np.array_equal(src, member_ids)
-    assert np.array_equal(payload, x[src])
-
-
 @given(
     total=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
     dtype=st.sampled_from(DTYPES),
@@ -227,11 +249,7 @@ def test_phase_g_close_matches_scalar_snap(total, dtype):
     assert snapped == (float(expected_raw) if expected_raw >= 1e-12 else 0.0)
 
 
-def test_phase_c_fill_and_d_sendtimes_shapes():
-    cols = kernels.phase_c_fill(2.5, 7, 0.125, 3, np.dtype(np.float32))
-    assert [c.shape for c in cols] == [(3,), (3,), (3,)]
-    assert cols[0].dtype == np.float32 and cols[1].dtype == np.float64
-    assert cols[1][0] == 7.0
+def test_phase_d_sendtimes_gather_head_readiness():
     down = np.array([1.0, 5.0, 3.0])
     shard_of = np.array([0, 0, 2, 1], dtype=np.int64)
     assert np.array_equal(

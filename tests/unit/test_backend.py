@@ -112,44 +112,36 @@ class TestNep50Foundation:
 
 
 class TestCompiledBackend:
+    """``compiled`` once selected the fused tree kernels; every dtype now
+    runs them, and the name survives as an alias of ``numpy64``."""
+
     def test_registry_entry(self):
-        import numpy as np
+        from repro.backend import ALIASES, BACKENDS, get_backend
 
-        from repro.backend import BACKENDS, get_backend
-
-        compiled = get_backend("compiled")
-        assert compiled is BACKENDS["compiled"]
-        assert compiled.compiled is True
-        assert compiled.dtype == np.dtype(np.float64)
-        # the plain backends report compiled=False
-        assert get_backend("numpy64").compiled is False
-        assert get_backend("numpy32").compiled is False
+        assert "compiled" not in BACKENDS
+        assert ALIASES["compiled"] == "numpy64"
+        assert get_backend("compiled") is BACKENDS["numpy64"]
 
     def test_explicit_compiled_is_always_honored(self):
+        # Honored as the float64 backend it now names: no error, no
+        # fallback, the numpy64 instance itself.
         from repro.backend import get_backend
 
-        assert get_backend("compiled").name == "compiled"
+        backend = get_backend("compiled")
+        assert backend.name == "numpy64"
+        assert backend.dtype == np.dtype(np.float64)
 
-    def test_env_compiled_without_numba_warns_once_and_falls_back(
+    def test_env_compiled_resolves_to_numpy64_without_warning(
         self, monkeypatch, caplog
     ):
         import logging
 
-        import repro.backend as backend_mod
-        from repro.backend.kernels import HAVE_NUMBA
+        from repro.backend import BACKENDS, get_backend
 
-        if HAVE_NUMBA:
-            pytest.skip("numba present: env compiled resolves for real")
         monkeypatch.setenv("REPRO_BACKEND", "compiled")
-        monkeypatch.setattr(backend_mod, "_warned_compiled_fallback", False)
         with caplog.at_level(logging.WARNING, logger="repro.backend"):
-            first = backend_mod.get_backend()
-            second = backend_mod.get_backend()
-        assert first.name == "numpy64" and second.name == "numpy64"
-        warnings = [
-            r for r in caplog.records if "falling back" in r.getMessage()
-        ]
-        assert len(warnings) == 1  # one-shot latch
+            assert get_backend() is BACKENDS["numpy64"]
+        assert caplog.records == []
 
     def test_unknown_name_lists_available_backends(self):
         from repro.backend import get_backend
