@@ -28,6 +28,7 @@ __all__ = [
     "build_trace",
     "protocol_trace",
     "fd_tree_protocol",
+    "fd_ring_protocol",
     "loop_trace",
     "trainer_trace",
     "serving_trace",
@@ -47,6 +48,15 @@ FD_TREE_WORKERS = 60
 FD_TREE_SHARD_SIZE = 8
 FD_TREE_CRASH_ROUND = 4
 FD_TREE_REJOIN_ROUND = 9
+
+#: The ``fd-ring`` golden: flat aggregation over a 16-node ring, so
+#: every broadcast and decision is flooded hop by hop. Relay 5 crashes
+#: before round 4 (the ring degrades to a path the floods still cross)
+#: and rejoins before round 8. Every round runs on the event engine.
+FD_RING_WORKERS = 16
+FD_RING_VICTIM = 5
+FD_RING_CRASH_ROUND = 4
+FD_RING_REJOIN_ROUND = 8
 
 
 def _cost_process(num_workers: int, seed: int):
@@ -134,6 +144,41 @@ def fd_tree_protocol(
         if t == FD_TREE_REJOIN_ROUND:
             for worker in victims:
                 protocol.rejoin_worker(worker)
+        protocol.run_round(t, process.costs_at(t))
+    return protocol
+
+
+def fd_ring_protocol(
+    num_workers: int = FD_RING_WORKERS,
+    rounds: int = GOLDEN_ROUNDS,
+    seed: int = GOLDEN_SEED,
+):
+    """Run the flat FD protocol over a ring topology through a relay
+    crash and its rejoin and return it; its trace is
+    ``protocol.tracer.trace``."""
+    from repro.net.links import Link, UniformLatency
+    from repro.net.topology import Topology
+    from repro.protocols.fully_distributed import FullyDistributedDolbie
+
+    if num_workers <= FD_RING_VICTIM + 1:
+        raise ConfigurationError(
+            f"the fd-ring scenario needs > {FD_RING_VICTIM + 1} workers, "
+            f"got {num_workers}"
+        )
+    tracer = Tracer()
+    protocol = FullyDistributedDolbie(
+        num_workers,
+        link=Link(UniformLatency(0.0005, 0.005, np.random.default_rng(seed))),
+        topology=Topology.ring(num_workers),
+        tracer=tracer,
+    )
+    tracer.header(protocol.name, num_workers, rounds, topology="ring")
+    process = _cost_process(num_workers, seed)
+    for t in range(1, rounds + 1):
+        if t == FD_RING_CRASH_ROUND:
+            protocol.crash_worker(FD_RING_VICTIM)
+        if t == FD_RING_REJOIN_ROUND:
+            protocol.rejoin_worker(FD_RING_VICTIM)
         protocol.run_round(t, process.costs_at(t))
     return protocol
 
@@ -227,10 +272,17 @@ SCENARIOS = {
     "fd-tree-f32": lambda engine, n, rounds, seed: fd_tree_protocol(
         "numpy32", n, rounds, seed
     ).tracer.trace,
+    "fd-ring": lambda engine, n, rounds, seed: fd_ring_protocol(
+        n, rounds, seed
+    ).tracer.trace,
 }
 
 #: Scenarios whose default fleet is not :data:`GOLDEN_WORKERS`.
-SCENARIO_WORKERS = {"fd-tree": FD_TREE_WORKERS, "fd-tree-f32": FD_TREE_WORKERS}
+SCENARIO_WORKERS = {
+    "fd-tree": FD_TREE_WORKERS,
+    "fd-tree-f32": FD_TREE_WORKERS,
+    "fd-ring": FD_RING_WORKERS,
+}
 
 
 def build_trace(

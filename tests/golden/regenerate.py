@@ -44,6 +44,7 @@ GOLDEN_FILES = {
     "serving": "serving.jsonl",
     "fd-tree": "fd_tree.jsonl",
     "fd-tree-f32": "fd_tree_f32.jsonl",
+    "fd-ring": "fd_ring.jsonl",
 }
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from repro.io import load_trace
 from repro.obs import diff_traces
-from repro.obs.scenarios import build_trace, fd_tree_protocol
+from repro.obs.scenarios import build_trace, fd_ring_protocol, fd_tree_protocol
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -150,7 +150,39 @@ def test_fd_tree_matches_golden_and_pinned_totals(scenario):
     assert protocol.metrics.messages_total == messages
     assert protocol.metrics.bytes_total == nbytes
     assert protocol.cluster.engine.now == now
-    ledger = json.dumps(
-        [entry.to_dict() for entry in protocol.ledger], sort_keys=True
+    assert _sha256_json(
+        [entry.to_dict() for entry in protocol.ledger]
+    ) == ledger_sha
+
+
+def _sha256_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def test_fd_ring_matches_golden_and_pinned_totals():
+    """Flooding over a ring through a relay crash and its rejoin: trace,
+    message/byte totals, clock, link RNG position, the ledger and every
+    worker's replica (recorded when the golden was blessed)."""
+    protocol = fd_ring_protocol()
+    diff = diff_traces(
+        _golden("fd-ring"), protocol.tracer.trace, include_header=True
     )
-    assert hashlib.sha256(ledger.encode()).hexdigest() == ledger_sha
+    assert diff.empty, f"[fd-ring] {BLESS_HINT}\n{diff.summary()}"
+    assert (protocol.fast_rounds, protocol.fallback_rounds) == (0, 30)
+    assert protocol.metrics.messages_total == 15558
+    assert protocol.metrics.bytes_total == 562112
+    assert protocol.cluster.engine.now == 2.6773863060204808
+    rng = protocol.cluster._default_link.latency._rng
+    assert rng.bit_generator.state["state"]["state"] == (
+        267411418849510394392798796071831299306
+    )
+    assert _sha256_json([entry.to_dict() for entry in protocol.ledger]) == (
+        "d7c8370acfd1f00a4e39f3bf7a04b7b760f4a9cc4d49fd845f8806850bbb4935"
+    )
+    replicas = [
+        [entry.to_dict() for entry in protocol.worker_ledger(w)]
+        for w in range(protocol.num_workers)
+    ]
+    assert _sha256_json(replicas) == (
+        "48ca220805681b71aec4cbbc325f0fb18faac87bff7d5b3b075d25f87e76d67d"
+    )
