@@ -279,26 +279,15 @@ def restore_cluster(cluster, state: Mapping) -> None:
     cluster.metrics._init_handles()
     lazy = getattr(cluster, "lazy_nodes", None)
     node_arrays = state.get("node_arrays")
-    if node_arrays is not None:
-        received = np.asarray(node_arrays["received_count"], dtype=np.int64)
-        failed = np.asarray(node_arrays["failed"], dtype=bool)
-        if lazy is not None:
-            lazy.received_count[:] = received
-            lazy.failed[:] = failed
-        else:  # packed snapshot into an eager cluster (cross-mode)
-            for node_id in range(received.size):
-                node = cluster._nodes.get(node_id)
-                if node is None:
-                    raise CheckpointError(
-                        f"snapshot mentions unknown node {node_id}"
-                    )
-                node.received_count = int(received[node_id])
-                node.failed = bool(failed[node_id])
+    if node_arrays is not None:  # only lazy (FD) clusters capture these
+        lazy.received_count[:] = np.asarray(
+            node_arrays["received_count"], dtype=np.int64
+        )
+        lazy.failed[:] = np.asarray(node_arrays["failed"], dtype=bool)
     for node_id, node_state in state["nodes"]:
         if lazy is not None:
-            # Write the packed columns directly — hydrating a view to
-            # set two scalars through its properties would be the same
-            # bytes, just slower.
+            # A per-node list into a lazy table (a snapshot of the
+            # retired object peers): write the packed columns directly.
             lazy.received_count[int(node_id)] = int(
                 node_state["received_count"]
             )
@@ -370,8 +359,8 @@ def _ledgers_state(protocol) -> dict:
     state = {"ledger": [entry.to_dict() for entry in auth_entries]}
     book = getattr(protocol, "_ledger_book", None)
     if book is not None:
-        # Store mode: the replicas already *are* spans — two packed
-        # arrays capture all N of them; only the few materialized
+        # Fully distributed: the replicas already *are* spans — two
+        # packed arrays capture all N of them; only the few materialized
         # (gap-holding) replicas need the per-entry packing.
         state["worker_ledger_spans"] = book.spans_state()
         state["worker_ledgers"] = {
@@ -401,7 +390,7 @@ def _restore_ledgers(protocol, state: Mapping) -> None:
                 book.materialized[int(worker)] = RoundLedger.from_records(
                     _unpack_replica(packed, authoritative)
                 )
-        else:  # per-replica snapshot into store mode (cross-mode)
+        else:  # per-replica snapshot of the retired object peers
             book.start[:] = 0
             book.stop[:] = 0
             for worker, packed in state["worker_ledgers"].items():
@@ -409,21 +398,6 @@ def _restore_ledgers(protocol, state: Mapping) -> None:
                     _unpack_replica(packed, authoritative)
                 )
                 book.restore_replica(int(worker), replica.entries)
-    elif spans is not None:  # span snapshot into object mode (cross-mode)
-        start = np.asarray(spans["start"], dtype=np.int64)
-        stop = np.asarray(spans["stop"], dtype=np.int64)
-        entries = ledger.entries
-        ledgers: dict[int, RoundLedger] = {}
-        for worker in range(protocol.num_workers):
-            replica = RoundLedger()
-            for entry in entries[int(start[worker]):int(stop[worker])]:
-                replica.replicate(entry)
-            ledgers[worker] = replica
-        for worker, packed in state["worker_ledgers"].items():
-            ledgers[int(worker)] = RoundLedger.from_records(
-                _unpack_replica(packed, authoritative)
-            )
-        protocol._worker_ledgers = ledgers
     else:
         protocol._worker_ledgers = {
             int(worker): RoundLedger.from_records(
@@ -542,12 +516,12 @@ def _restore_aggregation(protocol, agg: Mapping | None) -> None:
     overlay is rebuilt from its recorded membership and cross-checked
     shard-for-shard, exercising the determinism the protocol relies on.
 
-    ``shard_procs`` and ``peer_store`` are captured for provenance but
-    deliberately NOT part of the identity tuple: the tree round is
-    bit-identical at any process count and in either peer
-    representation, so resuming under different values is a legal — and
-    tested — configuration change. The thread-count field that older
-    snapshots carry is ignored. The backend IS identity, compared after
+    ``shard_procs`` is captured for provenance but deliberately NOT part
+    of the identity tuple: the tree round is bit-identical at any
+    process count, so resuming under a different value is a legal — and
+    tested — configuration change. The thread-count and ``peer_store``
+    fields that older snapshots carry are ignored. The backend IS
+    identity, compared after
     alias resolution: a ``numpy64`` vs ``numpy32`` mismatch fails loudly,
     while a snapshot stamped ``compiled`` (an alias of ``numpy64``)
     restores into a ``numpy64`` protocol.
@@ -613,53 +587,23 @@ def _peer_transients(peer) -> dict:
 
 def _capture_fully_distributed(protocol) -> dict:
     last_tree = getattr(protocol, "last_tree", None)
-    store = getattr(protocol, "_store", None)
-    if store is not None:
-        # Struct-of-arrays mode: all scalar peer state is a handful of
-        # packed arrays; transient event-round containers exist only on
-        # hydrated views and are captured sparsely.
-        alive_state: "list | np.ndarray" = np.asarray(
-            protocol._alive, dtype=bool
-        ).copy()
-        peers_state: dict = {
-            "peerstore": store.state(),
-            "peer_transients": [
-                [int(node_id), _peer_transients(peer)]
-                for node_id, peer in sorted(
-                    protocol.cluster._nodes.items()
-                )
-                if peer._peer_costs
-                or peer._peer_decisions
-                or peer._seen_floods
-            ],
-        }
-    else:
-        alive_state = [bool(a) for a in protocol._alive]
-        peers_state = {
-            "peers": [
-                {
-                    "x": float(peer.x),
-                    "alpha_bar": float(peer.alpha_bar),
-                    "local_cost": peer.local_cost,
-                    "current_round": int(peer.current_round),
-                    "is_straggler": bool(peer.is_straggler),
-                    "global_cost": peer.global_cost,
-                    "straggler_id": peer.straggler_id,
-                    "roster": sorted(int(w) for w in peer.roster),
-                    **_peer_transients(peer),
-                }
-                for peer in protocol.peers
-            ],
-        }
     return {
         "architecture": "fully-distributed",
         "num_workers": int(protocol.num_workers),
-        "alive": alive_state,
+        "alive": np.asarray(protocol._alive, dtype=bool).copy(),
         "stalled": sorted(int(w) for w in protocol._stalled),
         "fast_rounds": int(protocol.fast_rounds),
         "fallback_rounds": int(protocol.fallback_rounds),
         "tree_rounds": int(getattr(protocol, "tree_rounds", 0)),
-        **peers_state,
+        # All scalar peer state is a handful of packed arrays; the
+        # event-round containers exist only on hydrated views and are
+        # captured sparsely.
+        "peerstore": protocol._store.state(),
+        "peer_transients": [
+            [int(node_id), _peer_transients(peer)]
+            for node_id, peer in sorted(protocol.cluster._nodes.items())
+            if peer._peer_costs or peer._peer_decisions or peer._seen_floods
+        ],
         # Aggregation-layer identity: mode/overlay parameters plus the
         # last overlay's shard membership. The overlay itself is a pure
         # function of (roster, shard_size, branching), so restore
@@ -673,10 +617,8 @@ def _capture_fully_distributed(protocol) -> dict:
             if hasattr(protocol, "backend")
             else "numpy64",
             # Informational (not restore-checked): any process count is
-            # bit-identical, and the peer store changes memory layout
-            # only — see _restore_aggregation.
+            # bit-identical — see _restore_aggregation.
             "shard_procs": int(getattr(protocol, "shard_procs", 1)),
-            "peer_store": bool(getattr(protocol, "peer_store", False)),
             "last_tree": None
             if last_tree is None
             else {
@@ -707,75 +649,36 @@ def _apply_peer_transients(peer, transients: Mapping) -> None:
 
 def _restore_peers_from_store_block(protocol, state: Mapping) -> None:
     """Pour a ``peerstore`` (array-shaped) snapshot block into the live
-    protocol — directly into the store in store mode, through the peer
-    objects otherwise (cross-mode restore)."""
-    arrays = state["peerstore"]
-    store = getattr(protocol, "_store", None)
-    if store is not None:
-        store.restore(arrays)
-        # Stale transients on already-hydrated views must not survive
-        # the restore; the snapshot's sparse list reinstates them.
-        for peer in protocol.cluster._nodes.values():
-            peer._peer_costs = {}
-            peer._peer_decisions = {}
-            peer._seen_floods = set()
-    else:
-        shared = frozenset(
-            int(w) for w in np.asarray(arrays["shared_roster"]).tolist()
-        )
-        overrides = {
-            int(w): frozenset(int(i) for i in np.asarray(ids).tolist())
-            for w, ids in arrays["roster_overrides"].items()
-        }
-        local_cost = np.asarray(arrays["local_cost"], dtype=float)
-        global_cost = np.asarray(arrays["global_cost"], dtype=float)
-        straggler_id = np.asarray(arrays["straggler_id"], dtype=np.int64)
-        for i, peer in enumerate(protocol.peers):
-            peer.x = float(arrays["x"][i])
-            peer.alpha_bar = float(arrays["alpha_bar"][i])
-            peer.local_cost = (
-                None if np.isnan(local_cost[i]) else float(local_cost[i])
-            )
-            peer.current_round = int(arrays["current_round"][i])
-            peer.is_straggler = bool(arrays["is_straggler"][i])
-            peer.global_cost = (
-                None if np.isnan(global_cost[i]) else float(global_cost[i])
-            )
-            peer.straggler_id = (
-                None if straggler_id[i] < 0 else int(straggler_id[i])
-            )
-            peer.roster = overrides.get(i, shared)
-            peer._peer_costs = {}
-            peer._peer_decisions = {}
-            peer._seen_floods = set()
+    protocol's store."""
+    protocol._store.restore(state["peerstore"])
+    # Stale transients on already-hydrated views must not survive the
+    # restore; the snapshot's sparse list reinstates them.
+    for peer in protocol.cluster._nodes.values():
+        peer._peer_costs = {}
+        peer._peer_decisions = {}
+        peer._seen_floods = set()
     for node_id, transients in state.get("peer_transients", []):
         _apply_peer_transients(protocol.peers[int(node_id)], transients)
 
 
 def _restore_peers_from_list(protocol, state: Mapping) -> None:
-    """Pour a per-peer-dict snapshot block into the live protocol.
+    """Pour a per-peer-dict snapshot block (written by the retired
+    object-peer representation) into the live protocol's store.
 
-    Identical rosters share one frozenset (the O(N) construction
-    contract of _Peer — rosters are rebound, never mutated, so one
-    object per distinct roster is safe and keeps restore O(N)). In
-    store mode the dominant roster becomes the store's shared roster so
-    the restored store keeps its O(overrides) eligibility checks."""
-    store = getattr(protocol, "_store", None)
-    if store is not None:
-        from collections import Counter
+    The dominant roster becomes the store's shared roster, so the
+    restored store keeps its O(overrides) eligibility checks."""
+    from collections import Counter
 
-        keys = [
-            tuple(int(w) for w in peer_state["roster"])
-            for peer_state in state["peers"]
-        ]
-        dominant = Counter(keys).most_common(1)[0][0] if keys else ()
-        store.shared_roster = frozenset(dominant)
-        store.roster_overrides = {
-            i: frozenset(key)
-            for i, key in enumerate(keys)
-            if key != dominant
-        }
-    shared_rosters: dict[tuple, frozenset] = {}
+    store = protocol._store
+    keys = [
+        tuple(int(w) for w in peer_state["roster"])
+        for peer_state in state["peers"]
+    ]
+    dominant = Counter(keys).most_common(1)[0][0] if keys else ()
+    store.shared_roster = frozenset(dominant)
+    store.roster_overrides = {
+        i: frozenset(key) for i, key in enumerate(keys) if key != dominant
+    }
     for peer, peer_state in zip(protocol.peers, state["peers"]):
         peer.x = float(peer_state["x"])
         peer.alpha_bar = float(peer_state["alpha_bar"])
@@ -784,20 +687,12 @@ def _restore_peers_from_list(protocol, state: Mapping) -> None:
         peer.is_straggler = bool(peer_state["is_straggler"])
         peer.global_cost = peer_state["global_cost"]
         peer.straggler_id = peer_state["straggler_id"]
-        if store is None:
-            roster_key = tuple(int(w) for w in peer_state["roster"])
-            peer.roster = shared_rosters.setdefault(
-                roster_key, frozenset(roster_key)
-            )
         _apply_peer_transients(peer, peer_state)
 
 
 def _restore_fully_distributed(protocol, state: Mapping) -> None:
     _check_shape(protocol, state, "fully-distributed")
-    if getattr(protocol, "_store", None) is not None:
-        protocol._alive = np.asarray(state["alive"], dtype=bool).copy()
-    else:
-        protocol._alive = [bool(a) for a in state["alive"]]
+    protocol._alive = np.asarray(state["alive"], dtype=bool).copy()
     protocol._stalled = {int(w) for w in state["stalled"]}
     protocol.fast_rounds = int(state["fast_rounds"])
     protocol.fallback_rounds = int(state["fallback_rounds"])

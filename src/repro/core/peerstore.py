@@ -1,12 +1,11 @@
-"""Struct-of-arrays peer state: the N=10⁶ construction/memory wall breaker.
+"""Struct-of-arrays peer state: the FD protocol's only peer representation.
 
-``FullyDistributedDolbie`` historically materializes one ``_Peer``
-python object per worker. Each object is small, but N of them is not:
-at N=1,000,000 the roster costs seconds of pure allocation and hundreds
-of megabytes of object headers before the first round runs — and
-checkpointing walks every one of them. The observation that breaks the
-wall is that on the hot (tree round) path a peer's whole observable
-state is a handful of scalars:
+One python object per worker is small, but N of them is not: at
+N=1,000,000 a roster of peer objects costs seconds of pure allocation
+and hundreds of megabytes of object headers before the first round runs
+— and checkpointing walks every one of them. In Algorithm 2 a peer's
+whole per-round state is a handful of scalars, so
+``FullyDistributedDolbie`` keeps it in packed columns:
 
 ========================  =======================================
 peer field                 packed array (dtype, shape ``(N,)``)
@@ -23,17 +22,18 @@ peer field                 packed array (dtype, shape ``(N,)``)
 ========================  =======================================
 
 :class:`PeerStore` holds exactly those arrays — O(N) *array*
-allocations instead of N python objects — while the protocol keeps its
-existing peer/node API through lazily hydrated flyweight views
-(``_StorePeer`` in :mod:`repro.protocols.fully_distributed`): a view is
-a real ``_Peer`` whose scalar fields are properties over the store's
-arrays, created only when some code path actually addresses that peer
-as an object. A clean tree round hydrates **zero** views.
+allocations instead of N python objects — while the protocol keeps a
+peer/node API through lazily hydrated flyweight views (``_Peer`` in
+:mod:`repro.protocols.fully_distributed`): a view is a real network
+node whose scalar fields are properties over the store's arrays,
+created only when some code path actually addresses that peer as an
+object (the event engine, flooding over a sparse topology, chaos
+tooling). A clean tree or flat fast round hydrates **zero** views.
 
-Rosters use the shared-frozenset contract the object peers already
-follow (one frozenset for everyone, rebound never mutated):
-:attr:`PeerStore.shared_roster` plus a sparse override dict for the
-transiently divergent peers around a membership event.
+Rosters follow a shared-frozenset contract (one frozenset for
+everyone, rebound never mutated): :attr:`PeerStore.shared_roster` plus
+a sparse override dict for the transiently divergent peers around a
+membership event.
 
 Per-peer RNG state does not exist in this codebase (all randomness
 lives in the link/latency models, captured by :mod:`repro.ckpt.state`);
@@ -77,10 +77,9 @@ class PeerStore:
     ) -> None:
         n = int(num_workers)
         self.num_workers = n
-        # Protocol scalars are float64 on object peers (python floats),
-        # so the packed columns are float64 regardless of the array
-        # backend — the fast paths convert to the backend dtype exactly
-        # where the object path does.
+        # Protocol scalars are float64 (what the event engine computes
+        # in), so the packed columns are float64 regardless of the array
+        # backend — the fast paths convert to the backend dtype on read.
         self.x = np.array(x0, dtype=float)
         self.alpha_bar = np.full(n, float(alpha_bar))
         self.local_cost = np.full(n, np.nan)
@@ -91,7 +90,7 @@ class PeerStore:
         self.failed = np.zeros(n, dtype=bool)
         self.received_count = np.zeros(n, dtype=np.int64)
         #: The one frozenset shared by every peer without an override —
-        #: the same O(N)-construction contract as the object peers.
+        #: O(1) roster construction however large N is.
         self.shared_roster: frozenset[int] = (
             roster if roster is not None else frozenset(range(n))
         )
@@ -119,10 +118,9 @@ class PeerStore:
     ) -> None:
         """Re-agree the roster for every member of ``new_roster``.
 
-        Mirrors ``_readmit``'s object-mode semantics exactly: members
-        of ``new_roster`` share the new frozenset, while ``stale_ids``
-        (dead/stalled peers — the caller knows them, so this never
-        scans all N) keep whatever roster they last saw."""
+        Members of ``new_roster`` share the new frozenset, while
+        ``stale_ids`` (dead/stalled peers — the caller knows them, so
+        this never scans all N) keep whatever roster they last saw."""
         old = self.shared_roster
         for worker in stale_ids:
             self.roster_overrides.setdefault(int(worker), old)

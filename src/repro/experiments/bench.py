@@ -592,7 +592,6 @@ def _bench_protocol_tree_procs(repetitions: int) -> BenchmarkResult:
                 n,
                 link=link,
                 aggregation="tree",
-                peer_store=True,
                 shard_procs=procs,
             )
             state = {"t": 0}
@@ -646,8 +645,7 @@ def _bench_protocol_tree_procs(repetitions: int) -> BenchmarkResult:
 
 
 #: Struct-of-arrays roster construction at the paper's next wall: a
-#: million-peer protocol must be *constructible* in bounded time (the
-#: object-peer path allocates a million python objects and is not), and
+#: million-peer protocol must be *constructible* in bounded time, and
 #: the store's packed arrays must stay O(N) compact.
 PEERSTORE_CONSTRUCT_N = 1_000_000
 PEERSTORE_CONSTRUCT_BUDGET_S = 10.0
@@ -657,7 +655,7 @@ PEERSTORE_ARRAYS_CEILING_BYTES = 200 * 2**20
 def _bench_peerstore_construct(repetitions: int) -> BenchmarkResult:
     """Construction-only gate for the N=10^6 roster.
 
-    Times building a full store-mode tree protocol (packed
+    Times building a full tree protocol (packed
     peer arrays, ledger spans, aggregation tree, lazy node table — no
     rounds). Gates: under :data:`PEERSTORE_CONSTRUCT_BUDGET_S` seconds,
     and the store's packed arrays total under
@@ -677,14 +675,13 @@ def _bench_peerstore_construct(repetitions: int) -> BenchmarkResult:
             n,
             link=Link(ConstantLatency(0.001)),
             aggregation="tree",
-            peer_store=True,
         )
 
     times = [_time_once(construct) for _ in range(max(1, min(repetitions, 2)))]
     best = min(times)
     if best > PEERSTORE_CONSTRUCT_BUDGET_S:
         raise RuntimeError(
-            f"n{n} store-mode construction took {best:.1f}s "
+            f"n{n} construction took {best:.1f}s "
             f"(budget {PEERSTORE_CONSTRUCT_BUDGET_S:.0f}s)"
         )
     store = holder["protocol"]._store

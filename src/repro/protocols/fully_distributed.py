@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -60,11 +60,6 @@ TAG_FLOOD = "flood"
 #: sidestep the GIL — see :mod:`repro.backend.shardpool`.
 SHARD_PROCS_ENV = "REPRO_SHARD_PROCS"
 
-#: Env default for the struct-of-arrays peer store (the ``peer_store``
-#: constructor parameter wins when passed). Off by default: tier-1 runs
-#: the historical object peers.
-PEER_STORE_ENV = "REPRO_PEER_STORE"
-
 _warned_shard_procs_fallback = False
 
 
@@ -86,7 +81,21 @@ def _warn_shard_procs_fallback(exc: BaseException) -> None:
 
 
 class _Peer(Node):
-    """One worker of Algorithm 2.
+    """One worker of Algorithm 2, as a flyweight view over the
+    protocol's :class:`~repro.core.peerstore.PeerStore`.
+
+    Every scalar field (``x``, ``alpha_bar``, ``local_cost``, the
+    agreed ``global_cost``/``straggler_id``, the roster, the node's
+    ``failed``/``received_count``) is a property over the store's packed
+    columns, so views and array code see one state. Views are hydrated
+    lazily (via the cluster's :class:`~repro.net.node.LazyNodeTable`)
+    only when some code path addresses the peer as an object — the
+    event engine, chaos tooling, tests — and are cached by
+    :meth:`~repro.net.cluster.Cluster.node` for the protocol's lifetime.
+    The per-round containers (``_peer_costs``, ``_peer_decisions``,
+    ``_seen_floods``) and the ``cost_fn`` object live on the view: they
+    hold python objects, exist only around event-engine rounds, and are
+    empty on every peer a clean round never hydrates.
 
     With ``neighbors=None`` the peer assumes the paper's implicit
     all-to-all connectivity and messages everyone directly. With an
@@ -100,33 +109,21 @@ class _Peer(Node):
 
     def __init__(
         self,
+        store: PeerStore,
         node_id: int,
         num_workers: int,
-        x_init: float,
-        alpha_bar: float,
-        neighbors: list[int] | None = None,
-        roster: "frozenset[int] | None" = None,
+        neighbors: Sequence[int] | None = None,
     ) -> None:
-        super().__init__(node_id)
-        self.num_workers = num_workers
-        self.x = float(x_init)
-        self.alpha_bar = float(alpha_bar)  # local step size (Eq. 8)
+        # Deliberately NOT calling Node.__init__: it assigns
+        # received_count=0 and failed=False, which would clobber live
+        # store state through the property setters.
+        self._store = store
+        self.node_id = int(node_id)
+        self._handlers = {}
+        self._cluster = None
+        self.num_workers = int(num_workers)
         self.neighbors = list(neighbors) if neighbors is not None else None
         self.cost_fn: CostFunction | None = None
-        self.local_cost: float | None = None
-        self.current_round = 0
-        self.is_straggler = False
-        self.global_cost: float | None = None
-        self.straggler_id: int | None = None
-        #: Workers this peer believes are alive (crash tolerance). The
-        #: protocol passes ONE shared frozenset to all N peers — building
-        #: N private ``set(range(N))`` copies was the construction-time
-        #: O(N^2) wall at N=10,000. Roster changes always *rebind* (the
-        #: ``-=`` below makes a new frozenset), never mutate in place, so
-        #: sharing is safe.
-        self.roster: "set[int] | frozenset[int]" = (
-            roster if roster is not None else frozenset(range(num_workers))
-        )
         self.cost_timeout = 1.0
         self._peer_costs: dict[int, tuple[float, float]] = {}
         self._peer_decisions: dict[int, float] = {}
@@ -134,6 +131,113 @@ class _Peer(Node):
         self.on(TAG_COST, self._on_cost)
         self.on(TAG_DECISION, self._on_decision)
         self.on(TAG_FLOOD, self._on_flood)
+
+    # Getters read with ``ndarray.item`` (a python scalar straight from
+    # the column) and test NaN as ``v != v``: the event engine reads
+    # these once or more per delivered message.
+    @property
+    def x(self) -> float:
+        return self._store.x.item(self.node_id)
+
+    @x.setter
+    def x(self, value: float) -> None:
+        self._store.x[self.node_id] = value
+
+    @property
+    def alpha_bar(self) -> float:
+        return self._store.alpha_bar.item(self.node_id)
+
+    @alpha_bar.setter
+    def alpha_bar(self, value: float) -> None:
+        self._store.alpha_bar[self.node_id] = value
+
+    @property
+    def local_cost(self) -> float | None:
+        value = self._store.local_cost.item(self.node_id)
+        return None if value != value else value  # NaN encodes None
+
+    @local_cost.setter
+    def local_cost(self, value: float | None) -> None:
+        self._store.local_cost[self.node_id] = (
+            np.nan if value is None else value
+        )
+
+    @property
+    def current_round(self) -> int:
+        return self._store.current_round.item(self.node_id)
+
+    @current_round.setter
+    def current_round(self, value: int) -> None:
+        self._store.current_round[self.node_id] = value
+
+    @property
+    def is_straggler(self) -> bool:
+        return self._store.is_straggler.item(self.node_id)
+
+    @is_straggler.setter
+    def is_straggler(self, value: bool) -> None:
+        self._store.is_straggler[self.node_id] = value
+
+    @property
+    def global_cost(self) -> float | None:
+        value = self._store.global_cost.item(self.node_id)
+        return None if value != value else value  # NaN encodes None
+
+    @global_cost.setter
+    def global_cost(self, value: float | None) -> None:
+        self._store.global_cost[self.node_id] = (
+            np.nan if value is None else value
+        )
+
+    @property
+    def straggler_id(self) -> int | None:
+        value = self._store.straggler_id.item(self.node_id)
+        return None if value < 0 else value
+
+    @straggler_id.setter
+    def straggler_id(self, value: int | None) -> None:
+        self._store.straggler_id[self.node_id] = -1 if value is None else value
+
+    @property
+    def failed(self) -> bool:
+        return self._store.failed.item(self.node_id)
+
+    @failed.setter
+    def failed(self, value: bool) -> None:
+        self._store.failed[self.node_id] = value
+
+    @property
+    def received_count(self) -> int:
+        return self._store.received_count.item(self.node_id)
+
+    @received_count.setter
+    def received_count(self, value: int) -> None:
+        self._store.received_count[self.node_id] = value
+
+    @property
+    def roster(self) -> "frozenset[int]":
+        """Workers this peer believes are alive (crash tolerance).
+
+        Peers without a divergent view share the store's one frozenset;
+        roster changes always *rebind* (``-=`` makes a new frozenset),
+        never mutate in place, so sharing is safe."""
+        store = self._store  # PeerStore.roster_of, inlined (hot path)
+        return store.roster_overrides.get(self.node_id, store.shared_roster)
+
+    @roster.setter
+    def roster(self, value) -> None:
+        self._store.set_roster(self.node_id, value)
+
+    def deliver(self, message: Message) -> None:
+        """:meth:`Node.deliver` on the packed columns: one index per
+        flag instead of property round trips on every delivery."""
+        store, i = self._store, self.node_id
+        handler = self._handlers.get(message.tag)
+        if store.failed[i] or handler is None:
+            super().deliver(message)  # discards, or raises on the tag
+            return
+        store.received_count[i] += 1
+        handler(message)
 
     def observe_round(
         self,
@@ -344,133 +448,10 @@ class _Peer(Node):
         return True
 
 
-class _StorePeer(_Peer):
-    """A flyweight ``_Peer`` whose scalar state lives in a
-    :class:`~repro.core.peerstore.PeerStore`.
-
-    Hydrated lazily (via the cluster's :class:`~repro.net.node.
-    LazyNodeTable`) only when some code path addresses the peer as an
-    object — the event engine, the python fast paths, chaos tooling,
-    tests. Every scalar field the object peer stores on itself is a
-    property over the packed arrays here, so views and array code see
-    one state. Transient per-round containers (``_peer_costs``,
-    ``_peer_decisions``, ``_seen_floods``) and the ``cost_fn`` object
-    stay on the view: they hold python objects, exist only around
-    event-engine rounds, and are empty on every peer a clean round
-    never hydrates.
-    """
-
-    def __init__(self, store: PeerStore, node_id: int, num_workers: int) -> None:
-        # Deliberately NOT calling _Peer/Node.__init__: both assign
-        # defaults (x, received_count=0, failed=False, ...) that would
-        # clobber live store state through the property setters.
-        self._store = store
-        self.node_id = int(node_id)
-        self._handlers = {}
-        self._cluster = None
-        self.num_workers = int(num_workers)
-        self.neighbors = None
-        self.cost_fn = None
-        self.cost_timeout = 1.0
-        self._peer_costs = {}
-        self._peer_decisions = {}
-        self._seen_floods = set()
-        self.on(TAG_COST, self._on_cost)
-        self.on(TAG_DECISION, self._on_decision)
-        self.on(TAG_FLOOD, self._on_flood)
-
-    @property
-    def x(self) -> float:
-        return float(self._store.x[self.node_id])
-
-    @x.setter
-    def x(self, value: float) -> None:
-        self._store.x[self.node_id] = value
-
-    @property
-    def alpha_bar(self) -> float:
-        return float(self._store.alpha_bar[self.node_id])
-
-    @alpha_bar.setter
-    def alpha_bar(self, value: float) -> None:
-        self._store.alpha_bar[self.node_id] = value
-
-    @property
-    def local_cost(self) -> float | None:
-        value = self._store.local_cost[self.node_id]
-        return None if np.isnan(value) else float(value)
-
-    @local_cost.setter
-    def local_cost(self, value: float | None) -> None:
-        self._store.local_cost[self.node_id] = (
-            np.nan if value is None else value
-        )
-
-    @property
-    def current_round(self) -> int:
-        return int(self._store.current_round[self.node_id])
-
-    @current_round.setter
-    def current_round(self, value: int) -> None:
-        self._store.current_round[self.node_id] = value
-
-    @property
-    def is_straggler(self) -> bool:
-        return bool(self._store.is_straggler[self.node_id])
-
-    @is_straggler.setter
-    def is_straggler(self, value: bool) -> None:
-        self._store.is_straggler[self.node_id] = value
-
-    @property
-    def global_cost(self) -> float | None:
-        value = self._store.global_cost[self.node_id]
-        return None if np.isnan(value) else float(value)
-
-    @global_cost.setter
-    def global_cost(self, value: float | None) -> None:
-        self._store.global_cost[self.node_id] = (
-            np.nan if value is None else value
-        )
-
-    @property
-    def straggler_id(self) -> int | None:
-        value = int(self._store.straggler_id[self.node_id])
-        return None if value < 0 else value
-
-    @straggler_id.setter
-    def straggler_id(self, value: int | None) -> None:
-        self._store.straggler_id[self.node_id] = -1 if value is None else value
-
-    @property
-    def failed(self) -> bool:
-        return bool(self._store.failed[self.node_id])
-
-    @failed.setter
-    def failed(self, value: bool) -> None:
-        self._store.failed[self.node_id] = value
-
-    @property
-    def received_count(self) -> int:
-        return int(self._store.received_count[self.node_id])
-
-    @received_count.setter
-    def received_count(self, value: int) -> None:
-        self._store.received_count[self.node_id] = value
-
-    @property
-    def roster(self):
-        return self._store.roster_of(self.node_id)
-
-    @roster.setter
-    def roster(self, value) -> None:
-        self._store.set_roster(self.node_id, value)
-
-
 class _PeerSeq(Sequence):
-    """``protocol.peers`` in store mode: a sequence of lazily hydrated
-    :class:`_StorePeer` views (the cluster's node cache is the single
-    view cache, so ``peers[i] is cluster.node(i)``)."""
+    """``protocol.peers``: a sequence of lazily hydrated :class:`_Peer`
+    views (the cluster's node cache is the single view cache, so
+    ``peers[i] is cluster.node(i)``)."""
 
     def __init__(self, protocol: "FullyDistributedDolbie") -> None:
         self._protocol = protocol
@@ -510,9 +491,7 @@ class _TreeRound:
       only the accounting a materialized frame batch would produce.
     - **Mirrors and buffers**: copies of every peer's ``x`` (float64) and
       ``alpha_bar`` (backend dtype, the precision the consensus reduces
-      in) so a clean round never scans N Python objects, the
-      per-shard reduction outputs, and bound ``replicate`` methods of
-      the participants' ledger replicas.
+      in), and the per-shard reduction outputs.
     """
 
     def __init__(
@@ -601,19 +580,6 @@ class _TreeRound:
         self.acc_sum = np.empty(m, dtype=dtype)
         self.x_arr = np.empty(n, dtype=float)
         self.alpha_arr = np.empty(n, dtype=dtype)
-        self._store = protocol._store
-        #: Bound unchecked-append methods of the participants' ledger
-        #: replicas (validated once on the authoritative ledger per
-        #: round; see :meth:`repro.core.ledger.RoundLedger.replicate`).
-        #: In store mode the :class:`~repro.core.peerstore.LedgerBook`
-        #: fans entries out vectorized instead.
-        if protocol._worker_ledgers is not None:
-            self.replicas: list[Callable] = [
-                protocol._worker_ledgers[i].replicate
-                for i in self.participants
-            ]
-        else:
-            self.replicas = []
         #: Process-parallel shard execution (Layer 10): one shared
         #: segment per tree-round epoch carrying the static index
         #: arrays, the per-round staging vectors, and every kernel
@@ -673,16 +639,12 @@ class _TreeRound:
             self.proc_pool = None
             shm.release()
 
-    def resync(self, peers: "Sequence[_Peer]") -> None:
+    def resync(self, store: PeerStore) -> None:
         """Refresh the x/alpha mirrors from live peer state (needed
         whenever an event/flat round or a membership event touched the
         peers since the last tree round)."""
-        if self._store is not None:
-            self.x_arr[:] = self._store.x
-            self.alpha_arr[:] = self._store.alpha_bar
-        else:
-            self.x_arr[:] = [p.x for p in peers]
-            self.alpha_arr[:] = [p.alpha_bar for p in peers]
+        self.x_arr[:] = store.x
+        self.alpha_arr[:] = store.alpha_bar
 
 
 class FullyDistributedDolbie:
@@ -705,7 +667,6 @@ class FullyDistributedDolbie:
         branching: int = 4,
         backend: "str | ArrayBackend | None" = None,
         shard_procs: int | None = None,
-        peer_store: bool | None = None,
     ) -> None:
         """``topology`` restricts connectivity to a connected graph (see
         :class:`repro.net.topology.Topology`); per-round information then
@@ -749,16 +710,15 @@ class FullyDistributedDolbie:
         with a one-time ``RuntimeWarning``; values above 1 apply to tree
         rounds only.
 
-        ``peer_store`` (default ``$REPRO_PEER_STORE`` or off) keeps all
-        peer scalar state in packed struct-of-arrays columns
-        (:class:`repro.core.peerstore.PeerStore`) instead of N python
-        peer objects, with node objects hydrated lazily as flyweight
-        views over the columns. Bit-identical observables — views read
-        and write the same arrays the tree round uses — but roster
-        construction and checkpointing become O(N) array allocations,
-        which is what makes N=10⁶ tractable. Requires
-        ``topology=None`` (the complete graph; sparse-topology flooding
-        keeps per-peer handler state that the store does not model).
+        Peer state lives in packed struct-of-arrays columns
+        (:class:`repro.core.peerstore.PeerStore`) and per-worker ledger
+        replicas in span arrays (:class:`repro.core.peerstore.
+        LedgerBook`): construction and checkpointing are O(N) array
+        allocations, which is what makes N=10⁶ tractable. Peer objects
+        (``protocol.peers[i]``) are flyweight views over the columns,
+        hydrated only when some code path addresses one — the event
+        engine, chaos tooling, flooding over a sparse ``topology``
+        (a view's ``neighbors`` are ``topology.neighbors(i)``).
 
         ``tracer``/``profiler`` attach the observability layer (see
         :mod:`repro.obs`); trace payloads are identical on both
@@ -795,15 +755,6 @@ class FullyDistributedDolbie:
             raise ConfigurationError(
                 f"shard_procs must be >= 1, got {self.shard_procs}"
             )
-        if peer_store is None:
-            raw = os.environ.get(PEER_STORE_ENV, "")
-            peer_store = raw.strip().lower() in ("1", "true", "yes", "on")
-        self.peer_store = bool(peer_store)
-        if self.peer_store and topology is not None:
-            raise ConfigurationError(
-                "peer_store requires topology=None (the struct-of-arrays "
-                "store does not model per-peer flooding state)"
-            )
         self._chunk_frames = default_chunk_frames()
         self.num_workers = int(num_workers)
         self.topology = topology
@@ -821,42 +772,16 @@ class FullyDistributedDolbie:
             raise ConfigurationError("initial allocation must be feasible")
         if alpha_1 is None:
             alpha_1 = initial_step_size(x0)
-        full_roster = frozenset(range(num_workers))  # shared, never mutated
-        if self.peer_store:
-            # Struct-of-arrays mode: peer scalar state lives in packed
-            # columns; node objects are flyweight views hydrated only
-            # for the ids some code path actually addresses.
-            self._store: PeerStore | None = PeerStore(
-                num_workers, x0, float(alpha_1), roster=full_roster
-            )
-            table = LazyNodeTable(
-                num_workers,
-                self._hydrate_peer,
-                self._store.received_count,
-                self._store.failed,
-            )
-            self.cluster = Cluster(table, default_link=link)
-            self.peers: "Sequence[_Peer]" = _PeerSeq(self)
-            self._alive: "list[bool] | np.ndarray" = np.ones(
-                num_workers, dtype=bool
-            )
-        else:
-            self._store = None
-            self.peers = [
-                _Peer(
-                    i,
-                    num_workers,
-                    x0[i],
-                    alpha_1,
-                    neighbors=(
-                        None if topology is None else topology.neighbors(i)
-                    ),
-                    roster=full_roster,
-                )
-                for i in range(num_workers)
-            ]
-            self.cluster = Cluster(self.peers, default_link=link)
-            self._alive = [True] * num_workers
+        self._store = PeerStore(num_workers, x0, float(alpha_1))
+        table = LazyNodeTable(
+            num_workers,
+            self._hydrate_peer,
+            self._store.received_count,
+            self._store.failed,
+        )
+        self.cluster = Cluster(table, default_link=link)
+        self.peers: Sequence[_Peer] = _PeerSeq(self)
+        self._alive = np.ones(num_workers, dtype=bool)
         #: Alive peers currently unreachable from the primary component
         #: (cut off by a partition or a dead relay); their shares are
         #: folded into the straggler until the topology heals.
@@ -886,28 +811,23 @@ class FullyDistributedDolbie:
         self.profiler = profiler
         self.cluster.tracer = tracer
         #: Authoritative round ledger (one entry per completed round) and
-        #: each peer's replica of it. A crash wipes the peer's replica —
-        #: process memory is gone — while a checkpointed *restart*
-        #: restores it (see :mod:`repro.core.ledger`).
+        #: each peer's replica of it, span-compressed: healthy replicas
+        #: are contiguous runs of the authority. A crash wipes the
+        #: peer's replica — process memory is gone — while a
+        #: checkpointed *restart* restores it (see
+        #: :mod:`repro.core.ledger`).
         self.ledger = RoundLedger()
-        if self.peer_store:
-            # Span-compressed replica bookkeeping: healthy replicas are
-            # contiguous runs of the authority, tracked as two int64
-            # columns instead of N RoundLedger objects.
-            self._worker_ledgers: "dict[int, RoundLedger] | None" = None
-            self._ledger_book: LedgerBook | None = LedgerBook(
-                num_workers, self.ledger
-            )
-        else:
-            self._worker_ledgers = {
-                i: RoundLedger() for i in range(num_workers)
-            }
-            self._ledger_book = None
+        self._ledger_book = LedgerBook(num_workers, self.ledger)
 
-    def _hydrate_peer(self, node_id: int) -> "_StorePeer":
+    def _hydrate_peer(self, node_id: int) -> _Peer:
         """Factory the lazy node table uses to build flyweight peer
         views over the store columns (cached by the cluster)."""
-        return _StorePeer(self._store, node_id, self.num_workers)
+        return _Peer(
+            self._store,
+            node_id,
+            self.num_workers,
+            None if self.topology is None else self.topology.neighbors(node_id),
+        )
 
     def crash_worker(self, worker: int) -> None:
         """Silence ``worker`` from the next round on. Surviving peers'
@@ -919,16 +839,10 @@ class FullyDistributedDolbie:
             raise ConfigurationError(f"worker index {worker} out of range")
         self._alive[worker] = False
         self._stalled.discard(worker)
-        if self._store is not None:
-            self._store.failed[worker] = True  # no need to hydrate a view
-        else:
-            self.peers[worker].failed = True
+        self._store.failed[worker] = True  # no need to hydrate a view
         self._invalidate_tree_round()
         # Process memory is gone: the peer's ledger replica dies with it.
-        if self._ledger_book is not None:
-            self._ledger_book.wipe(worker)
-        else:
-            self._worker_ledgers[worker] = RoundLedger()
+        self._ledger_book.wipe(worker)
         emit_membership(
             self.tracer, self.cluster.trace_round, "crash", [worker],
             self.roster,
@@ -951,10 +865,7 @@ class FullyDistributedDolbie:
         if self._alive[worker] and worker not in self._stalled:
             raise ConfigurationError(f"worker {worker} is already active")
         self._alive[worker] = True
-        if self._store is not None:
-            self._store.failed[worker] = False
-        else:
-            self.peers[worker].failed = False
+        self._store.failed[worker] = False
         self._invalidate_tree_round()
         self._readmit(worker, share)
         emit_membership(
@@ -964,29 +875,22 @@ class FullyDistributedDolbie:
 
     def worker_ledger(self, worker: int) -> RoundLedger:
         """``worker``'s replica of the round ledger."""
-        if self._ledger_book is not None:
-            return self._ledger_book.worker_ledger(worker)
-        return self._worker_ledgers[worker]
+        return self._ledger_book.worker_ledger(worker)
 
     def restore_worker_ledger(
         self, worker: int, entries: Sequence[LedgerEntry]
     ) -> None:
         """Reload ``worker``'s ledger replica from a checkpoint (the
         restart fault's recovery path; a plain rejoin starts empty)."""
-        if self._ledger_book is not None:
-            self._ledger_book.restore_replica(worker, entries)
-        else:
-            self._worker_ledgers[worker] = RoundLedger(entries)
-        # The tree-round cache holds bound methods of the old replica.
-        self._invalidate_tree_round()
+        self._ledger_book.restore_replica(worker, entries)
 
     def _invalidate_tree_round(self) -> None:
         """Drop the tree round's cache and mark its mirrors stale.
 
         Called on every mutation the tree round does not itself
-        perform — crash/rejoin/restore change the roster or replace a
-        ledger replica the cache holds bound methods of; ``_readmit``
-        rewrites allocations and step sizes behind the mirrors."""
+        perform — crash/rejoin/checkpoint restore change the roster;
+        ``_readmit`` rewrites allocations and step sizes behind the
+        mirrors."""
         self._membership_dirty = True
         if self._tree_round is not None:
             # Epoch teardown: the shared segment (if any) belongs to the
@@ -996,13 +900,10 @@ class FullyDistributedDolbie:
 
     def _participants(self) -> list[int]:
         """Peers expected to take part in the next round."""
-        if self._store is not None and not self._stalled:
-            return np.flatnonzero(self._alive).tolist()
-        return [
-            i
-            for i in range(self.num_workers)
-            if self._alive[i] and i not in self._stalled
-        ]
+        alive = np.flatnonzero(self._alive).tolist()
+        if self._stalled:
+            return [i for i in alive if i not in self._stalled]
+        return alive
 
     def _readmit(self, worker: int, share: float | None = None) -> None:
         """Reshard the live allocation over ``participants + worker`` and
@@ -1015,14 +916,16 @@ class FullyDistributedDolbie:
             raise ConfigurationError(
                 f"cannot rejoin worker {worker}: no live quorum to join"
             )
-        if self._store is not None:
-            self._readmit_store(worker, incumbents, share)
+        store = self._store
+        if not store.roster_overrides:
+            # Every incumbent shares the one roster: the membership scan
+            # collapses to a single lookup.
+            if worker in store.shared_roster:
+                return  # never dropped from the live rosters; shares intact
+        elif all(worker in store.roster_of(i) for i in incumbents):
             return
-        if incumbents and all(
-            worker in self.peers[i].roster for i in incumbents
-        ):
-            return  # never dropped from the live rosters; shares intact
-        x_live = np.array([self.peers[i].x for i in incumbents])
+        inc = np.asarray(incumbents, dtype=np.int64)
+        x_live = store.x[inc]
         # A peer that crashed or stalled at this same round boundary
         # still holds its share (the failure detectors only fold it once
         # a round runs), so the incumbents' mass can sum below 1; absorb
@@ -1033,46 +936,11 @@ class FullyDistributedDolbie:
         else:  # pathological: the departed peers held ~all the workload
             x_live = np.full(len(incumbents), 1.0 / len(incumbents))
         x_new = add_worker_allocation(x_live, share)
-        for i, value in zip(incumbents, x_new[:-1]):
-            self.peers[i].x = float(value)
-        self.peers[worker].x = float(x_new[-1])
-        new_roster = frozenset(incumbents) | {worker}
-        for i in new_roster:
-            # One shared frozenset (rebound, never mutated, on later
-            # divergence) — assigning N private copies is O(N^2).
-            self.peers[i].roster = new_roster
-        consensus = min(self.peers[i].alpha_bar for i in incumbents)
-        cap = feasibility_cap(float(x_new[-1]), len(new_roster))
-        self.peers[worker].alpha_bar = min(consensus, cap)
-
-    def _readmit_store(
-        self, worker: int, incumbents: list[int], share: float | None
-    ) -> None:
-        """:meth:`_readmit` over the packed store: the same arithmetic
-        as the object path, expressed as array slices — no peer views
-        are hydrated."""
-        store = self._store
-        if not store.roster_overrides:
-            # Every incumbent shares the one roster: the object path's
-            # all(...) membership scan collapses to a single lookup.
-            if worker in store.shared_roster:
-                return  # never dropped from the live rosters
-        elif all(worker in store.roster_of(i) for i in incumbents):
-            return
-        inc = np.asarray(incumbents, dtype=np.int64)
-        x_live = store.x[inc].copy()
-        total = float(x_live.sum())
-        if total > 1e-12:
-            x_live = x_live / total
-        else:  # pathological: the departed peers held ~all the workload
-            x_live = np.full(len(incumbents), 1.0 / len(incumbents))
-        x_new = add_worker_allocation(x_live, share)
         store.x[inc] = x_new[:-1]
         store.x[worker] = float(x_new[-1])
         new_roster = frozenset(incumbents) | {worker}
-        # Dead and stalled peers keep the roster they last saw, exactly
-        # like the object path (which simply never touches them).
-        stale = np.flatnonzero(~np.asarray(self._alive)).tolist()
+        # Dead and stalled peers keep the roster they last saw.
+        stale = np.flatnonzero(~self._alive).tolist()
         stale.extend(self._stalled)
         store.rebind_roster(new_roster, stale_ids=stale)
         consensus = float(store.alpha_bar[inc].min())
@@ -1106,9 +974,7 @@ class FullyDistributedDolbie:
         """Peers whose process is running (may include peers stalled
         behind a partition — see :attr:`roster` for the coordinating
         quorum)."""
-        if self._store is not None:
-            return np.flatnonzero(self._alive).tolist()
-        return [i for i in range(self.num_workers) if self._alive[i]]
+        return np.flatnonzero(self._alive).tolist()
 
     @property
     def roster(self) -> list[int]:
@@ -1120,17 +986,13 @@ class FullyDistributedDolbie:
 
     @property
     def allocation(self) -> np.ndarray:
-        if self._store is not None:
-            return self._store.x.copy()
-        return np.array([p.x for p in self.peers])
+        return self._store.x.copy()
 
     @property
     def alpha(self) -> float:
         """The consensus step size the *next* round will use (the min
         over the active quorum's local step sizes)."""
-        if self._store is not None:
-            return float(self._store.alpha_bar[self._participants()].min())
-        return min(self.peers[i].alpha_bar for i in self._participants())
+        return float(self._store.alpha_bar[self._participants()].min())
 
     @property
     def metrics(self):
@@ -1154,16 +1016,14 @@ class FullyDistributedDolbie:
         )
 
     def _rosters_full(self) -> bool:
-        """Every peer's local roster is complete (length N)."""
-        if self._store is not None:
-            # The store's roster contract makes this O(overrides), not
-            # O(N): peers without an override share one frozenset.
-            store = self._store
-            return len(store.shared_roster) == self.num_workers and all(
-                len(r) == self.num_workers
-                for r in store.roster_overrides.values()
-            )
-        return all(len(p.roster) == self.num_workers for p in self.peers)
+        """Every peer's local roster is complete (length N).
+
+        O(overrides), not O(N): peers without an override share one
+        frozenset."""
+        store = self._store
+        return len(store.shared_roster) == self.num_workers and all(
+            len(r) == self.num_workers for r in store.roster_overrides.values()
+        )
 
     def _tree_eligible(self, participants: list[int]) -> bool:
         """Whether this round can run hierarchical (tree) aggregation.
@@ -1191,20 +1051,13 @@ class FullyDistributedDolbie:
     def _rosters_agree(self, participants: list[int]) -> bool:
         """Every participant's local roster matches the participant set
         (by length — the O(1)-per-peer proxy documented above)."""
-        if self._store is not None:
-            store = self._store
-            if not store.roster_overrides:
-                # One shared roster for everyone — a single length check
-                # replaces the N-peer scan (and hydrates no views).
-                return len(store.shared_roster) == len(participants)
-            want = len(participants)
-            return all(
-                len(store.roster_of(i)) == want for i in participants
-            )
-        return all(
-            len(self.peers[i].roster) == len(participants)
-            for i in participants
-        )
+        store = self._store
+        if not store.roster_overrides:
+            # One shared roster for everyone — a single length check
+            # replaces the N-peer scan (and hydrates no views).
+            return len(store.shared_roster) == len(participants)
+        want = len(participants)
+        return all(len(store.roster_of(i)) == want for i in participants)
 
     def _fast_structures(self) -> tuple:
         """Cached frame-order index structures for the batched phases.
@@ -1284,21 +1137,21 @@ class FullyDistributedDolbie:
         materialized (pinned by the ``fd-tree`` golden traces and the
         kernel property suite).
 
-        Peer writes are limited to the fields any later code path can
-        observe before the next round rewrites them (``current_round``,
-        ``global_cost``, ``straggler_id``, ``x``, the straggler's
-        ``alpha_bar`` cap — what the chaos invariants, the public
-        properties, and the next round's inputs read). ``cost_fn``,
-        ``local_cost``, ``is_straggler`` and ``_peer_decisions`` are
-        left alone; an event-engine fallback round re-initializes all of
-        them via ``observe_round`` before use.
+        Peer writes are limited to the store columns any later code path
+        can observe before the next round rewrites them
+        (``current_round``, ``global_cost``, ``straggler_id``, ``x``, the
+        straggler's ``alpha_bar`` cap — what the chaos invariants, the
+        public properties, and the next round's inputs read).
+        ``local_cost``, ``is_straggler`` and the views' per-round
+        containers are left alone; an event-engine fallback round
+        re-initializes all of them via ``observe_round`` before use.
         """
         n = self.num_workers
-        peers = self.peers
+        store = self._store
         backend = self.backend
         cc = self._tree_round_for(participants)
         if self._membership_dirty:
-            cc.resync(peers)
+            cc.resync(store)
         m = cc.m
         parts = cc.parts
         t0 = self.cluster.engine.now
@@ -1485,8 +1338,9 @@ class FullyDistributedDolbie:
                 "verbatim Eq. (8) cap was insufficient this round"
             )
 
-        # Post-round state: the final allocation and the slim peer
-        # writes (see the docstring for why the write set is reduced).
+        # Post-round state: the final allocation and the slim write set
+        # (see the docstring), as sliced column stores — zero peer views
+        # hydrated on a clean round.
         x_new = np.asarray(x_new, dtype=float)
         x_new[straggler] = x_close
         if cc.nonparticipants.size:
@@ -1496,34 +1350,16 @@ class FullyDistributedDolbie:
             x_new[cc.nonparticipants] = 0.0
         local64 = np.full(n, np.nan)
         local64[parts] = np.asarray(ordered_local, dtype=float)
-        store = self._store
-        if store is not None:
-            # The same slim write set, as four sliced array stores —
-            # zero peer views hydrated on a clean round.
-            store.current_round[parts] = round_index
-            store.global_cost[parts] = global_cost
-            store.straggler_id[parts] = straggler
-            store.x[parts] = x_new[parts]
-            straggler_alpha = min(
-                float(store.alpha_bar[straggler]),
-                feasibility_cap(x_close, len(participants)),
-            )  # line 13 / Eq. (8)
-            store.alpha_bar[straggler] = straggler_alpha
-        else:
-            x_list = x_new.tolist()
-            for i in cc.participants:
-                peer = peers[i]
-                peer.current_round = round_index
-                peer.global_cost = global_cost
-                peer.straggler_id = straggler
-                peer.x = x_list[i]
-            straggler_peer = peers[straggler]
-            straggler_peer.alpha_bar = min(
-                straggler_peer.alpha_bar,
-                feasibility_cap(x_close, len(participants)),
-            )  # line 13 / Eq. (8)
-            straggler_alpha = straggler_peer.alpha_bar
-        cc.x_arr = x_new  # owned: the store/peer writes copied values out
+        store.current_round[parts] = round_index
+        store.global_cost[parts] = global_cost
+        store.straggler_id[parts] = straggler
+        store.x[parts] = x_new[parts]
+        straggler_alpha = min(
+            float(store.alpha_bar[straggler]),
+            feasibility_cap(x_close, len(participants)),
+        )  # line 13 / Eq. (8)
+        store.alpha_bar[straggler] = straggler_alpha
+        cc.x_arr = x_new  # owned: the column writes copied values out
         cc.alpha_arr[straggler] = straggler_alpha
 
         cc.batched.finish_round(final_now, events)
@@ -1546,7 +1382,7 @@ class FullyDistributedDolbie:
         the same arrival order the event engine would insert them.
         """
         n = self.num_workers
-        peers = self.peers
+        store = self._store
         backend = self.backend
         batched, src, dst, in_frames = self._fast_structures()
         t0 = self.cluster.engine.now
@@ -1554,7 +1390,7 @@ class FullyDistributedDolbie:
         # by default, where every operation below is bit-identical to the
         # historical code); virtual time and link delays stay float64.
         x = backend.asarray(x_played)
-        alphas = backend.asarray([p.alpha_bar for p in peers])
+        alphas = backend.asarray(store.alpha_bar)
         vector = AffineCostVector.coerce(costs)
         if vector is not None:
             vector = vector.astype(backend.dtype)
@@ -1629,22 +1465,18 @@ class FullyDistributedDolbie:
         x_close = float(x_close) if x_close >= 1e-12 else 0.0
         x_new[straggler] = x_close
 
-        # Write the post-round state every peer would hold.
-        for i, peer in enumerate(peers):
-            peer.current_round = round_index
-            peer.cost_fn = costs[i]
-            peer.local_cost = float(local[i])
-            peer.is_straggler = False
-            peer.global_cost = global_cost
-            peer.straggler_id = straggler
-            peer.x = float(x_new[i])
-            peer._peer_decisions = {}
-        straggler_peer = peers[straggler]
-        straggler_peer._peer_decisions = {
-            int(j): float(x_new[j]) for j in ordered_senders
-        }
-        straggler_peer.alpha_bar = min(
-            straggler_peer.alpha_bar, feasibility_cap(straggler_peer.x, n)
+        # Write the post-round state every peer would hold, as column
+        # stores. The views' per-round containers are left alone, as in
+        # the tree round: ``observe_round`` re-initializes them.
+        store.current_round[:] = round_index
+        store.local_cost[:] = local
+        store.is_straggler[:] = False
+        store.global_cost[:] = global_cost
+        store.straggler_id[:] = straggler
+        store.x[:] = x_new
+        store.alpha_bar[straggler] = min(
+            float(store.alpha_bar[straggler]),
+            feasibility_cap(float(store.x[straggler]), n),
         )  # line 13 / Eq. (8)
 
         final_now = max(float(arrivals.max()), float(decision_arrivals.max()))
@@ -1754,11 +1586,10 @@ class FullyDistributedDolbie:
                         participant_set,
                     )
         if route == "tree":
-            # Tree round completed: the roster is the cached tuple
-            # by the clean-route invariant, and the replicas take the
-            # authoritative-validated entry via their cached unchecked
-            # appends (same entry object, same ledgers, ~10x cheaper at
-            # N=10,000 than N validated appends).
+            # Tree round completed: the roster is the cached tuple by
+            # the clean-route invariant, and the replicas take the
+            # authoritative-validated entry as one vectorized span
+            # extension over the participant ids.
             cc = self._tree_round
             assert cc is not None
             entry = LedgerEntry(
@@ -1768,11 +1599,7 @@ class FullyDistributedDolbie:
                 roster=cc.roster_tuple,
             )
             self.ledger.append(entry)
-            if self._ledger_book is not None:
-                self._ledger_book.fanout_ids(cc.parts, entry)
-            else:
-                for replicate in cc.replicas:
-                    replicate(entry)
+            self._ledger_book.fanout_ids(cc.parts, entry)
         else:
             entry = LedgerEntry(
                 round_index=round_index,
@@ -1781,11 +1608,7 @@ class FullyDistributedDolbie:
                 roster=tuple(self.roster),
             )
             self.ledger.append(entry)
-            if self._ledger_book is not None:
-                self._ledger_book.fanout(entry.roster, entry)
-            else:
-                for worker in entry.roster:
-                    self._worker_ledgers[worker].append(entry)
+            self._ledger_book.fanout(entry.roster, entry)
         if tracer is not None:
             roster_after = self.roster
             if roster_after != roster_before:
@@ -1810,15 +1633,15 @@ class FullyDistributedDolbie:
         participant_set: set[int],
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         """One round on the discrete-event engine (the general path)."""
+        store = self._store
         rosters_incomplete = any(
-            set(self.peers[i].roster) != participant_set for i in participants
+            store.roster_of(i) != participant_set for i in participants
         )
-        for peer, cost_fn in zip(self.peers, costs):
-            if peer.node_id in participant_set:
-                peer.observe_round(
-                    round_index, cost_fn,
-                    arm_failure_detector=rosters_incomplete,
-                )
+        peers = self.peers
+        for i in participants:
+            peers[i].observe_round(
+                round_index, costs[i], arm_failure_detector=rosters_incomplete
+            )
         if self.topology is None:
             budget = 4 * self.num_workers * self.num_workers + 50
         else:
@@ -1826,27 +1649,24 @@ class FullyDistributedDolbie:
             # most twice in each direction.
             budget = 16 * self.num_workers * (self.topology.num_edges + 1) + 50
         self.cluster.run(max_events=budget)
-        for peer in self.peers:
-            if peer.node_id not in participant_set:
-                peer.x = 0.0  # share folded into the straggler's closure
-        local = np.array(
-            [
-                p.local_cost if p.node_id in participant_set else np.nan
-                for p in self.peers
-            ]
-        )
-        first = self.peers[participants[0]]
-        straggler = first.straggler_id
-        global_cost = first.global_cost
-        assert straggler is not None and global_cost is not None
+        taking_part = np.zeros(self.num_workers, dtype=bool)
+        taking_part[participants] = True
+        store.x[~taking_part] = 0.0  # shares folded into the straggler's closure
+        local = np.where(taking_part, store.local_cost, np.nan)
+        straggler = int(store.straggler_id[participants[0]])
+        global_cost = float(store.global_cost[participants[0]])
+        assert straggler >= 0 and not np.isnan(global_cost)
         # Every participating peer must have reached the same view.
-        for i in participants:
-            peer = self.peers[i]
-            if peer.straggler_id != straggler or peer.global_cost != global_cost:
-                raise ProtocolError(
-                    f"peers disagree on the round outcome: peer {peer.node_id} "
-                    f"sees straggler {peer.straggler_id}, expected {straggler}"
-                )
+        seen = store.straggler_id[participants]
+        disagree = np.flatnonzero(
+            (seen != straggler) | (store.global_cost[participants] != global_cost)
+        )
+        if disagree.size:
+            i = int(disagree[0])
+            raise ProtocolError(
+                f"peers disagree on the round outcome: peer {participants[i]} "
+                f"sees straggler {int(seen[i])}, expected {straggler}"
+            )
         return x_played, local, global_cost, straggler
 
     def run(self, process: CostProcess, horizon: int) -> RunResult:

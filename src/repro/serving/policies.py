@@ -227,18 +227,22 @@ class FdDolbieRouting(RoutingPolicy):
         self.weights = self.protocol.allocation
 
     def _capture_extra(self) -> dict:
+        from repro.ckpt.codec import to_jsonable
         from repro.ckpt.state import capture_protocol
 
+        # The protocol state carries packed ndarrays (the peer store);
+        # the codec tags them so the policy state stays plain JSON.
         return {
             "weights": [float(w) for w in self.weights],
-            "protocol": capture_protocol(self.protocol),
+            "protocol": to_jsonable(capture_protocol(self.protocol)),
         }
 
     def _restore_extra(self, state: Mapping[str, Any]) -> None:
+        from repro.ckpt.codec import from_jsonable
         from repro.ckpt.state import restore_protocol
 
         self.weights = np.asarray(state["weights"], dtype=float)
-        restore_protocol(self.protocol, state["protocol"])
+        restore_protocol(self.protocol, from_jsonable(state["protocol"]))
 
 
 class JoinShortestQueue(RoutingPolicy):

@@ -213,19 +213,16 @@ class TestCheckpointRoundTrip:
 
     def test_compiled_parallel_config_round_trips(self):
         n = 24
-        protocol = _protocol(
-            n, backend="compiled", shard_size=5, peer_store=True
-        )
+        protocol = _protocol(n, backend="compiled", shard_size=5)
         process = _process(n)
         self._advance(protocol, process, 1, 6)
         state = capture_protocol(protocol)
         # The alias is stamped as the backend it resolves to, and the
-        # retired thread count is no longer written.
+        # retired thread count and peer_store flag are no longer written.
         assert state["aggregation"]["backend"] == "numpy64"
         assert "shard_threads" not in state["aggregation"]
+        assert "peer_store" not in state["aggregation"]
 
-        # peer_store and shard_procs are informational, not identity:
-        # the snapshot restores into an object-peer protocol.
         replica = _protocol(n, shard_size=5)
         restore_protocol(replica, state)
         self._advance(protocol, process, 6, 10)

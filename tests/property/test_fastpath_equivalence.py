@@ -83,6 +83,75 @@ def test_fully_distributed_fast_path_bit_identical(config):
     _assert_identical(runs, horizon=config[2])
 
 
+@st.composite
+def churn_configurations(draw):
+    """A fleet plus a random crash/rejoin schedule: worker -> (crash
+    round, optional rejoin round). Never crash everyone; rounds are
+    1-based."""
+    n = draw(st.integers(4, 12))
+    seed = draw(st.integers(0, 2**16))
+    horizon = draw(st.integers(3, 10))
+    kind = draw(st.sampled_from(("constant", "uniform")))
+    crashed = draw(
+        st.lists(st.integers(0, n - 1), unique=True, max_size=max(n - 2, 1))
+    )
+    schedule = {}
+    for worker in crashed:
+        crash_t = draw(st.integers(1, horizon))
+        rejoin_t = draw(
+            st.one_of(st.none(), st.integers(crash_t + 1, horizon + 1))
+        )
+        schedule[worker] = (crash_t, rejoin_t)
+    return n, seed, horizon, kind, schedule
+
+
+def _run_churn(config, fast: bool):
+    n, seed, horizon, kind, schedule = config
+    speeds = [1.0 + (7 * i + seed) % 13 for i in range(n)]
+    process = RandomAffineProcess(speeds, sigma=0.2, comm_scale=0.05, seed=seed)
+    link = _make_link(kind, seed)
+    protocol = FullyDistributedDolbie(n, link=link, use_fast_path=fast)
+    outcomes = []
+    for t in range(1, horizon + 1):
+        for worker, (crash_t, rejoin_t) in schedule.items():
+            if t == crash_t and len(protocol.alive_workers) > 2:
+                protocol.crash_worker(worker)
+            if rejoin_t is not None and t == rejoin_t:
+                if worker not in protocol.alive_workers:
+                    protocol.rejoin_worker(worker)
+        outcomes.append(protocol.run_round(t, process.costs_at(t)))
+    return protocol, outcomes, link
+
+
+@given(churn_configurations())
+@settings(max_examples=25, deadline=None)
+def test_fully_distributed_fast_path_bit_identical_under_churn(config):
+    """Crash/rejoin schedules move rounds between the fast path and the
+    event engine; the mixed run must match the all-event run exactly."""
+    slow, slow_outcomes, slow_link = _run_churn(config, fast=False)
+    fast, fast_outcomes, fast_link = _run_churn(config, fast=True)
+    for (xa, la, ca, sa), (xb, lb, cb, sb) in zip(slow_outcomes, fast_outcomes):
+        assert np.array_equal(xa, xb)
+        # A dead worker's local cost is NaN on both sides.
+        assert np.array_equal(la, lb, equal_nan=True)
+        assert ca == cb and sa == sb
+    assert np.array_equal(slow.allocation, fast.allocation)
+    assert slow.alpha == fast.alpha
+    assert slow.ledger == fast.ledger
+    for w in range(slow.num_workers):
+        assert slow.worker_ledger(w) == fast.worker_ledger(w), (
+            f"worker {w} replica diverged"
+        )
+    assert slow.cluster.engine.now == fast.cluster.engine.now
+    assert slow.metrics.messages_total == fast.metrics.messages_total
+    latency = slow_link.latency
+    if hasattr(latency, "_rng"):
+        assert (
+            latency._rng.bit_generator.state
+            == fast_link.latency._rng.bit_generator.state
+        )
+
+
 @given(configurations())
 @settings(max_examples=40, deadline=None)
 def test_master_worker_fast_path_bit_identical(config):
