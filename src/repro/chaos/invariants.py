@@ -15,12 +15,17 @@ faults, independently of the allocation's optimality:
 4. **No silent drops.** Unhandled tags raise ``ProtocolError`` at the
    node layer, so any swallowed exception would surface as a missing
    round outcome — checked via the returned global cost/straggler.
-5. **Chaos rounds take the reference path.** The batched fast path
-   (:mod:`repro.net.batch`) is only valid on healthy rounds; a round
-   that ran batched while chaos hooks were active or the roster was
-   degraded would silently skip the fault semantics, so the invariant
-   checker diffs the protocol's ``fast_rounds`` counter across the
-   round and flags it.
+5. **Batched rounds skip no fault semantics.** The batched paths
+   (:mod:`repro.net.batch`) reproduce the event engine only where its
+   outcome is fixed by the link delays: no chaos hook is active, and
+   every worker the roster lacks is dead — a crash the survivors agree
+   on, or the failure detection that makes them agree (FD). A batched
+   round (the protocol's ``fast_rounds`` counter advanced) is flagged
+   when chaos hooks were active, when the roster shrank over the round
+   by a worker that was alive when it began, or — flat rounds — when a
+   live worker was off the roster (a stalled peer needs the event
+   engine). :class:`RoundObservation` records the roster and the
+   liveness flags before the round for these checks.
 6. **Ledger prefix consistency.** The authoritative round ledger
    recorded this round's outcome, and every rostered worker's replica
    is a prefix-consistent extension of it — including workers that came
@@ -35,9 +40,9 @@ faults, independently of the allocation's optimality:
    deterministic rebuild from the same roster (every survivor derives
    the identical overlay without communication, the tree analogue of
    roster agreement). Tree rounds are *allowed* on a degraded roster:
-   unlike the flat batched path, the overlay is rebuilt from whatever
-   quorum survives, so invariant 5's full-roster requirement applies
-   only to flat fast rounds. Chaos hooks still disqualify both paths.
+   the overlay is rebuilt from whatever quorum survives, so invariant
+   5's live-workers-on-the-roster requirement applies only to flat
+   batched rounds. Chaos hooks still disqualify both paths.
    The check is dtype-agnostic: tree rounds (the fused-kernel path of
    :mod:`repro.backend.kernels`) advance the ``tree_rounds`` counter,
    expose the ``last_tree`` overlay, and write the peer fields this
@@ -73,6 +78,8 @@ class RoundObservation:
         self.events_before = engine.processed_events
         self.fast_rounds_before = getattr(protocol, "fast_rounds", 0)
         self.tree_rounds_before = getattr(protocol, "tree_rounds", 0)
+        self.roster_before = frozenset(protocol.roster)
+        self.alive_before = np.array(protocol._alive, dtype=bool)
 
 
 def check_round_invariants(
@@ -150,9 +157,9 @@ def check_round_invariants(
             "of positive latency)"
         )
 
-    # 5. the batched fast path only runs on healthy rounds; the *flat*
-    # variant additionally requires the full roster (tree rounds rebuild
-    # the overlay from the surviving quorum, so degradation is fine).
+    # 5. batched rounds run chaos-free and lose only dead workers; a
+    # *flat* one additionally has no live worker off the roster (tree
+    # rounds rebuild the overlay from the surviving quorum).
     took_fast_path = (
         getattr(protocol, "fast_rounds", 0) > observation.fast_rounds_before
     )
@@ -165,11 +172,23 @@ def check_round_invariants(
                 "the batched fast path ran while chaos hooks were active "
                 "(fault semantics would be skipped)"
             )
-        if len(roster) < num_workers and not took_tree_path:
-            violated(
-                f"the batched fast path ran on a degraded roster "
-                f"({len(roster)}/{num_workers} workers)"
+        alive_before = observation.alive_before
+        for worker in sorted(observation.roster_before - set(roster)):
+            if alive_before[worker]:
+                violated(
+                    f"the batched fast path dropped worker {worker} from "
+                    "the roster although it was alive"
+                )
+        if not took_tree_path:
+            live_off_roster = sorted(
+                set(np.flatnonzero(alive_before).tolist()) - set(roster)
             )
+            if live_off_roster:
+                violated(
+                    f"the batched fast path ran without live workers "
+                    f"{live_off_roster} on the roster "
+                    f"({len(roster)}/{num_workers} workers)"
+                )
 
     # 7. tree rounds used a valid, deterministically-rebuildable overlay
     if took_tree_path:

@@ -197,9 +197,12 @@ def run_soak(
         )
         resumed_from = completed
     for t in range(completed + 1, rounds + 1):
-        observation = RoundObservation(protocol)
         try:
             injector.apply(t)
+            # Observed once the round's faults have landed: the checks
+            # judge the round itself (a batched failure detection may
+            # drop a worker crashed at this boundary).
+            observation = RoundObservation(protocol)
             _, local, global_cost, straggler = protocol.run_round(
                 t, process.costs_at(t)
             )

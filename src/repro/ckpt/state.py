@@ -11,8 +11,9 @@ What is deliberately **not** captured (each skip has a proof):
 
 - per-round transient protocol dicts *are* captured — they are cheap
   and make ``capture(restore(capture(x)))`` exactly idempotent — but
-  the caches derived from configuration (``_fast_cache``, ``_batched``)
-  are not: they are pure functions of the rebuilt objects;
+  the caches derived from configuration and membership (the FD
+  protocol's ``_flat_round``/``_tree_round``, MW's ``_batched``) are
+  not: they are pure functions of the rebuilt objects;
 - cost processes: pure functions of ``(seed, t)``, no internal state;
 - :class:`~repro.utils.rng.RngFactory`: seeds only, no stream state;
 - the event engine's tie-break counter: checkpoints are only legal at
@@ -595,6 +596,7 @@ def _capture_fully_distributed(protocol) -> dict:
         "fast_rounds": int(protocol.fast_rounds),
         "fallback_rounds": int(protocol.fallback_rounds),
         "tree_rounds": int(getattr(protocol, "tree_rounds", 0)),
+        "detect_rounds": int(protocol.detect_rounds),
         # All scalar peer state is a handful of packed arrays; the
         # event-round containers exist only on hydrated views and are
         # captured sparsely.
@@ -697,6 +699,8 @@ def _restore_fully_distributed(protocol, state: Mapping) -> None:
     protocol.fast_rounds = int(state["fast_rounds"])
     protocol.fallback_rounds = int(state["fallback_rounds"])
     protocol.tree_rounds = int(state.get("tree_rounds", 0))
+    # Snapshots older than the batched detection round lack the counter.
+    protocol.detect_rounds = int(state.get("detect_rounds", 0))
     _restore_aggregation(protocol, state.get("aggregation"))
     if "peerstore" in state:
         _restore_peers_from_store_block(protocol, state)

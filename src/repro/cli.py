@@ -764,8 +764,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         protocol.run(
             scenarios._cost_process(args.workers, args.seed), args.rounds
         )
-        label = f"{protocol.name}: {protocol.fast_rounds} fast / " \
-                f"{protocol.fallback_rounds} event rounds"
+        detections = (
+            f" ({protocol.detect_rounds} failure detection)"
+            if args.scenario == "fd" else ""
+        )
+        label = f"{protocol.name}: {protocol.fast_rounds} fast{detections} " \
+                f"/ {protocol.fallback_rounds} event rounds"
     elif args.scenario == "loop":
         from repro.core.dolbie import Dolbie
         from repro.core.loop import run_online

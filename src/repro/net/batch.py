@@ -36,7 +36,9 @@ Bit-identity contract (same discipline as ``docs/performance.md``):
   (the auto-fallback relies on this).
 - **Accounting.** Message/byte totals, per-round and per-pair counts,
   ``received_count`` and ``processed_events`` advance exactly as the
-  per-frame path would advance them.
+  per-frame path would advance them — including frames addressed to a
+  failed node, which are counted and drawn but never bump its
+  ``received_count`` (a dead process behind a routable address).
 - **Eligibility.** :meth:`Cluster.batch_eligible` guards the fast path:
   any chaos hook (partition, extra delay, frame loss), per-pair link
   override, co-location, lossy default link, or in-flight event disables
@@ -181,15 +183,21 @@ class BatchedCluster:
         # attribute bump per *receiver* (bit-identical counts, pinned by
         # tests/unit/test_net_batch.py). Over a lazy node table the
         # per-receiver bumps collapse to a single scatter-add on the
-        # shared counter column.
-        if self._cluster.lazy_nodes is not None:
+        # shared counter column. A failed receiver discards its frames
+        # uncounted, as :meth:`Node.deliver` does: the frames still
+        # crossed the wire (metrics above) and drew a delay.
+        lazy = self._cluster.lazy_nodes
+        if lazy is not None:
             unique_dst, counts = np.unique(batch.dst, return_counts=True)
-            self._cluster.lazy_nodes.bump(unique_dst, counts)
+            live = ~lazy.failed[unique_dst]
+            lazy.bump(unique_dst[live], counts[live])
             return arrivals
         unique_dst, groups = group_by_destination(batch.dst, batch.dst)
         node = self._cluster.node
         for dst, group in zip(unique_dst.tolist(), groups):
-            node(dst).received_count += group.size
+            receiver = node(dst)
+            if not receiver.failed:
+                receiver.received_count += group.size
         return arrivals
 
     def plan(
@@ -247,7 +255,10 @@ class DeliveryPlan:
     Plans hold references to the cluster's node objects and metric
     counters; they die with the protocol's overlay cache on any
     membership change, and re-resolve their counter handles when the
-    metrics object is reset (:attr:`NetworkMetrics.pair_epoch`).
+    metrics object is reset (:attr:`NetworkMetrics.pair_epoch`). Unlike
+    :meth:`BatchedCluster.deliver` a plan bumps every receiver it
+    lists without consulting ``failed``: plans are built over live
+    participants only.
     """
 
     def __init__(

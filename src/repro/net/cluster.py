@@ -165,6 +165,12 @@ class Cluster:
     def is_colocated(self, a: int, b: int) -> bool:
         return frozenset((a, b)) in self._colocated
 
+    @property
+    def default_link(self) -> Link:
+        """The link every pair without an override uses (the only link a
+        batch-eligible cluster sends over)."""
+        return self._default_link
+
     def link_for(self, src: int, dst: int) -> Link:
         return self._links.get((src, dst), self._default_link)
 

@@ -2,12 +2,15 @@
 
 A link's delivery delay is ``propagation + size / bandwidth``. The
 propagation term can be constant or stochastic; stochastic models draw
-from an explicitly-seeded generator so runs stay reproducible.
+from an explicitly-seeded generator so runs stay reproducible. Every
+model states an upper bound on its draws (``inf`` when unbounded), which
+:meth:`Link.max_delay` turns into a bound on a frame's delivery delay.
 """
 
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -34,6 +37,12 @@ class LatencyModel(abc.ABC):
         """
         return np.array([self.sample() for _ in range(n)])
 
+    @property
+    def upper_bound(self) -> float:
+        """The largest delay :meth:`sample` can return (``inf`` unless a
+        subclass knows better)."""
+        return math.inf
+
 
 class ConstantLatency(LatencyModel):
     """Fixed propagation delay."""
@@ -48,6 +57,10 @@ class ConstantLatency(LatencyModel):
 
     def sample_batch(self, n: int) -> np.ndarray:
         return np.full(n, self.seconds)
+
+    @property
+    def upper_bound(self) -> float:
+        return self.seconds
 
 
 class UniformLatency(LatencyModel):
@@ -65,6 +78,10 @@ class UniformLatency(LatencyModel):
     def sample_batch(self, n: int) -> np.ndarray:
         return self._rng.uniform(self.low, self.high, n)
 
+    @property
+    def upper_bound(self) -> float:
+        return self.high
+
 
 class LogNormalLatency(LatencyModel):
     """Heavy-tailed delay: ``median * lognormal(0, sigma)``."""
@@ -80,6 +97,10 @@ class LogNormalLatency(LatencyModel):
 
     def sample_batch(self, n: int) -> np.ndarray:
         return self.median * self._rng.lognormal(0.0, self.sigma, n)
+
+    @property
+    def upper_bound(self) -> float:
+        return math.inf  # heavy tail: no finite bound
 
 
 class Link:
@@ -114,12 +135,21 @@ class Link:
         self.loss_probability = float(loss_probability)
         self._loss_rng = loss_rng
 
+    def _transmit(self, size_bytes: int) -> float:
+        if self.bandwidth_bps is None:
+            return 0.0
+        return 8.0 * size_bytes / self.bandwidth_bps
+
     def delay(self, size_bytes: int) -> float:
         """Total delivery delay for a message of ``size_bytes``."""
-        transmit = 0.0
-        if self.bandwidth_bps is not None:
-            transmit = 8.0 * size_bytes / self.bandwidth_bps
-        return self.latency.sample() + transmit
+        return self.latency.sample() + self._transmit(size_bytes)
+
+    def max_delay(self, size_bytes: int) -> float:
+        """Upper bound on :meth:`delay` for a message of ``size_bytes``:
+        the latency model's bound plus the bandwidth term. Any delay
+        drawn satisfies ``delay(size_bytes) <= max_delay(size_bytes)``
+        (the same two-term float sum, monotone in the first term)."""
+        return self.latency.upper_bound + self._transmit(size_bytes)
 
     def delay_batch(self, n: int, size_bytes: int) -> np.ndarray:
         """Delays for ``n`` equally-sized messages, sampled as one draw.
@@ -128,10 +158,7 @@ class Link:
         the latency model's generator in the same stream position (see
         :meth:`LatencyModel.sample_batch`).
         """
-        transmit = 0.0
-        if self.bandwidth_bps is not None:
-            transmit = 8.0 * size_bytes / self.bandwidth_bps
-        return self.latency.sample_batch(n) + transmit
+        return self.latency.sample_batch(n) + self._transmit(size_bytes)
 
     def drops_frame(self) -> bool:
         """Sample whether one transmission attempt is lost."""

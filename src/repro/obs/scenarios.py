@@ -41,9 +41,10 @@ GOLDEN_ROUNDS = 30
 
 #: The ``fd-tree`` goldens: tree aggregation over shards of 8 at N=60,
 #: where a member and a shard head crash before round 4 and both rejoin
-#: before round 9. The crash round runs on the event engine (the
-#: survivors' failure detectors shrink their rosters); every other round
-#: takes the tree path, the rejoin round with freshly re-agreed rosters.
+#: before round 9. The crash round is a flat failure detection on the
+#: batched path (the survivors' failure detectors shrink their rosters,
+#: bit-identical to the event engine); every other round takes the tree
+#: path, the rejoin round with freshly re-agreed rosters.
 FD_TREE_WORKERS = 60
 FD_TREE_SHARD_SIZE = 8
 FD_TREE_CRASH_ROUND = 4

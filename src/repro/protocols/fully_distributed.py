@@ -41,7 +41,7 @@ from repro.net.aggtree import AggregationTree, segment_reduce
 from repro.net.batch import DeliveryPlan, default_chunk_frames
 from repro.net.cluster import Cluster
 from repro.net.links import Link
-from repro.net.message import FrameBatch, Message
+from repro.net.message import SCALAR_BYTES, FrameBatch, Message
 from repro.net.node import LazyNodeTable, Node
 from repro.net.topology import Topology, connected_components
 from repro.obs.profiler import Profiler
@@ -54,6 +54,9 @@ __all__ = ["FullyDistributedDolbie"]
 TAG_COST = "cost"
 TAG_DECISION = "decision"
 TAG_FLOOD = "flood"
+
+#: Wire size of a cost broadcast frame: ``(l_i, alpha-bar_i)``.
+COST_FRAME_BYTES = 2 * SCALAR_BYTES
 
 #: Env default for the tree round's shard process count (the
 #: ``shard_procs`` constructor parameter wins when passed). Processes
@@ -107,6 +110,12 @@ class _Peer(Node):
     identical; only message counts and virtual time grow.
     """
 
+    #: Failure-detector timeout (virtual seconds) of a round that arms
+    #: it. Assigning a view its own value is honoured by the event
+    #: engine; the batched detection round runs only while no view has
+    #: one.
+    cost_timeout = 1.0
+
     def __init__(
         self,
         store: PeerStore,
@@ -124,7 +133,6 @@ class _Peer(Node):
         self.num_workers = int(num_workers)
         self.neighbors = list(neighbors) if neighbors is not None else None
         self.cost_fn: CostFunction | None = None
-        self.cost_timeout = 1.0
         self._peer_costs: dict[int, tuple[float, float]] = {}
         self._peer_decisions: dict[int, float] = {}
         self._seen_floods: set[tuple[str, int]] = set()
@@ -472,6 +480,55 @@ class _PeerSeq(Sequence):
             yield cluster.node(i)
 
 
+class _FlatRound:
+    """Frame-order index structures of the flat batched round for one
+    participant set (rebuilt when the set changes).
+
+    Frame ``k`` of the cost broadcast is sender ``src[k]`` to receiver
+    ``dst[k]``, in the exact event-engine send order: participants in id
+    order, each broadcasting to every other node id ascending — dead
+    peers included, as :meth:`~repro.net.node.Node.broadcast` does.
+    ``in_frames[r]`` lists the frame indices addressed to participant
+    ``parts[r]`` by the other participants, in ascending order —
+    ascending frame index doubles as the event engine's same-time
+    delivery tie-break.
+    """
+
+    def __init__(
+        self, protocol: "FullyDistributedDolbie", participants: Sequence[int]
+    ) -> None:
+        n = protocol.num_workers
+        self.batched = protocol.cluster.batched()
+        parts = np.asarray(participants, dtype=np.int64)
+        m = parts.size
+        self.parts = parts
+        self.full = m == n
+        #: Identity of a degraded participant set (a full one is
+        #: identified by its size alone).
+        self.key = None if self.full else tuple(participants)
+        ids = np.arange(n)
+        grid = np.broadcast_to(ids, (m, n))
+        self.src = np.repeat(parts, n - 1)
+        self.dst = grid[grid != parts[:, None]]
+        # Row r of the position-minus-self matrix is receiver r's
+        # senders (ascending); the frame from sender position s to
+        # receiver j sits at s*(n-1) + (j if j < parts[s] else j - 1).
+        pos = np.arange(m)
+        senders = np.broadcast_to(pos, (m, m))[pos[:, None] != pos]
+        senders = senders.reshape(m, m - 1)
+        recv = parts[:, None]
+        offsets = np.where(recv < parts[senders], recv, recv - 1)
+        self.in_frames = senders * (n - 1) + offsets
+        taking_part = np.zeros(n, dtype=bool)
+        taking_part[parts] = True
+        self.nonparticipants = np.flatnonzero(~taking_part)
+
+    def matches(self, participants: list[int]) -> bool:
+        if len(participants) != self.parts.size:
+            return False
+        return self.full or self.key == tuple(participants)
+
+
 class _TreeRound:
     """Everything the tree round precomputes for one roster.
 
@@ -674,10 +731,13 @@ class FullyDistributedDolbie:
         keeps the paper's implicit complete graph.
 
         ``use_fast_path`` enables the batched round-synchronous fast path
-        (:mod:`repro.net.batch`) on healthy all-to-all rounds; it is
-        bit-identical to the event engine and disabled automatically
-        whenever chaos hooks, dead peers, or a restricted topology are in
-        play (see :attr:`fast_rounds` / :attr:`fallback_rounds`).
+        (:mod:`repro.net.batch`) on all-to-all rounds — healthy ones, the
+        failure detection after a crash, and degraded rounds the
+        survivors agree on; it is bit-identical to the event engine and
+        disabled automatically whenever chaos hooks, stalled peers, a
+        detection whose frames could miss the timeout, or a restricted
+        topology are in play (see :attr:`fast_rounds` /
+        :attr:`detect_rounds` / :attr:`fallback_rounds`).
 
         ``aggregation`` selects the round's exchange pattern. ``"flat"``
         (default) is the paper's all-to-all broadcast — the bit-pinned
@@ -688,15 +748,17 @@ class FullyDistributedDolbie:
         reductions), a differently-associated decision sum (regret impact
         measured, see ``docs/performance.md``). Tree rounds run the fused
         kernels of :mod:`repro.backend.kernels` over cached delivery
-        plans, without materializing the ~3N per-round frames; rounds
-        that are not batch-eligible (chaos, inconsistent rosters) degrade
-        to the flat event engine. ``shard_size`` defaults to ~sqrt(N).
+        plans, without materializing the ~3N per-round frames; a round
+        whose rosters disagree (the failure detection after a crash)
+        runs flat, and one that is not batch-eligible (chaos) runs on
+        the flat event engine. ``shard_size`` defaults to ~sqrt(N).
 
         ``backend`` picks the float dtype of the fast paths'
         array arithmetic once, at config time (:mod:`repro.backend`):
         ``"numpy64"`` (default, bit-identical to the historical code) or
-        ``"numpy32"``. Event-engine fallback rounds always compute in
-        float64 — the backend governs the vectorized paths only.
+        ``"numpy32"``. Event-engine rounds, and the flat batched rounds
+        on a degraded roster that stand in for them, always compute in
+        float64 — the backend governs the healthy vectorized rounds only.
         ``"compiled"`` is accepted as another name for ``"numpy64"``.
 
         ``shard_procs`` (default ``$REPRO_SHARD_PROCS`` or 1) fans the
@@ -793,7 +855,12 @@ class FullyDistributedDolbie:
         #: Rounds that used hierarchical (tree) aggregation — a subset of
         #: :attr:`fast_rounds`.
         self.tree_rounds = 0
-        self._fast_cache: tuple | None = None
+        #: Failure-detection rounds run batched — a subset of
+        #: :attr:`fast_rounds`.
+        self.detect_rounds = 0
+        #: The flat batched round's index structures for the last
+        #: participant set it ran on.
+        self._flat_round: _FlatRound | None = None
         #: The tree round's per-roster cache, and whether its
         #: mirrors/invariants can be trusted. ``_membership_dirty`` is
         #: cleared only at the end of a successful tree round;
@@ -999,43 +1066,86 @@ class FullyDistributedDolbie:
         return self.cluster.metrics
 
     def _fast_eligible(self, participants: list[int]) -> bool:
-        """Whether this round can run on the batched fast path.
+        """Whether this round can run on the flat batched round.
 
-        Requires the paper's implicit all-to-all connectivity, a full
-        healthy roster (no dead or stalled peers, every peer's local
-        roster complete), and a chaos-free cluster with no frames in
-        flight (:meth:`~repro.net.cluster.Cluster.batch_eligible`).
+        Requires the paper's implicit all-to-all connectivity, no
+        stalled peers, a chaos-free cluster with no frames in flight
+        (:meth:`~repro.net.cluster.Cluster.batch_eligible`), and one of
+        the two roster states in which the event-engine round is
+        deterministic given the link delays:
+
+        - every participant's local roster equals the participant set —
+          a healthy round, or a degraded roster everyone agrees on
+          (checked by length, see :meth:`_rosters_agree`);
+        - a pending failure detection (:meth:`_detection_timeout`).
+
+        Any worker outside the participant set is then dead. A tree
+        protocol reaches this check only for a pending detection: an
+        agreed roster takes the tree route first.
         """
         return (
             self.use_fast_path
-            and self.aggregation == "flat"
             and self.topology is None
-            and len(participants) == self.num_workers
-            and self._rosters_full()
+            and not self._stalled
             and self.cluster.batch_eligible()
+            and (
+                self._rosters_agree(participants)
+                or self._detection_timeout(participants) is not None
+            )
         )
 
-    def _rosters_full(self) -> bool:
-        """Every peer's local roster is complete (length N).
+    def _detection_timeout(self, participants: list[int]) -> float | None:
+        """The failure detectors' timeout when this round is a failure
+        detection the batched round reproduces exactly, else ``None``.
 
-        O(overrides), not O(N): peers without an override share one
-        frozenset."""
+        That is the state :meth:`crash_worker` leaves behind: every
+        participant holds one roster ``R`` strictly containing the
+        participant set, and every peer of ``R`` outside it is dead. On
+        the event engine each participant then arms its detector for
+        ``T = t0 + cost_timeout`` and broadcasts. When no cost frame can
+        reach or tie ``T`` (the link's
+        :meth:`~repro.net.links.Link.max_delay` guard below), each
+        participant holds exactly the participants' costs when its
+        timeout fires; all of them drop the same silent set
+        ``R - participants`` in ascending id order (timeout order) and
+        coordinate at ``T``. Otherwise the event engine runs the round
+        (and raises when too few costs beat the timeout).
+        """
         store = self._store
-        return len(store.shared_roster) == self.num_workers and all(
-            len(r) == self.num_workers for r in store.roster_overrides.values()
-        )
+        roster = store.roster_of(participants[0])
+        size = len(roster)
+        if size <= len(participants):
+            return None
+        if store.roster_overrides and not all(
+            len(store.roster_of(i)) == size for i in participants
+        ):
+            return None
+        if not roster.issuperset(participants):
+            return None
+        silent = list(roster.difference(participants))
+        if self._alive[silent].any():
+            return None
+        timeout = _Peer.cost_timeout
+        if any(
+            peer.cost_timeout != timeout
+            for peer in self.cluster._nodes.values()  # hydrated views
+        ):
+            return None  # per-view timeouts: the event engine orders them
+        t0 = self.cluster.engine.now
+        bound = self.cluster.default_link.max_delay(COST_FRAME_BYTES)
+        return timeout if t0 + bound < t0 + timeout else None
 
     def _tree_eligible(self, participants: list[int]) -> bool:
         """Whether this round can run hierarchical (tree) aggregation.
 
-        Unlike the flat fast path, the tree tolerates a *degraded* roster
-        — the overlay is rebuilt from whatever quorum survives — but it
-        still needs agreement: every participant's local roster must
-        equal the participant set (a pending failure detection runs one
-        flat event-engine round first, which is also what re-agrees the
+        The tree tolerates a *degraded* roster — the overlay is rebuilt
+        from whatever quorum survives — but it needs agreement: every
+        participant's local roster must equal the participant set (a
+        pending failure detection first runs one flat round, batched
+        when :meth:`_fast_eligible` allows, which is what re-agrees the
         rosters), and the cluster must be batch-eligible (no chaos hooks,
         nothing in flight). Roster agreement is checked by length — O(1)
-        per peer, the same proxy the flat fast path uses — which is
+        per peer, the same proxy the flat batched round uses — which is
         sound because rosters only ever change collectively (timeout
         shrink, readmit rebind).
         """
@@ -1058,31 +1168,6 @@ class FullyDistributedDolbie:
             return len(store.shared_roster) == len(participants)
         want = len(participants)
         return all(len(store.roster_of(i)) == want for i in participants)
-
-    def _fast_structures(self) -> tuple:
-        """Cached frame-order index structures for the batched phases.
-
-        Frame ``k`` of the cost broadcast is sender ``src[k]`` to receiver
-        ``dst[k]``, in the exact event-engine send order (peers in id
-        order, each broadcasting to ids ascending, skipping itself).
-        ``in_frames[j]`` lists the frame indices addressed to peer ``j``
-        in ascending order — ascending frame index doubles as the
-        event-engine's same-time delivery tie-break.
-        """
-        if self._fast_cache is None:
-            n = self.num_workers
-            ids = np.arange(n)
-            grid = np.tile(ids, (n, 1))
-            src = np.repeat(ids, n - 1)
-            dst = grid[grid != ids[:, None]]
-            # Row j of the same id-minus-self matrix is receiver j's
-            # senders (ascending), mirroring sender i's destinations.
-            senders = dst.reshape(n, n - 1)
-            # Frame from i to j sits at i*(n-1) + (j if j < i else j - 1).
-            offsets = np.where(ids[:, None] < senders, ids[:, None], ids[:, None] - 1)
-            in_frames = senders * (n - 1) + offsets
-            self._fast_cache = (self.cluster.batched(), src, dst, in_frames)
-        return self._fast_cache
 
     def _tree_round_for(self, participants: list[int]) -> _TreeRound:
         """The tree round's per-roster cache (rebuilt on membership
@@ -1372,23 +1457,48 @@ class FullyDistributedDolbie:
         round_index: int,
         costs: Sequence[CostFunction],
         x_played: np.ndarray,
+        participants: list[int],
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        """One healthy round as two batched phases (Algorithm 2 verbatim).
+        """One flat round as two batched phases (Algorithm 2 verbatim).
 
         Bit-identical to the event-engine round: link delays are drawn in
         frame order (one draw per phase), per-peer completion events and
         their (time, sequence) tie-breaks are reconstructed with array
         ops, and the straggler's closing sum accumulates the decisions in
         the same arrival order the event engine would insert them.
+
+        The participants are the live peers. Their broadcasts also go to
+        the dead peers' node ids: those frames are counted and drawn,
+        and their receivers discard them uncounted. In a failure
+        detection (:meth:`_detection_timeout`) no participant completes
+        on arrival; at ``T = t0 + cost_timeout`` each one drops the
+        silent set and coordinates, so the decisions leave at ``T`` in
+        ascending id order and the participants' timeouts count as
+        processed events.
+
+        A full-roster round computes in the backend dtype; a degraded or
+        detection round computes in float64 whatever the backend, as the
+        event engine does.
         """
         n = self.num_workers
         store = self._store
-        backend = self.backend
-        batched, src, dst, in_frames = self._fast_structures()
+        fr = self._flat_round
+        if fr is None or not fr.matches(participants):
+            fr = self._flat_round = _FlatRound(self, participants)
+        timeout = (
+            None
+            if self._rosters_agree(participants)
+            else self._detection_timeout(participants)
+        )
+        parts = fr.parts
+        m = parts.size
+        # Participant columns: a full roster slices (no copies). Payload
+        # arithmetic runs in the backend dtype on a full roster and in
+        # float64 otherwise; virtual time and link delays stay float64.
+        sel = slice(None) if fr.full else parts
+        backend = self.backend if fr.full else get_backend("numpy64")
+        batched = fr.batched
         t0 = self.cluster.engine.now
-        # Protocol payload arithmetic runs in the backend dtype (float64
-        # by default, where every operation below is bit-identical to the
-        # historical code); virtual time and link delays stay float64.
         x = backend.asarray(x_played)
         alphas = backend.asarray(store.alpha_bar)
         vector = AffineCostVector.coerce(costs)
@@ -1396,62 +1506,77 @@ class FullyDistributedDolbie:
             vector = vector.astype(backend.dtype)
             local = vector.values(x)
         else:
-            local = backend.asarray([fn(xi) for fn, xi in zip(costs, x)])
+            local = backend.full(n, np.nan)
+            local[sel] = [costs[i](x[i]) for i in parts.tolist()]
         backend.ensure(local, "local costs")
 
-        # Phase 1 (line 4): all-to-all (l_i, alpha-bar_i) broadcast.
+        # Phase 1 (line 4): (l_i, alpha-bar_i) broadcast to every node id.
         cost_batch = FrameBatch(
-            TAG_COST, src, dst,
-            {"l": local[src], "alpha_bar": alphas[src]},
+            TAG_COST, fr.src, fr.dst,
+            {"l": local[fr.src], "alpha_bar": alphas[fr.src]},
             round_index,
         )
         arrivals = batched.deliver(
             cost_batch, t0, chunk_frames=self._chunk_frames
         )
-        arrivals_in = arrivals[in_frames]  # (n, n-1): per-receiver arrivals
-        completion = arrivals_in.max(axis=1)
-        # The completing event per peer: among tied last arrivals the
-        # event engine fires the highest-sequence (= frame index) last.
-        completing_frame = np.where(
-            arrivals_in == completion[:, None], in_frames, -1
-        ).max(axis=1)
 
-        # Lines 5-7: identical consensus at every peer.
-        straggler = int(identify_straggler(local))
-        global_cost = float(local.max())
-        alpha = float(alphas.min())
+        # Lines 5-7: identical consensus at every participant.
+        local_p = local[sel]
+        straggler = int(parts[identify_straggler(local_p)])
+        global_cost = float(local_p.max())
+        alpha = float(alphas[sel].min())
 
         # Line 8: risk-averse update at the non-stragglers.
         if vector is not None:
             x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
         else:
-            x_prime = backend.asarray(
-                [min(fn.max_acceptable(global_cost), 1.0) for fn in costs]
-            )
+            x_prime = x.copy()
+            x_prime[sel] = [
+                min(costs[i].max_acceptable(global_cost), 1.0)
+                for i in parts.tolist()
+            ]
         x_prime = np.maximum(x_prime, x)
         x_new = x - alpha * (x - x_prime)
         backend.ensure(x_new, "updated allocation")
 
-        # Phase 2 (line 9): decisions to the straggler, sent the moment
-        # each non-straggler's completing event fires — frame order is
-        # completion order (time, then completing-event sequence).
-        non_stragglers = np.delete(np.arange(n), straggler)
-        send_order = np.lexsort(
-            (completing_frame[non_stragglers], completion[non_stragglers])
-        )
-        senders = non_stragglers[send_order]
+        # Phase 2 (line 9): decisions to the straggler.
+        keep = parts != straggler
+        events = arrivals.size
+        if timeout is None:
+            # Each non-straggler sends the moment its completing event
+            # fires — frame order is completion order (time, then
+            # completing-event sequence).
+            arrivals_in = arrivals[fr.in_frames]  # (m, m-1) per receiver
+            completion = arrivals_in.max(axis=1)
+            # Among tied last arrivals the event engine fires the
+            # highest-sequence (= frame index) last.
+            completing_frame = np.where(
+                arrivals_in == completion[:, None], fr.in_frames, -1
+            ).max(axis=1)
+            send_order = np.lexsort(
+                (completing_frame[keep], completion[keep])
+            )
+            senders = parts[keep][send_order]
+            send_times = completion[keep][send_order]
+        else:
+            # Every participant's timeout fires at T, in id order, and
+            # each non-straggler sends from it.
+            senders = parts[keep]
+            send_times = t0 + timeout
+            events += m
+            self.detect_rounds += 1
         decision_batch = FrameBatch(
-            TAG_DECISION, senders, np.full(n - 1, straggler),
+            TAG_DECISION, senders, np.full(m - 1, straggler),
             {"x": x_new[senders]}, round_index,
         )
         decision_arrivals = batched.deliver(
-            decision_batch, completion[senders], chunk_frames=self._chunk_frames
+            decision_batch, send_times, chunk_frames=self._chunk_frames
         )
 
         # Lines 11-12: the straggler closes the simplex, accumulating the
         # decisions in arrival order (ties by send sequence) exactly as
         # the event engine inserts them into its dict.
-        arrival_order = np.lexsort((np.arange(n - 1), decision_arrivals))
+        arrival_order = np.lexsort((np.arange(m - 1), decision_arrivals))
         ordered_senders = senders[arrival_order]
         total = backend.dtype.type(0.0)
         for value in x_new[ordered_senders]:
@@ -1465,25 +1590,36 @@ class FullyDistributedDolbie:
         x_close = float(x_close) if x_close >= 1e-12 else 0.0
         x_new[straggler] = x_close
 
-        # Write the post-round state every peer would hold, as column
-        # stores. The views' per-round containers are left alone, as in
-        # the tree round: ``observe_round`` re-initializes them.
-        store.current_round[:] = round_index
-        store.local_cost[:] = local
-        store.is_straggler[:] = False
-        store.global_cost[:] = global_cost
-        store.straggler_id[:] = straggler
-        store.x[:] = x_new
+        # Write the post-round state every participant would hold, as
+        # column stores. The views' per-round containers are left alone,
+        # as in the tree round: ``observe_round`` re-initializes them.
+        store.current_round[sel] = round_index
+        store.local_cost[sel] = local_p
+        store.is_straggler[sel] = False
+        store.global_cost[sel] = global_cost
+        store.straggler_id[sel] = straggler
+        store.x[sel] = x_new[sel]
+        # Dead peers' shares were folded into the straggler's closure.
+        store.x[fr.nonparticipants] = 0.0
         store.alpha_bar[straggler] = min(
             float(store.alpha_bar[straggler]),
-            feasibility_cap(float(store.x[straggler]), n),
+            feasibility_cap(x_close, m),
         )  # line 13 / Eq. (8)
+        if timeout is not None:
+            # Each participant's ``roster -= missing``: an override of
+            # its own holding the survivors.
+            survivors = frozenset(parts.tolist())
+            store.roster_overrides.update(
+                dict.fromkeys(parts.tolist(), survivors)
+            )
 
         final_now = max(float(arrivals.max()), float(decision_arrivals.max()))
-        batched.finish_round(final_now, arrivals.size + decision_arrivals.size)
-        # Results/traces are reporting infrastructure: always float64 (a
-        # no-op pass-through on the default backend).
-        return x_played, np.asarray(local, dtype=float), global_cost, straggler
+        batched.finish_round(final_now, events + decision_arrivals.size)
+        # Results/traces are reporting infrastructure: always float64,
+        # NaN for the dead peers, who report no cost.
+        local = np.asarray(local, dtype=float)
+        local[fr.nonparticipants] = np.nan
+        return x_played, local, global_cost, straggler
 
     def run_round(
         self, round_index: int, costs: Sequence[CostFunction]
@@ -1568,10 +1704,14 @@ class FullyDistributedDolbie:
             self._membership_dirty = True  # peer state diverges from cc
             self.fast_rounds += 1
             if profiler is None:
-                result = self._run_round_fast(round_index, costs, x_played)
+                result = self._run_round_fast(
+                    round_index, costs, x_played, participants
+                )
             else:
                 with profiler.span("protocol.fast_round"):
-                    result = self._run_round_fast(round_index, costs, x_played)
+                    result = self._run_round_fast(
+                        round_index, costs, x_played, participants
+                    )
         else:
             self._membership_dirty = True  # peer state diverges from cc
             self.fallback_rounds += 1

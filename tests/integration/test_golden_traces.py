@@ -146,7 +146,11 @@ def test_fd_tree_matches_golden_and_pinned_totals(scenario):
     trace = protocol.tracer.trace
     diff = diff_traces(_golden(scenario), trace, include_header=True)
     assert diff.empty, f"[{scenario}] {BLESS_HINT}\n{diff.summary()}"
-    assert (protocol.tree_rounds, protocol.fallback_rounds) == (29, 1)
+    # The crash round is the one batched failure detection.
+    assert (
+        protocol.tree_rounds, protocol.fast_rounds, protocol.detect_rounds,
+        protocol.fallback_rounds,
+    ) == (29, 30, 1, 0)
     assert protocol.metrics.messages_total == messages
     assert protocol.metrics.bytes_total == nbytes
     assert protocol.cluster.engine.now == now

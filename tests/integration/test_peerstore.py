@@ -107,6 +107,9 @@ class TestObjectPeerSnapshot:
         # the per-peer list and the old aggregation.peer_store field.
         assert "peers" in snap.state
         assert snap.state["aggregation"]["peer_store"] is False
+        # ... and predates the batched failure detection's counter.
+        assert "detect_rounds" not in snap.state
+        assert protocol.detect_rounds == 0
         expected = json.loads(
             (GOLDEN_DIR / "fd_object_continuation.json").read_text()
         )
@@ -124,6 +127,18 @@ class TestObjectPeerSnapshot:
             assert protocol.worker_ledger(w) == RoundLedger.from_records(
                 records
             ), f"worker {w} replica diverged"
+
+    def test_detection_counter_round_trips(self):
+        source = _protocol(12, aggregation="tree")
+        process = _process(12)
+        source.run_round(1, process.costs_at(1))
+        source.crash_worker(4)
+        source.run_round(2, process.costs_at(2))
+        state = capture_protocol(source)
+        assert state["detect_rounds"] == 1
+        target = _protocol(12, aggregation="tree")
+        restore_protocol(target, state)
+        assert target.detect_rounds == 1
 
     def test_snapshot_with_legacy_peer_store_field_restores(self):
         source, process, _ = self._restored()

@@ -5,7 +5,8 @@ flat consensus (straggler, global cost) while moving O(N) messages;
 the trajectory gap against flat stays at the documented rounding level
 and the measured regret gap is negligible; the float32 backend is
 bit-stable run-to-run with the dtype asserted through the hot path;
-crash -> fallback -> reshard keeps the chaos invariants clean; and the
+crash -> batched failure detection -> reshard keeps the chaos
+invariants clean, with no event-engine round; and the
 aggregation configuration round-trips through checkpoint save/restore.
 """
 
@@ -120,12 +121,13 @@ class TestCrashReshard:
         assert protocol.tree_rounds == 3
         protocol.crash_worker(7)
         protocol.crash_worker(12)
-        # failure detection re-agrees rosters on the event engine
+        # failure detection re-agrees rosters on the flat batched round
         obs = RoundObservation(protocol)
         _, local, global_cost, straggler = protocol.run_round(
             4, process.costs_at(4)
         )
-        assert protocol.tree_rounds == 3  # fallback round
+        assert protocol.tree_rounds == 3
+        assert (protocol.detect_rounds, protocol.fallback_rounds) == (1, 0)
         assert check_round_invariants(
             protocol, obs, 4, local, global_cost, straggler
         ) == []
@@ -152,6 +154,30 @@ class TestCrashReshard:
             protocol, obs, 6, local, global_cost, straggler
         ) == []
         assert protocol.allocation.sum() == pytest.approx(1.0)
+
+    def test_crash_rejoin_epoch_at_n128_never_falls_back(self):
+        """One membership epoch at N=128 — tree rounds, a crash, tree
+        rounds, the rejoin, tree rounds — without an event-engine round:
+        the failure detection runs batched."""
+        n = 128
+        protocol = _protocol(n, aggregation="tree")
+        process = _process(n)
+        t = 0
+        for membership in (None, protocol.crash_worker, protocol.rejoin_worker):
+            if membership is not None:
+                membership(77)
+            for _ in range(3):
+                t += 1
+                obs = RoundObservation(protocol)
+                _, local, global_cost, straggler = protocol.run_round(
+                    t, process.costs_at(t)
+                )
+                assert check_round_invariants(
+                    protocol, obs, t, local, global_cost, straggler
+                ) == []
+        assert protocol.fallback_rounds == 0
+        assert (protocol.tree_rounds, protocol.detect_rounds) == (8, 1)
+        assert protocol.roster == list(range(n))
 
     def test_invariant_checker_catches_corrupt_overlay(self):
         from repro.net.aggtree import AggregationTree

@@ -305,6 +305,38 @@ class TestInvariantChecker:
         )
         assert any("no events" in v for v in violations)
 
+    def test_batched_failure_detection_is_clean(self):
+        protocol = FullyDistributedDolbie(4, link=LINK())
+        process = _process(4)
+        protocol.run_round(1, process.costs_at(1))
+        protocol.crash_worker(2)
+        for t in (2, 3):
+            observation = RoundObservation(protocol)
+            _, local, global_cost, straggler = protocol.run_round(
+                t, process.costs_at(t)
+            )
+            assert check_round_invariants(
+                protocol, observation, t, local, global_cost, straggler
+            ) == []
+        assert (protocol.detect_rounds, protocol.fallback_rounds) == (1, 0)
+
+    def test_batched_round_losing_a_live_worker_is_caught(self):
+        protocol, obs, local, global_cost, straggler = self._clean_round()
+        protocol._stalled.add(3)  # off the roster, yet alive
+        violations = check_round_invariants(
+            protocol, obs, 1, local, global_cost, straggler
+        )
+        assert any("dropped worker 3" in v for v in violations)
+        assert any("without live workers [3]" in v for v in violations)
+
+    def test_batched_round_under_chaos_is_caught(self):
+        protocol, obs, local, global_cost, straggler = self._clean_round()
+        protocol.cluster.set_extra_delay(1, 0.1)
+        violations = check_round_invariants(
+            protocol, obs, 1, local, global_cost, straggler
+        )
+        assert any("chaos hooks" in v for v in violations)
+
     def test_assert_raises_invariant_violation(self):
         protocol, obs, local, global_cost, straggler = self._clean_round()
         protocol.peers[0].x += 0.25

@@ -84,6 +84,21 @@ class TestLinks:
         with pytest.raises(SimulationError):
             Link(bandwidth_bps=0.0)
 
+    def test_upper_bounds(self):
+        assert ConstantLatency(0.5).upper_bound == 0.5
+        assert UniformLatency(0.1, 0.2, np.random.default_rng(0)).upper_bound == 0.2
+        lognormal = LogNormalLatency(0.01, 0.5, np.random.default_rng(0))
+        assert lognormal.upper_bound == float("inf")
+
+    def test_max_delay_bounds_every_draw_and_adds_transmit_time(self):
+        link = Link(
+            UniformLatency(0.1, 0.2, np.random.default_rng(0)),
+            bandwidth_bps=8000.0,
+        )
+        assert link.max_delay(1000) == 0.2 + 1.0
+        assert all(link.delay(1000) <= link.max_delay(1000) for _ in range(200))
+        assert Link().max_delay(10**6) == 0.0
+
 
 class TestMessage:
     def test_payload_size_per_scalar(self):

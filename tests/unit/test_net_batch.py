@@ -292,6 +292,22 @@ class TestBatchedDelivery:
         for node_id in range(3):
             assert cluster.node(node_id).received_count == 1
 
+    def test_failed_receivers_are_counted_but_not_bumped(self):
+        """Frames to a failed node cross the wire and draw a delay, and
+        the node discards them uncounted — as ``Node.deliver`` does."""
+        cluster = _cluster(default_link=Link(ConstantLatency(0.01)))
+        cluster.node(2).failed = True
+        batch = FrameBatch(
+            tag="cost", src=np.array([0, 1, 0]), dst=np.array([2, 2, 1]),
+            payload={"l": np.zeros(3)},
+        )
+        arrivals = cluster.batched().deliver(batch, send_times=0.0)
+        assert arrivals.size == 3
+        assert cluster.metrics.messages_total == 3
+        assert cluster.metrics.per_pair_messages[(1, 2)] == 1
+        assert cluster.node(2).received_count == 0
+        assert cluster.node(1).received_count == 1
+
     def test_finish_round_advances_clock_and_credits(self):
         cluster = _cluster()
         batched = cluster.batched()
