@@ -276,8 +276,7 @@ def restore_cluster(cluster, state: Mapping) -> None:
         )
     for key, link_state in stored_links.items():
         restore_link(cluster._links[key], link_state)
-    cluster.metrics.registry = MetricsRegistry.from_records(state["metrics"])
-    cluster.metrics._init_handles()
+    cluster.metrics.load_records(state["metrics"])
     lazy = getattr(cluster, "lazy_nodes", None)
     node_arrays = state.get("node_arrays")
     if node_arrays is not None:  # only lazy (FD) clusters capture these

@@ -96,7 +96,14 @@ SCHEMA = 1
 #: ``--checkpoint-every`` at the recommended cadence (one snapshot per
 #: 200 rounds at fig4 scale); above the ceiling checkpointed soaks no
 #: longer run "for free" and ``docs/checkpointing.md`` is lying.
-OVERHEAD_GATES = {"obs_overhead": 1.03, "ckpt_overhead": 1.05}
+#: ``proto_fd_flat_pairs_n32`` is per-pair message accounting's cost
+#: on steady N=32 flat FD rounds (the serving control plane's size):
+#: rounds with pair metrics on over the same rounds with them off.
+OVERHEAD_GATES = {
+    "obs_overhead": 1.03,
+    "ckpt_overhead": 1.05,
+    "proto_fd_flat_pairs_n32": 1.25,
+}
 
 
 @dataclass(frozen=True)
@@ -727,6 +734,56 @@ def _bench_protocol_churn(repetitions: int) -> BenchmarkResult:
     )
 
 
+def _bench_flat_pairs(repetitions: int) -> BenchmarkResult:
+    """Steady N=32 flat FD rounds: pair metrics on vs. off.
+
+    Two protocols replay the same seeded costs and link delays, one
+    built with pair accounting on and one under
+    :func:`_pair_metrics_off`; after warm-up each timed leg runs the
+    next ``rounds`` rounds of its protocol, interleaved, best of at
+    least five. ``speedup`` is the on/off ratio, gated by
+    :data:`OVERHEAD_GATES`: the per-pair breakdown of the complexity
+    reproduction must not cost more than the round it measures.
+    """
+    from repro.costs.affine_vector import AffineCostVector
+    from repro.costs.timevarying import RandomAffineProcess
+    from repro.net.links import Link, UniformLatency
+    from repro.protocols.fully_distributed import FullyDistributedDolbie
+
+    n, warmup, rounds = 32, 5, 200
+    speeds = [1.0 + (i % 23) for i in range(n)]
+    process = RandomAffineProcess(speeds, sigma=0.1, comm_scale=0.01, seed=n)
+    costs = [AffineCostVector.coerce(process.costs_at(t)) for t in range(1, 51)]
+
+    def build() -> FullyDistributedDolbie:
+        link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(n)))
+        return FullyDistributedDolbie(n, link=link)
+
+    pairs_on = build()
+    with _pair_metrics_off():
+        pairs_off = build()
+
+    def leg(protocol: FullyDistributedDolbie, count: int) -> None:
+        start = len(protocol.ledger) + 1  # one entry per round run
+        for t in range(start, start + count):
+            protocol.run_round(t, costs[t % len(costs)])
+        if protocol.fast_rounds != len(protocol.ledger):
+            raise RuntimeError(
+                f"n{n} flat leg left the batched route ({protocol.fast_rounds}"
+                f"/{len(protocol.ledger)} batched rounds)"
+            )
+
+    leg(pairs_on, warmup)
+    leg(pairs_off, warmup)
+    return _paired(
+        f"proto_fd_flat_pairs_n{n}",
+        lambda: leg(pairs_on, rounds),
+        lambda: leg(pairs_off, rounds),
+        max(5, repetitions),
+        rounds,
+    )
+
+
 #: Struct-of-arrays roster construction at the paper's next wall: a
 #: million-peer protocol must be *constructible* in bounded time, and
 #: the store's packed arrays must stay O(N) compact.
@@ -1014,6 +1071,9 @@ def run_benchmarks(
                 ),
             )
         )
+    suite.append(
+        ("proto_fd_flat_pairs_n32", lambda: _bench_flat_pairs(repetitions))
+    )
     suite.append(
         (
             f"proto_fd_churn_n{CHURN_N}",

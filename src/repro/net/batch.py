@@ -18,13 +18,13 @@ Two refinements ride on the same contract:
   Chunked delivery is bit-identical to one-shot delivery: per-chunk
   delay draws are stream-identical to a single draw (``sample_batch``
   splits are stable — pinned by the mixed-interleaving test), chunk
-  accounting sums to the phase totals, and per-pair counters are still
-  created in frame order.
+  accounting sums to the phase totals, and pairs still enter the
+  metrics' pair table in frame order.
 - **Delivery plans.** A :class:`DeliveryPlan` precomputes everything a
   repeating ``(src, dst)`` frame layout implies — counts, bytes, the
-  per-receiver bump list, the per-pair counter handles — so the
-  FD tree round pays O(unique pairs) cached bumps per phase
-  instead of an ``np.unique`` pass, with identical observable
+  per-receiver bump list, the pair-table slots — so the FD tree round
+  and the steady flat round pay one scatter-add of cached slots per
+  phase instead of a slot lookup, with identical observable
   accounting.
 
 Bit-identity contract (same discipline as ``docs/performance.md``):
@@ -224,19 +224,20 @@ class DeliveryPlan:
     :meth:`BatchedCluster.deliver` derives from them per call — frame
     count, wire bytes, the unique-pair histogram in first-occurrence
     order, the per-receiver bump list — is computed once here. A plan
-    delivery then costs one delay draw plus O(unique pairs + receivers)
-    cached counter bumps, with accounting **identical** to
-    ``deliver`` on an equivalent :class:`FrameBatch`: same totals, same
-    per-pair values, same counter creation order, same ``received_count``
-    advances, same RNG stream consumption.
+    delivery then costs one delay draw, one scatter-add of the unique
+    pairs' counts into their cached pair-table slots and the receiver
+    bumps, with accounting **identical** to ``deliver`` on an
+    equivalent :class:`FrameBatch`: same totals, same per-pair values,
+    same pair creation order, same ``received_count`` advances, same
+    RNG stream consumption.
 
     Building a plan is array-native: two ``np.unique`` passes (receiver
-    counts; unique pairs in first-occurrence order, kept as int64
-    ``src``/``dst``/``count`` columns) and one ``argsort``. The per-pair
-    Python list that ``_bump_pairs`` walks is built on the first pair
-    bump, so with pair accounting off (``REPRO_PAIR_METRICS=0``) it never
-    exists: at N=10⁶ the 18 plans of a tree round then build
-    in ~0.23 s (``perfbench`` ``fd_tree_1m``, traced).
+    counts; unique pairs in first-occurrence order, kept as int64 table
+    keys and counts) and one ``argsort``. The pairs' table slots are
+    looked up on the first pair bump, so with pair accounting off
+    (``REPRO_PAIR_METRICS=0``) they never are: at N=10⁶ the 18 plans of
+    a tree round then build in ~0.23 s (``perfbench`` ``fd_tree_1m``,
+    traced).
 
     Payload *values* are never materialized: batched delivery is
     payload-oblivious (only the field count enters the wire size), so a
@@ -249,13 +250,14 @@ class DeliveryPlan:
     draws against the caller's masked send times, the dropped frame's
     pair and receiver bumps withheld. The dropped frame's pair must be
     unique within the batch (true for member->head layouts, where every
-    member is a distinct pair) so counter creation order still matches
-    the eager masked path.
+    member is a distinct pair) so pair creation order still matches
+    the eager masked path, and no slot is created for a pair whose bump
+    is zero.
 
-    Plans hold references to the cluster's node objects and metric
-    counters; they die with the protocol's overlay cache on any
-    membership change, and re-resolve their counter handles when the
-    metrics object is reset (:attr:`NetworkMetrics.pair_epoch`). Unlike
+    Plans hold references to the cluster's node objects and cached pair
+    slots; they die with the protocol's overlay cache on any membership
+    change, and re-resolve their slots when the metrics object is reset
+    or restored (:attr:`NetworkMetrics.pair_epoch`). Unlike
     :meth:`BatchedCluster.deliver` a plan bumps every receiver it
     lists without consulting ``failed``: plans are built over live
     participants only.
@@ -297,8 +299,8 @@ class DeliveryPlan:
             ]
             self._recv_dst = self._recv_counts = None
         # Unique (src, dst) pairs in first-occurrence frame order — the
-        # counter creation order record_batch_arrays uses — as three
-        # int64 columns, plus each frame's entry index (for drop=).
+        # slot creation order record_batch_arrays uses — as int64 table
+        # keys and counts, plus each frame's entry index (for drop=).
         keys = (self.src << 32) | self.dst
         _, first, inverse, counts = np.unique(
             keys, return_index=True, return_inverse=True, return_counts=True
@@ -307,14 +309,14 @@ class DeliveryPlan:
         rank = np.empty(order.size, dtype=np.int64)
         rank[order] = np.arange(order.size)
         self._frame_entry = rank[inverse]
-        self._pair_src = self.src[first[order]]
-        self._pair_dst = self.dst[first[order]]
+        self._pair_keys = keys[first[order]]
         self._pair_count = counts[order]
-        # The per-pair Python list (and its counter handles) is built on
-        # the first pair bump only, so it never exists when pair
-        # accounting is off.
-        self._pairs: list | None = None
-        self._pair_counters: list = []
+        # Each entry's pair-table slot (-1: not created yet), resolved
+        # on the first pair bump, so never with pair accounting off.
+        self._slots = np.full(order.size, -1, dtype=np.int64)
+        # What _bump_pairs indexes the table with once every slot exists
+        # (a slice when they are consecutive), else None.
+        self._slot_index: slice | np.ndarray | None = None
         self._pair_epoch = -1
 
     def deliver(
@@ -355,27 +357,30 @@ class DeliveryPlan:
         return arrivals
 
     def _bump_pairs(self, metrics, drop: int | None) -> None:
-        if self._pairs is None:
-            self._pairs = list(
-                zip(
-                    zip(self._pair_src.tolist(), self._pair_dst.tolist()),
-                    self._pair_count.tolist(),
-                )
-            )
         if self._pair_epoch != metrics.pair_epoch:
-            # Metrics were reset: stale counter objects; re-resolve
-            # lazily (creation order = first bump order, like the eager
-            # path rebuilding its registry).
-            self._pair_counters = [None] * len(self._pairs)
+            # Metrics were reset or restored: the cached slots are
+            # stale; re-resolve them (creation order = first bump
+            # order, like the eager path rebuilding its table).
+            self._slots.fill(-1)
+            self._slot_index = None
             self._pair_epoch = metrics.pair_epoch
-        drop_entry = -1 if drop is None else int(self._frame_entry[drop])
-        counters = self._pair_counters
-        for entry, (pair, bump) in enumerate(self._pairs):
-            if entry == drop_entry:
-                bump -= 1
-                if bump == 0:
-                    continue  # never create a handle the eager path wouldn't
-            counter = counters[entry]
-            if counter is None:
-                counter = counters[entry] = metrics._pair_handle(pair)
-            counter.value += bump
+        bumps = self._pair_count
+        if drop is not None:
+            bumps = bumps.copy()
+            bumps[self._frame_entry[drop]] -= 1
+        if self._slot_index is None:
+            slots = self._slots
+            # Never create a slot the eager path wouldn't: a pair whose
+            # only frame is dropped stays unresolved.
+            missing = (slots < 0) & (bumps > 0)
+            if missing.any():
+                slots[missing] = metrics.pair_slots(self._pair_keys[missing])
+            if (slots < 0).any():
+                live = slots >= 0
+                metrics.bump_pair_slots(slots[live], bumps[live])
+                return
+            # Pairs created together hold consecutive slots: bump a slice.
+            lo = int(slots[0])
+            consecutive = np.array_equal(slots, np.arange(lo, lo + slots.size))
+            self._slot_index = slice(lo, lo + slots.size) if consecutive else slots
+        metrics.bump_pair_slots(self._slot_index, bumps)

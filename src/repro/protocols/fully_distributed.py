@@ -492,6 +492,13 @@ class _FlatRound:
     ``parts[r]`` by the other participants, in ascending order —
     ascending frame index doubles as the event engine's same-time
     delivery tie-break.
+
+    A full roster also holds a :class:`DeliveryPlan` for the cost
+    broadcast (``plan``), so steady rounds skip the per-phase pair
+    lookup and receiver grouping. Degraded and detection sets are
+    one-off and keep the one-shot delivery, which also leaves the dead
+    receivers' counts alone; so does a broadcast above
+    ``chunk_frames``, which streams in chunks.
     """
 
     def __init__(
@@ -522,6 +529,12 @@ class _FlatRound:
         taking_part = np.zeros(n, dtype=bool)
         taking_part[parts] = True
         self.nonparticipants = np.flatnonzero(~taking_part)
+        chunk = protocol._chunk_frames
+        self.plan = (  # payload (l, alpha_bar)
+            self.batched.plan(self.src, self.dst, 2)
+            if self.full and (chunk is None or self.src.size <= chunk)
+            else None
+        )
 
     def matches(self, participants: list[int]) -> bool:
         if len(participants) != self.parts.size:
@@ -885,6 +898,7 @@ class FullyDistributedDolbie:
         #: :mod:`repro.core.ledger`).
         self.ledger = RoundLedger()
         self._ledger_book = LedgerBook(num_workers, self.ledger)
+        self._ledger_roster: tuple[int, ...] = ()
 
     def _hydrate_peer(self, node_id: int) -> _Peer:
         """Factory the lazy node table uses to build flyweight peer
@@ -1511,14 +1525,17 @@ class FullyDistributedDolbie:
         backend.ensure(local, "local costs")
 
         # Phase 1 (line 4): (l_i, alpha-bar_i) broadcast to every node id.
-        cost_batch = FrameBatch(
-            TAG_COST, fr.src, fr.dst,
-            {"l": local[fr.src], "alpha_bar": alphas[fr.src]},
-            round_index,
-        )
-        arrivals = batched.deliver(
-            cost_batch, t0, chunk_frames=self._chunk_frames
-        )
+        if fr.plan is not None:
+            arrivals = fr.plan.deliver(round_index, t0)
+        else:
+            cost_batch = FrameBatch(
+                TAG_COST, fr.src, fr.dst,
+                {"l": local[fr.src], "alpha_bar": alphas[fr.src]},
+                round_index,
+            )
+            arrivals = batched.deliver(
+                cost_batch, t0, chunk_frames=self._chunk_frames
+            )
 
         # Lines 5-7: identical consensus at every participant.
         local_p = local[sel]
@@ -1582,13 +1599,15 @@ class FullyDistributedDolbie:
         for value in x_new[ordered_senders]:
             total += value
         x_close = 1.0 - total
-        if x_close < -1e-9:
-            raise ProtocolError(
-                f"straggler workload went negative ({x_close:.3e}); the verbatim "
-                "Eq. (8) cap was insufficient this round"
-            )
-        x_close = float(x_close) if x_close >= 1e-12 else 0.0
-        x_new[straggler] = x_close
+        # A negative closure raises at the straggler's last decision,
+        # after every other participant has updated: that state is
+        # written below first, as the event engine would leave it.
+        closed = x_close >= -1e-9
+        if closed:
+            x_close = float(x_close) if x_close >= 1e-12 else 0.0
+            x_new[straggler] = x_close
+        else:
+            x_new[straggler] = store.x[straggler]
 
         # Write the post-round state every participant would hold, as
         # column stores. The views' per-round containers are left alone,
@@ -1599,12 +1618,6 @@ class FullyDistributedDolbie:
         store.global_cost[sel] = global_cost
         store.straggler_id[sel] = straggler
         store.x[sel] = x_new[sel]
-        # Dead peers' shares were folded into the straggler's closure.
-        store.x[fr.nonparticipants] = 0.0
-        store.alpha_bar[straggler] = min(
-            float(store.alpha_bar[straggler]),
-            feasibility_cap(x_close, m),
-        )  # line 13 / Eq. (8)
         if timeout is not None:
             # Each participant's ``roster -= missing``: an override of
             # its own holding the survivors.
@@ -1612,8 +1625,19 @@ class FullyDistributedDolbie:
             store.roster_overrides.update(
                 dict.fromkeys(parts.tolist(), survivors)
             )
-
         final_now = max(float(arrivals.max()), float(decision_arrivals.max()))
+        if not closed:
+            self.cluster.engine.advance_to(final_now)
+            raise ProtocolError(
+                f"straggler workload went negative ({x_close:.3e}); the verbatim "
+                "Eq. (8) cap was insufficient this round"
+            )
+        # Dead peers' shares were folded into the straggler's closure.
+        store.x[fr.nonparticipants] = 0.0
+        store.alpha_bar[straggler] = min(
+            float(store.alpha_bar[straggler]),
+            feasibility_cap(x_close, m),
+        )  # line 13 / Eq. (8)
         batched.finish_round(final_now, events + decision_arrivals.size)
         # Results/traces are reporting infrastructure: always float64,
         # NaN for the dead peers, who report no cost.
@@ -1741,11 +1765,15 @@ class FullyDistributedDolbie:
             self.ledger.append(entry)
             self._ledger_book.fanout_ids(cc.parts, entry)
         else:
+            roster = tuple(self.roster)
+            if roster != self._ledger_roster:
+                self._ledger_roster = roster
             entry = LedgerEntry(
                 round_index=round_index,
                 straggler=int(result[3]),
                 global_cost=float(result[2]),
-                roster=tuple(self.roster),
+                # Entries share one tuple while the roster is unchanged.
+                roster=self._ledger_roster,
             )
             self.ledger.append(entry)
             self._ledger_book.fanout(entry.roster, entry)

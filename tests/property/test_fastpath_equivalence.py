@@ -9,7 +9,7 @@ execution-layer optimization, never a semantic change.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ckpt.codec import canonical_dumps, to_jsonable
@@ -44,16 +44,19 @@ def configurations(draw):
     return n, seed, horizon, kind, speeds
 
 
-def _run_pair(protocol_cls, config):
+def _run(protocol_cls, config, fast, chunk_frames=None):
     n, seed, horizon, kind, speeds = config
     process = RandomAffineProcess(speeds, sigma=0.2, comm_scale=0.05, seed=seed)
-    runs = {}
-    for fast in (False, True):
-        protocol = protocol_cls(
-            n, link=_make_link(kind, seed), use_fast_path=fast
-        )
-        runs[fast] = (protocol, protocol.run(process, horizon))
-    return runs
+    protocol = protocol_cls(n, link=_make_link(kind, seed), use_fast_path=fast)
+    if chunk_frames is not None:
+        # Above the chunk size the flat broadcast streams through the
+        # one-shot delivery instead of its delivery plan.
+        protocol._chunk_frames = chunk_frames
+    return protocol, protocol.run(process, horizon)
+
+
+def _run_pair(protocol_cls, config):
+    return {fast: _run(protocol_cls, config, fast) for fast in (False, True)}
 
 
 def _assert_identical(runs, horizon):
@@ -66,16 +69,17 @@ def _assert_identical(runs, horizon):
     # ... and is bit-identical, not merely close:
     assert np.array_equal(slow.allocations, fast.allocations)
     assert np.array_equal(slow.global_costs, fast.global_costs)
-    assert slow_protocol.metrics.messages_total == fast_protocol.metrics.messages_total
-    assert slow_protocol.metrics.bytes_total == fast_protocol.metrics.bytes_total
-    assert (
-        dict(slow_protocol.metrics.per_round_messages)
-        == dict(fast_protocol.metrics.per_round_messages)
+    slow_metrics, fast_metrics = slow_protocol.metrics, fast_protocol.metrics
+    assert slow_metrics.messages_total == fast_metrics.messages_total
+    assert slow_metrics.bytes_total == fast_metrics.bytes_total
+    # Same counts in the same creation order.
+    assert list(slow_metrics.per_round_messages.items()) == list(
+        fast_metrics.per_round_messages.items()
     )
-    assert (
-        dict(slow_protocol.metrics.per_pair_messages)
-        == dict(fast_protocol.metrics.per_pair_messages)
+    assert list(slow_metrics.per_pair_messages.items()) == list(
+        fast_metrics.per_pair_messages.items()
     )
+    assert slow_metrics.registry.to_records() == fast_metrics.registry.to_records()
     assert slow_protocol.cluster.engine.now == fast_protocol.cluster.engine.now
 
 
@@ -84,6 +88,10 @@ def _assert_identical(runs, horizon):
 def test_fully_distributed_fast_path_bit_identical(config):
     runs = _run_pair(FullyDistributedDolbie, config)
     _assert_identical(runs, horizon=config[2])
+    assert runs[True][0]._flat_round.plan is not None
+    one_shot = _run(FullyDistributedDolbie, config, True, chunk_frames=1)
+    assert one_shot[0]._flat_round.plan is None
+    _assert_identical({False: runs[False], True: one_shot}, horizon=config[2])
 
 
 @st.composite
@@ -137,6 +145,7 @@ def _observables(protocol, outcome):
         "events": protocol.cluster.engine.processed_events,
         "bytes": protocol.metrics.bytes_total,
         "received": protocol._store.received_count.copy(),
+        "pairs": list(protocol.metrics.per_pair_messages.items()),
         "snapshot": canonical_dumps(to_jsonable(state)),
     }
 
@@ -169,9 +178,10 @@ def _run_churn(config, fast_rounds=None):
                   protocol.detect_rounds)
         try:
             result = protocol.run_round(t, process.costs_at(t))
-        except ProtocolError as exc:  # a float32 closure may undershoot
-            observed.append({"error": str(exc)})
-            break
+        except ProtocolError as exc:  # a closure may undershoot
+            result = exc
+        # The route counters move before a round runs, so a round that
+        # raised is classified too.
         tree = protocol.tree_rounds > before[0]
         full_flat = (
             protocol.fast_rounds > before[1]
@@ -180,11 +190,18 @@ def _run_churn(config, fast_rounds=None):
         )
         if tree or (full_flat and backend == "numpy32"):
             native.add(t)
+        if isinstance(result, ProtocolError):
+            observed.append({"error": str(result)})
+            break
         observed.append(_observables(protocol, result))
     return protocol, observed, link, native
 
 
 @given(churn_configurations())
+# A full-roster round after a rejoin whose closure goes negative: both
+# routes raise, and must leave the same state behind.
+@example((4, 38, 3, "constant", "flat", "numpy64", {0: (1, 3)}))
+@example((4, 38, 3, "constant", "flat", "numpy32", {0: (1, 3)}))
 @settings(max_examples=30, deadline=None)
 def test_fully_distributed_fast_path_bit_identical_under_churn(config):
     """Crash/rejoin schedules move rounds between the batched routes
@@ -210,6 +227,7 @@ def test_fully_distributed_fast_path_bit_identical_under_churn(config):
         assert a["bytes"] == b["bytes"], f"round {t}"
         assert np.array_equal(a["received"], b["received"]), f"round {t}"
         assert a["snapshot"] == b["snapshot"], f"round {t}"
+        assert a["pairs"] == b["pairs"], f"round {t}"
     assert np.array_equal(slow.allocation, fast.allocation)
     assert slow.alpha == fast.alpha
     assert slow.ledger == fast.ledger

@@ -9,13 +9,22 @@ that ``plan.deliver`` is indistinguishable from eager
 per-round counts, same per-pair values *and* counter creation order,
 same ``received_count`` advances, same RNG stream position — over an
 object-node cluster and a lazy-node cluster, with pair accounting on or
-off, and across a ``metrics.reset()`` between rounds.
+off, and across a ``metrics.reset()`` between rounds. The table-backed
+registry then round-trips through a cluster checkpoint and through
+:func:`~repro.io.save_metrics` byte for byte.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ckpt.codec import canonical_dumps, from_jsonable, to_jsonable
+from repro.ckpt.state import capture_cluster, restore_cluster
+from repro.io import load_metrics, save_metrics
 from repro.net.cluster import Cluster
 from repro.net.links import Link, UniformLatency
 from repro.net.message import FrameBatch
@@ -120,3 +129,26 @@ def test_plan_delivery_matches_eager_delivery(layout, lazy, pair_accounting):
         planned._default_link.delay_batch(1, 8)[0]
         == eager._default_link.delay_batch(1, 8)[0]
     )
+
+    # Checkpoint round trip: the plan-fed and eager clusters capture to
+    # the same bytes, and restoring that capture reproduces them.
+    snapshot = canonical_dumps(to_jsonable(capture_cluster(planned)))
+    assert snapshot == canonical_dumps(to_jsonable(capture_cluster(eager)))
+    restored = _cluster(n, layout["seed"], lazy, pair_accounting)
+    restore_cluster(restored, from_jsonable(json.loads(snapshot)))
+    assert canonical_dumps(to_jsonable(capture_cluster(restored))) == snapshot
+    rm = restored.metrics
+    assert rm.per_round_messages == pm.per_round_messages
+    assert rm.per_pair_messages == pm.per_pair_messages
+    # save_metrics: identical files, and load -> save is the identity.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {
+            name: save_metrics(metrics.registry, tmp / f"{name}.jsonl").read_bytes()
+            for name, metrics in (("eager", em), ("plan", pm), ("restored", rm))
+        }
+        assert files["plan"] == files["eager"] == files["restored"]
+        reloaded = save_metrics(
+            load_metrics(tmp / "plan.jsonl"), tmp / "reloaded.jsonl"
+        )
+        assert reloaded.read_bytes() == files["plan"]

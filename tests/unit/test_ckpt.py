@@ -215,3 +215,52 @@ class TestReplicaPacking:
         assert _unpack_replica(packed, records) == [
             e.to_dict() for e in replica
         ]
+
+
+class TestNetworkMetricsRestore:
+    """A restored cluster's metric views read the snapshot's counts."""
+
+    @staticmethod
+    def _protocol():
+        from repro.net.links import ConstantLatency, Link
+        from repro.protocols.fully_distributed import FullyDistributedDolbie
+
+        return FullyDistributedDolbie(6, link=Link(ConstantLatency(0.001)))
+
+    @staticmethod
+    def _views(metrics):
+        return (
+            metrics.per_round_messages,
+            metrics.per_pair_messages,
+            metrics.mean_messages_per_round(),
+        )
+
+    def test_views_match_before_capture_and_after_restore(self):
+        from repro.ckpt.state import capture_protocol, restore_protocol
+        from repro.costs.timevarying import RandomAffineProcess
+
+        process = RandomAffineProcess([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], seed=1)
+        source = self._protocol()
+        for t in range(1, 4):
+            source.run_round(t, process.costs_at(t))
+        rounds, pairs, mean = self._views(source.metrics)
+        assert rounds == {1: 35, 2: 35, 3: 35}
+        assert len(pairs) == 30 and mean == 35.0
+        state = from_jsonable(
+            json.loads(canonical_dumps(to_jsonable(capture_protocol(source))))
+        )
+        target = self._protocol()
+        restore_protocol(target, state)
+        assert self._views(target.metrics) == (rounds, pairs, mean)
+        assert (
+            target.metrics.registry.to_records()
+            == source.metrics.registry.to_records()
+        )
+        # Later rounds keep counting on top of the restored tables.
+        for protocol in (source, target):
+            protocol.run_round(4, process.costs_at(4))
+        assert self._views(target.metrics) == self._views(source.metrics)
+        assert (
+            target.metrics.registry.to_records()
+            == source.metrics.registry.to_records()
+        )

@@ -69,38 +69,43 @@ class TestSampleBatchStreamIdentity:
         assert np.array_equal(batch, scalars)
 
 
+def _record_frames(metrics, round_index, src, dst, size_bytes):
+    """One per-frame :meth:`NetworkMetrics.record` call per (src, dst)."""
+    for s, d in zip(src, dst):
+        metrics.record(
+            Message(src=int(s), dst=int(d), tag="cost", payload={},
+                    size_bytes=size_bytes, send_time=0.0,
+                    round_index=round_index)
+        )
+
+
 class TestRecordBatch:
     def test_matches_n_scalar_records(self):
         a, b = NetworkMetrics(), NetworkMetrics()
-        pairs = [(0, 1), (1, 0), (0, 1), (2, 1)]
-        payload = {"l": 1.0, "alpha_bar": 0.5}
-        size = scalar_payload_size(payload)
-        for src, dst in pairs:
-            a.record(
-                Message(src=src, dst=dst, tag="cost", payload=payload,
-                        size_bytes=size, send_time=0.0, round_index=3)
-            )
-        b.record_batch(
-            round_index=3, messages=len(pairs),
-            bytes_total=size * len(pairs), pairs=pairs,
+        src, dst = np.array([0, 1, 0, 2]), np.array([1, 0, 1, 1])
+        size = scalar_payload_size({"l": 1.0, "alpha_bar": 0.5})
+        _record_frames(a, 3, src, dst, size)
+        b.record_batch_arrays(
+            round_index=3, messages=src.size,
+            bytes_total=size * src.size, src=src, dst=dst,
         )
         assert a.messages_total == b.messages_total
         assert a.bytes_total == b.bytes_total
         assert a.per_round_messages == b.per_round_messages
         assert a.per_round_bytes == b.per_round_bytes
-        assert a.per_pair_messages == b.per_pair_messages
+        assert list(a.per_pair_messages.items()) == list(
+            b.per_pair_messages.items()
+        )
+        assert a.registry.to_records() == b.registry.to_records()
 
 
 class TestRecordBatchArrays:
-    def test_matches_pairwise_record_batch(self):
+    def test_matches_per_frame_records(self):
         rng = np.random.default_rng(9)
         src = rng.integers(0, 40, size=500)
         dst = rng.integers(0, 40, size=500)
         a, b = NetworkMetrics(), NetworkMetrics()
-        a.record_batch(
-            round_index=2, messages=500, bytes_total=12_000,
-            pairs=zip(src.tolist(), dst.tolist()),
-        )
+        _record_frames(a, 2, src, dst, 24)
         b.record_batch_arrays(
             round_index=2, messages=500, bytes_total=12_000,
             src=src, dst=dst,
@@ -111,20 +116,51 @@ class TestRecordBatchArrays:
         assert a.per_pair_messages == b.per_pair_messages
 
     def test_counter_creation_order_matches_first_occurrence(self):
-        # The registry snapshot order is observable; the vectorized path
-        # must create per-pair counters in the order pairs first appear,
-        # exactly like the scalar loop does.
+        # The pair order is observable; the vectorized path must create
+        # pairs in the order they first appear, exactly like per-frame
+        # records do.
         src = np.array([3, 0, 3, 1, 0])
         dst = np.array([1, 2, 1, 0, 2])
         a, b = NetworkMetrics(), NetworkMetrics()
-        a.record_batch(
-            round_index=1, messages=5, bytes_total=50,
-            pairs=zip(src.tolist(), dst.tolist()),
-        )
+        _record_frames(a, 1, src, dst, 10)
         b.record_batch_arrays(
             round_index=1, messages=5, bytes_total=50, src=src, dst=dst
         )
         assert list(a.per_pair_messages) == list(b.per_pair_messages)
+        assert list(b.per_pair_messages) == [(3, 1), (0, 2), (1, 0)]
+
+    def test_later_batches_append_new_pairs_in_order(self):
+        # A second batch mixing known and new pairs bumps the known
+        # slots and appends the new pairs in first-occurrence order.
+        a, b = NetworkMetrics(), NetworkMetrics()
+        batches = [
+            (np.array([3, 0, 3]), np.array([1, 2, 1])),
+            (np.array([5, 0, 4, 5]), np.array([0, 2, 4, 0])),
+        ]
+        for src, dst in batches:
+            _record_frames(a, 1, src, dst, 8)
+            b.record_batch_arrays(1, src.size, 8 * src.size, src, dst)
+        assert list(a.per_pair_messages.items()) == list(
+            b.per_pair_messages.items()
+        ) == [((3, 1), 2), ((0, 2), 2), ((5, 0), 2), ((4, 4), 1)]
+
+    @pytest.mark.parametrize("pending_limit", [1, 2, 65536])
+    def test_buffered_records_keep_order_across_batches(
+        self, monkeypatch, pending_limit
+    ):
+        # Per-frame record() buffers its pair keys; they must enter the
+        # table before any later batch's pairs, whenever they flush.
+        import repro.net.metrics as net_metrics
+
+        monkeypatch.setattr(net_metrics, "_PENDING_LIMIT", pending_limit)
+        metrics = NetworkMetrics()
+        _record_frames(metrics, 1, [4, 2, 4], [0, 1, 0], 8)
+        metrics.record_batch_arrays(1, 3, 24, np.array([2, 3, 4]), np.array([1, 3, 0]))
+        _record_frames(metrics, 2, [5, 3], [5, 3], 8)
+        assert list(metrics.per_pair_messages.items()) == [
+            ((4, 0), 3), ((2, 1), 2), ((3, 3), 2), ((5, 5), 1)
+        ]
+        assert metrics.per_round_messages == {1: 6, 2: 2}
 
     def test_empty_batch_is_noop_for_pairs(self):
         metrics = NetworkMetrics()
@@ -530,19 +566,20 @@ class TestDeliveryPlan:
         assert cluster.metrics.per_pair_messages == {}
         assert cluster.metrics.messages_total == 1
 
-    def test_pair_list_is_built_on_first_pair_bump_only(self):
+    def test_pair_slots_resolve_on_first_pair_bump_only(self):
         batch = _phase_batch()
         cluster = _phase_cluster()
         plan = cluster.batched().plan(batch.src, batch.dst, 2)
-        assert plan._pairs is None
         cluster.metrics.pair_accounting = False
         plan.deliver(1, 0.0)
-        assert plan._pairs is None
+        assert (plan._slots == -1).all()
+        assert cluster.metrics.per_pair_messages == {}
         cluster.metrics.pair_accounting = True
         plan.deliver(2, 0.0)
-        assert plan._pairs == [
-            ((1, 0), 2), ((2, 0), 2), ((3, 1), 1), ((4, 1), 1), ((5, 2), 1)
-        ]
+        assert plan._slots.tolist() == [0, 1, 2, 3, 4]
+        assert cluster.metrics.per_pair_messages == {
+            (1, 0): 2, (2, 0): 2, (3, 1): 1, (4, 1): 1, (5, 2): 1
+        }
 
     def test_shape_mismatch_raises(self):
         cluster = _phase_cluster()
