@@ -1606,8 +1606,7 @@ class FullyDistributedDolbie:
         if closed:
             x_close = float(x_close) if x_close >= 1e-12 else 0.0
             x_new[straggler] = x_close
-        else:
-            x_new[straggler] = store.x[straggler]
+        straggler_x = store.x[straggler]
 
         # Write the post-round state every participant would hold, as
         # column stores. The views' per-round containers are left alone,
@@ -1627,6 +1626,7 @@ class FullyDistributedDolbie:
             )
         final_now = max(float(arrivals.max()), float(decision_arrivals.max()))
         if not closed:
+            store.x[straggler] = straggler_x
             self.cluster.engine.advance_to(final_now)
             raise ProtocolError(
                 f"straggler workload went negative ({x_close:.3e}); the verbatim "
