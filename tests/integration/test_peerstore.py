@@ -12,6 +12,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.ckpt.snapshot import Snapshot
 from repro.ckpt.state import capture_protocol, restore_protocol
@@ -35,6 +36,24 @@ def _protocol(n, **kwargs):
     return FullyDistributedDolbie(n, **kwargs)
 
 
+#: Every column-backed view field: (field, value written through a view,
+#: what the store column holds for it), the ``None`` encodings included.
+_VIEW_COLUMNS = [
+    pytest.param("x", 0.25, 0.25, id="x"),
+    pytest.param("alpha_bar", 0.125, 0.125, id="alpha_bar"),
+    pytest.param("local_cost", 3.5, 3.5, id="local_cost"),
+    pytest.param("local_cost", None, np.nan, id="local_cost-None"),
+    pytest.param("current_round", 7, 7, id="current_round"),
+    pytest.param("is_straggler", True, True, id="is_straggler"),
+    pytest.param("global_cost", 2.0, 2.0, id="global_cost"),
+    pytest.param("global_cost", None, np.nan, id="global_cost-None"),
+    pytest.param("straggler_id", 4, 4, id="straggler_id"),
+    pytest.param("straggler_id", None, -1, id="straggler_id-None"),
+    pytest.param("failed", True, True, id="failed"),
+    pytest.param("received_count", 9, 9, id="received_count"),
+]
+
+
 class TestConstructionAndHydration:
     def test_clean_compiled_rounds_hydrate_no_peers(self):
         n = 1000
@@ -47,14 +66,31 @@ class TestConstructionAndHydration:
         # on the packed arrays and never materializes a peer object.
         assert len(protocol.cluster._nodes) == 0
 
-    def test_hydrated_views_are_cached_flyweights(self):
+    @pytest.mark.parametrize("field,view_value,column_value", _VIEW_COLUMNS)
+    def test_hydrated_views_are_cached_flyweights(
+        self, field, view_value, column_value
+    ):
         protocol = _protocol(12)
         peer = protocol.peers[5]
         assert protocol.peers[5] is peer
         assert protocol.cluster.node(5) is peer
-        # A view mutation is a store mutation.
-        peer.alpha_bar = 0.125
-        assert protocol._store.alpha_bar[5] == 0.125
+        column = getattr(protocol._store, field)
+        if view_value is None:  # start both peers set, so clearing shows
+            column[5] = column[6] = 1
+        # A view write is a column write, encoded ...
+        before = column.copy()
+        setattr(peer, field, view_value)
+        np.testing.assert_array_equal(column[5], column_value)
+        np.testing.assert_array_equal(np.delete(column, 5), np.delete(before, 5))
+        # ... and a column write is seen through the view, decoded to a
+        # python scalar.
+        other = protocol.peers[6]
+        column[6] = column_value
+        got = getattr(other, field)
+        if view_value is None:
+            assert got is None
+        else:
+            assert type(got) is type(view_value) and got == view_value
 
     def test_store_arrays_are_packed_o_n(self):
         n = 50_000
