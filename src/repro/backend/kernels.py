@@ -33,11 +33,7 @@ propagation is unspecified. Shard segments are described by
 ``offsets``/``ends`` index pairs into the participant-ordered arrays;
 segments are non-empty, ascending, and contiguous (``offsets[i + 1] ==
 ends[i]``), which is how :class:`~repro.net.aggtree.AggregationTree`
-lays its shards out. Every range-taking kernel accepts ``lo``/``hi``
-bounds and writes only the corresponding output slice — disjoint ranges
-can run in different processes (:mod:`repro.backend.shardpool`) and
-merge trivially (the deterministic shard-ordered merge is just "each
-range writes its own rows").
+lays its shards out.
 """
 
 from __future__ import annotations
@@ -80,23 +76,19 @@ def _jit(func):
 
 
 @_jit
-def _gather_loop(values, ids, out, lo, hi):
-    for k in range(lo, hi):
+def _gather_loop(values, ids, out):
+    for k in range(ids.shape[0]):
         out[k] = values[ids[k]]
 
 
-def gather(values, ids, out=None, lo=0, hi=None):
-    """``out[lo:hi] = values[ids[lo:hi]]`` — the fused payload/send-time
-    pack. Exact (a copy) in any dtype; range-splittable."""
-    if out is None:
-        out = np.empty(ids.shape[0], dtype=values.dtype)
-    if hi is None:
-        hi = ids.shape[0]
+def gather(values, ids):
+    """``values[ids]`` — the fused payload/send-time pack. Exact (a
+    copy) in any dtype."""
     if HAVE_NUMBA:
-        _gather_loop(values, ids, out, lo, hi)
-    else:
-        out[lo:hi] = values[ids[lo:hi]]
-    return out
+        out = np.empty(ids.shape[0], dtype=values.dtype)
+        _gather_loop(values, ids, out)
+        return out
+    return values[ids]
 
 
 @_jit
@@ -126,9 +118,9 @@ def scatter_max(out, idx, values):
 @_jit
 def _shard_consensus_loop(
     ordered_local, ordered_alpha, part_ids, offsets, ends,
-    out_max, out_arg, out_alpha, lo, hi,
+    out_max, out_arg, out_alpha,
 ):
-    for s in range(lo, hi):
+    for s in range(offsets.shape[0]):
         a = offsets[s]
         b = ends[s]
         best = ordered_local[a]
@@ -148,44 +140,35 @@ def _shard_consensus_loop(
 
 def _shard_consensus_numpy(
     ordered_local, ordered_alpha, part_ids, offsets, ends,
-    out_max, out_arg, out_alpha, lo, hi,
+    out_max, out_arg, out_alpha,
 ):
-    off = offsets[lo:hi]
-    end = ends[lo:hi]
-    sizes = end - off
+    sizes = ends - offsets
     if sizes.size == 0:
         return
     width = int(sizes.max())
     col = np.arange(width)
     valid = col[None, :] < sizes[:, None]
-    idx = np.where(valid, off[:, None] + col[None, :], 0)
+    idx = np.where(valid, offsets[:, None] + col[None, :], 0)
     vals = np.where(valid, ordered_local[idx], ordered_local.dtype.type(-np.inf))
-    out_max[lo:hi] = vals.max(axis=1)
+    out_max[:] = vals.max(axis=1)
     # np.argmax returns the first maximum — the lowest participant id,
     # because each shard's members are ascending.
-    out_arg[lo:hi] = part_ids[off + np.argmax(vals, axis=1)]
+    out_arg[:] = part_ids[offsets + np.argmax(vals, axis=1)]
     avals = np.where(valid, ordered_alpha[idx], ordered_alpha.dtype.type(np.inf))
-    out_alpha[lo:hi] = avals.min(axis=1)
+    out_alpha[:] = avals.min(axis=1)
 
 
 def shard_consensus(
     ordered_local, ordered_alpha, part_ids, offsets, ends,
-    out_max, out_arg, out_alpha, lo=0, hi=None,
+    out_max, out_arg, out_alpha,
 ):
     """Per-shard ``(max l, lowest-id argmax, min alpha-bar)`` over the
     participant-ordered arrays. Exact in any dtype (semilattice ops)."""
-    if hi is None:
-        hi = offsets.shape[0]
-    if HAVE_NUMBA:
-        _shard_consensus_loop(
-            ordered_local, ordered_alpha, part_ids, offsets, ends,
-            out_max, out_arg, out_alpha, lo, hi,
-        )
-    else:
-        _shard_consensus_numpy(
-            ordered_local, ordered_alpha, part_ids, offsets, ends,
-            out_max, out_arg, out_alpha, lo, hi,
-        )
+    impl = _shard_consensus_loop if HAVE_NUMBA else _shard_consensus_numpy
+    impl(
+        ordered_local, ordered_alpha, part_ids, offsets, ends,
+        out_max, out_arg, out_alpha,
+    )
     return out_max, out_arg, out_alpha
 
 
@@ -213,10 +196,10 @@ def combine_up_consensus(acc_max, acc_arg, acc_alpha, order, parent):
 # ---------------------------------------------------------------------------
 
 
-def phase_d_sendtimes(down_ready, member_shard, out=None, lo=0, hi=None):
+def phase_d_sendtimes(down_ready, member_shard):
     """Phase D send times: each head fans out the moment its down-tree
     frame arrived — a gather of head readiness per member."""
-    return gather(down_ready, member_shard, out=out, lo=lo, hi=hi)
+    return gather(down_ready, member_shard)
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +208,8 @@ def phase_d_sendtimes(down_ready, member_shard, out=None, lo=0, hi=None):
 
 
 @_jit
-def _shard_sums_loop(ordered_values, offsets, ends, exclude_pos, out, lo, hi):
-    for s in range(lo, hi):
+def _shard_sums_loop(ordered_values, offsets, ends, exclude_pos, out):
+    for s in range(offsets.shape[0]):
         out[s] = 0.0
         for j in range(offsets[s], ends[s]):
             if j != exclude_pos:
@@ -236,17 +219,15 @@ def _shard_sums_loop(ordered_values, offsets, ends, exclude_pos, out, lo, hi):
                 out[s] = out[s] + ordered_values[j]
 
 
-def _shard_sums_numpy(ordered_values, offsets, ends, exclude_pos, out, lo, hi):
-    off = offsets[lo:hi]
-    end = ends[lo:hi]
-    sizes = end - off
-    rows = off.size
+def _shard_sums_numpy(ordered_values, offsets, ends, exclude_pos, out):
+    sizes = ends - offsets
+    rows = offsets.size
     if rows == 0:
         return
     width = int(sizes.max())
     col = np.arange(width)
     valid = col[None, :] < sizes[:, None]
-    idx = off[:, None] + col[None, :]
+    idx = offsets[:, None] + col[None, :]
     if exclude_pos >= 0:
         valid = valid & (idx != exclude_pos)
     vals = ordered_values[np.where(valid, idx, 0)]
@@ -257,20 +238,14 @@ def _shard_sums_numpy(ordered_values, offsets, ends, exclude_pos, out, lo, hi):
     # (adding a 0.0 pad instead would turn -0.0 totals into +0.0).
     for k in range(width):
         total = np.where(valid[:, k], total + vals[:, k], total)
-    out[lo:hi] = total
+    out[:] = total
 
 
-def shard_decision_sums(
-    ordered_values, offsets, ends, exclude_pos, out, lo=0, hi=None
-):
+def shard_decision_sums(ordered_values, offsets, ends, exclude_pos, out):
     """Per-shard decision sums, members ascending, position
     ``exclude_pos`` (the straggler, ``-1`` for none) skipped."""
-    if hi is None:
-        hi = offsets.shape[0]
-    if HAVE_NUMBA:
-        _shard_sums_loop(ordered_values, offsets, ends, exclude_pos, out, lo, hi)
-    else:
-        _shard_sums_numpy(ordered_values, offsets, ends, exclude_pos, out, lo, hi)
+    impl = _shard_sums_loop if HAVE_NUMBA else _shard_sums_numpy
+    impl(ordered_values, offsets, ends, exclude_pos, out)
     return out
 
 

@@ -516,15 +516,12 @@ def _restore_aggregation(protocol, agg: Mapping | None) -> None:
     overlay is rebuilt from its recorded membership and cross-checked
     shard-for-shard, exercising the determinism the protocol relies on.
 
-    ``shard_procs`` is captured for provenance but deliberately NOT part
-    of the identity tuple: the tree round is bit-identical at any
-    process count, so resuming under a different value is a legal — and
-    tested — configuration change. The thread-count and ``peer_store``
-    fields that older snapshots carry are ignored. The backend IS
-    identity, compared after
-    alias resolution: a ``numpy64`` vs ``numpy32`` mismatch fails loudly,
-    while a snapshot stamped ``compiled`` (an alias of ``numpy64``)
-    restores into a ``numpy64`` protocol.
+    The executor-count (thread and process) and ``peer_store`` fields
+    that older snapshots carry name execution paths that no longer exist
+    and never changed results; they are ignored. The backend IS identity,
+    compared after alias resolution: a ``numpy64`` vs ``numpy32``
+    mismatch fails loudly, while a snapshot stamped ``compiled`` (an
+    alias of ``numpy64``) restores into a ``numpy64`` protocol.
     """
     protocol.last_tree = None
     if hasattr(protocol, "_invalidate_tree_round"):
@@ -617,9 +614,6 @@ def _capture_fully_distributed(protocol) -> dict:
             "backend": str(protocol.backend.name)
             if hasattr(protocol, "backend")
             else "numpy64",
-            # Informational (not restore-checked): any process count is
-            # bit-identical — see _restore_aggregation.
-            "shard_procs": int(getattr(protocol, "shard_procs", 1)),
             "last_tree": None
             if last_tree is None
             else {

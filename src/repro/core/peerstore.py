@@ -25,8 +25,9 @@ peer field                 packed array (dtype, shape ``(N,)``)
 allocations instead of N python objects — while the protocol keeps a
 peer/node API through lazily hydrated flyweight views (``_Peer`` in
 :mod:`repro.protocols.fully_distributed`): a view is a real network
-node whose scalar fields are properties over the store's arrays,
-created only when some code path actually addresses that peer as an
+node whose scalar fields are :class:`Column` descriptors over the
+store's arrays (decoding the ``None`` encodings above), created only
+when some code path actually addresses that peer as an
 object (the event engine, flooding over a sparse topology, chaos
 tooling). A clean tree or flat fast round hydrates **zero** views.
 
@@ -62,7 +63,13 @@ import numpy as np
 
 from repro.core.ledger import LedgerEntry, RoundLedger
 
-__all__ = ["PeerStore", "LedgerBook"]
+__all__ = [
+    "PeerStore",
+    "LedgerBook",
+    "Column",
+    "NanNoneColumn",
+    "NegativeNoneColumn",
+]
 
 
 class PeerStore:
@@ -168,6 +175,65 @@ class PeerStore:
             int(w): frozenset(int(i) for i in np.asarray(ids).tolist())
             for w, ids in state["roster_overrides"].items()
         }
+
+
+class Column:
+    """A view field backed by the same-named :class:`PeerStore` column.
+
+    The owning view keeps its store as ``_store`` and its row as
+    ``node_id``. Reads return a python scalar straight from the column
+    (``ndarray.item``): the event engine reads these once or more per
+    delivered message. The subclasses decode the table's ``None``
+    encodings, each with its own ``__get__`` so no read pays a branch
+    for an encoding its column does not use.
+    """
+
+    __slots__ = ("name",)
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        return getattr(view._store, self.name).item(view.node_id)
+
+    def __set__(self, view, value) -> None:
+        getattr(view._store, self.name)[view.node_id] = value
+
+
+class NanNoneColumn(Column):
+    """A float column in which ``NaN`` encodes ``None``."""
+
+    __slots__ = ()
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        value = getattr(view._store, self.name).item(view.node_id)
+        return None if value != value else value  # the NaN test
+
+    def __set__(self, view, value) -> None:
+        getattr(view._store, self.name)[view.node_id] = (
+            np.nan if value is None else value
+        )
+
+
+class NegativeNoneColumn(Column):
+    """An int column in which ``-1`` encodes ``None``."""
+
+    __slots__ = ()
+
+    def __get__(self, view, owner=None):
+        if view is None:
+            return self
+        value = getattr(view._store, self.name).item(view.node_id)
+        return None if value < 0 else value
+
+    def __set__(self, view, value) -> None:
+        getattr(view._store, self.name)[view.node_id] = (
+            -1 if value is None else value
+        )
 
 
 class LedgerBook:

@@ -61,25 +61,16 @@ BENCH = replace(
 def _machine_context() -> dict:
     """The machine block stamped into results and history lines.
 
-    Besides the hardware identity, it records the shard process count in
-    effect (``$REPRO_SHARD_PROCS``) and whether the tree-round kernels
-    are numba-jitted or running the numpy fallback — the things that
-    most change what a wall-clock number from this machine means.
+    Besides the hardware identity, it records whether the tree-round
+    kernels are numba-jitted or running the numpy fallback — what most
+    changes what a wall-clock number from this machine means.
     """
     from repro.backend.kernels import HAVE_NUMBA
-
-    def _knob(env: str) -> int:
-        raw = os.environ.get(env, "")
-        try:
-            return max(int(raw), 1) if raw.strip() else 1
-        except ValueError:
-            return 1
 
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "shard_procs": _knob("REPRO_SHARD_PROCS"),
         "kernel_backend": "numba" if HAVE_NUMBA else "numpy",
     }
 
@@ -565,95 +556,6 @@ def _bench_protocol_tree_smoke(repetitions: int) -> BenchmarkResult:
     )
 
 
-#: Process-parallel smoke: the N=100,000 tree round again, but
-#: fanned over ``PROC_SMOKE_PROCS`` pool processes with the round
-#: vectors in shared memory (Layer 10). On a multi-core runner the
-#: procs leg must beat the single-process leg by
-#: :data:`PROC_SMOKE_MIN_SPEEDUP`; on one core there is no parallelism
-#: to claim, so the gate degrades to completing within
-#: :data:`TREE_SMOKE_BUDGET_S` and the speedup column is pinned to 1.0
-#: (a <1 measured ratio is pure process overhead and would make the
-#: baseline floor comparison flap); both timing columns still record
-#: the real per-leg numbers.
-PROC_SMOKE_PROCS = 2
-PROC_SMOKE_MIN_SPEEDUP = 1.5
-
-
-def _bench_protocol_tree_procs(repetitions: int) -> BenchmarkResult:
-    """Single-process vs ``shard_procs=2`` tree round, N=10^5.
-
-    Both legs run the struct-of-arrays peer store (the configuration the
-    N=10^6 wall actually uses), pair metrics off, construction untimed.
-    The procs leg must genuinely run the process layer: a silent
-    fallback to serial would make the ratio a lie, so the fallback
-    warning is promoted to an error for the duration.
-    """
-    import warnings
-
-    from repro.costs.affine_vector import AffineCostVector
-    from repro.costs.timevarying import RandomAffineProcess
-    from repro.net.links import Link, UniformLatency
-    from repro.protocols.fully_distributed import FullyDistributedDolbie
-
-    n = TREE_SMOKE_N
-    with _pair_metrics_off():
-        speeds = [1.0 + (i % 23) for i in range(n)]
-        process = RandomAffineProcess(speeds, sigma=0.1, comm_scale=0.01, seed=n)
-        vector = AffineCostVector.coerce(process.costs_at(1))
-
-        def leg(procs: int) -> float:
-            link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(n)))
-            protocol = FullyDistributedDolbie(
-                n,
-                link=link,
-                aggregation="tree",
-                shard_procs=procs,
-            )
-            state = {"t": 0}
-
-            def one_round() -> None:
-                state["t"] += 1
-                protocol.run_round(state["t"], vector)
-
-            with warnings.catch_warnings():
-                if procs > 1:
-                    warnings.simplefilter("error", RuntimeWarning)
-                one_round()  # untimed: tree-round structures + shm + pool
-                times = [
-                    _time_once(one_round)
-                    for _ in range(max(1, min(repetitions, 2)))
-                ]
-            if protocol.tree_rounds != state["t"]:
-                raise RuntimeError(
-                    f"n{n} procs smoke fell off the tree path "
-                    f"({protocol.tree_rounds}/{state['t']} tree rounds)"
-                )
-            return min(times)
-
-        serial_s = leg(1)
-        procs_s = leg(PROC_SMOKE_PROCS)
-    speedup = serial_s / procs_s if procs_s > 0 else float("inf")
-    cores = os.cpu_count() or 1
-    if cores >= 2 and speedup < PROC_SMOKE_MIN_SPEEDUP:
-        raise RuntimeError(
-            f"n{n} shard_procs={PROC_SMOKE_PROCS} round gained only "
-            f"{speedup:.2f}x over single-process on {cores} cores "
-            f"(gate {PROC_SMOKE_MIN_SPEEDUP:.1f}x)"
-        )
-    if procs_s > TREE_SMOKE_BUDGET_S:
-        raise RuntimeError(
-            f"n{n} shard_procs={PROC_SMOKE_PROCS} round took {procs_s:.1f}s "
-            f"(budget {TREE_SMOKE_BUDGET_S:.0f}s)"
-        )
-    return BenchmarkResult(
-        name=f"proto_fd_tree_n{n}_procs",
-        incremental_s=serial_s,
-        materialized_s=procs_s,
-        speedup=round(speedup, 3) if cores >= 2 else 1.0,
-        rounds=1,
-    )
-
-
 #: The crash-round gate: after ``crash_worker`` an N=128 tree protocol
 #: runs one failure-detection round, which must cost at most
 #: :data:`CHURN_MAX_RATIO` steady tree rounds — a crash costs a fixed
@@ -1084,12 +986,6 @@ def run_benchmarks(
         (
             f"proto_fd_tree_n{TREE_SMOKE_N}",
             lambda: _bench_protocol_tree_smoke(repetitions),
-        )
-    )
-    suite.append(
-        (
-            f"proto_fd_tree_n{TREE_SMOKE_N}_procs",
-            lambda: _bench_protocol_tree_procs(repetitions),
         )
     )
     suite.append(

@@ -19,8 +19,6 @@ decisions — the O(N^2) row of §IV-C.
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +29,13 @@ from repro.core.interface import identify_straggler
 from repro.core.ledger import LedgerEntry, RoundLedger
 from repro.core.loop import RunResult
 from repro.core.membership import add_worker_allocation
-from repro.core.peerstore import LedgerBook, PeerStore
+from repro.core.peerstore import (
+    Column,
+    LedgerBook,
+    NanNoneColumn,
+    NegativeNoneColumn,
+    PeerStore,
+)
 from repro.core.step_size import feasibility_cap, initial_step_size
 from repro.costs.affine_vector import AffineCostVector
 from repro.costs.base import CostFunction
@@ -58,39 +62,17 @@ TAG_FLOOD = "flood"
 #: Wire size of a cost broadcast frame: ``(l_i, alpha-bar_i)``.
 COST_FRAME_BYTES = 2 * SCALAR_BYTES
 
-#: Env default for the tree round's shard process count (the
-#: ``shard_procs`` constructor parameter wins when passed). Processes
-#: sidestep the GIL — see :mod:`repro.backend.shardpool`.
-SHARD_PROCS_ENV = "REPRO_SHARD_PROCS"
-
-_warned_shard_procs_fallback = False
-
-
-def _warn_shard_procs_fallback(exc: BaseException) -> None:
-    """Warn once per process when ``shard_procs > 1`` was requested but
-    the process layer could not be established (pool spawn failure, no
-    shared-memory support); execution falls back to serial."""
-    global _warned_shard_procs_fallback
-    if _warned_shard_procs_fallback:
-        return
-    _warned_shard_procs_fallback = True
-    warnings.warn(
-        "shard_procs > 1 requested but the process-parallel layer is "
-        f"unavailable ({exc!r}); falling back to serial shard execution "
-        "(results are identical, just slower)",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
 
 class _Peer(Node):
     """One worker of Algorithm 2, as a flyweight view over the
     protocol's :class:`~repro.core.peerstore.PeerStore`.
 
     Every scalar field (``x``, ``alpha_bar``, ``local_cost``, the
-    agreed ``global_cost``/``straggler_id``, the roster, the node's
-    ``failed``/``received_count``) is a property over the store's packed
-    columns, so views and array code see one state. Views are hydrated
+    agreed ``global_cost``/``straggler_id``, the node's
+    ``failed``/``received_count``) is a :class:`~repro.core.peerstore.
+    Column` over the store's packed columns, and the roster a property
+    over its shared-roster table, so views and array code see one
+    state. Views are hydrated
     lazily (via the cluster's :class:`~repro.net.node.LazyNodeTable`)
     only when some code path addresses the peer as an object — the
     event engine, chaos tooling, tests — and are cached by
@@ -116,6 +98,17 @@ class _Peer(Node):
     #: one.
     cost_timeout = 1.0
 
+    # Scalar fields over the store columns; NaN / -1 encode None.
+    x = Column()
+    alpha_bar = Column()
+    local_cost = NanNoneColumn()
+    current_round = Column()
+    is_straggler = Column()
+    global_cost = NanNoneColumn()
+    straggler_id = NegativeNoneColumn()
+    failed = Column()
+    received_count = Column()
+
     def __init__(
         self,
         store: PeerStore,
@@ -125,7 +118,7 @@ class _Peer(Node):
     ) -> None:
         # Deliberately NOT calling Node.__init__: it assigns
         # received_count=0 and failed=False, which would clobber live
-        # store state through the property setters.
+        # store state through the column descriptors.
         self._store = store
         self.node_id = int(node_id)
         self._handlers = {}
@@ -139,88 +132,6 @@ class _Peer(Node):
         self.on(TAG_COST, self._on_cost)
         self.on(TAG_DECISION, self._on_decision)
         self.on(TAG_FLOOD, self._on_flood)
-
-    # Getters read with ``ndarray.item`` (a python scalar straight from
-    # the column) and test NaN as ``v != v``: the event engine reads
-    # these once or more per delivered message.
-    @property
-    def x(self) -> float:
-        return self._store.x.item(self.node_id)
-
-    @x.setter
-    def x(self, value: float) -> None:
-        self._store.x[self.node_id] = value
-
-    @property
-    def alpha_bar(self) -> float:
-        return self._store.alpha_bar.item(self.node_id)
-
-    @alpha_bar.setter
-    def alpha_bar(self, value: float) -> None:
-        self._store.alpha_bar[self.node_id] = value
-
-    @property
-    def local_cost(self) -> float | None:
-        value = self._store.local_cost.item(self.node_id)
-        return None if value != value else value  # NaN encodes None
-
-    @local_cost.setter
-    def local_cost(self, value: float | None) -> None:
-        self._store.local_cost[self.node_id] = (
-            np.nan if value is None else value
-        )
-
-    @property
-    def current_round(self) -> int:
-        return self._store.current_round.item(self.node_id)
-
-    @current_round.setter
-    def current_round(self, value: int) -> None:
-        self._store.current_round[self.node_id] = value
-
-    @property
-    def is_straggler(self) -> bool:
-        return self._store.is_straggler.item(self.node_id)
-
-    @is_straggler.setter
-    def is_straggler(self, value: bool) -> None:
-        self._store.is_straggler[self.node_id] = value
-
-    @property
-    def global_cost(self) -> float | None:
-        value = self._store.global_cost.item(self.node_id)
-        return None if value != value else value  # NaN encodes None
-
-    @global_cost.setter
-    def global_cost(self, value: float | None) -> None:
-        self._store.global_cost[self.node_id] = (
-            np.nan if value is None else value
-        )
-
-    @property
-    def straggler_id(self) -> int | None:
-        value = self._store.straggler_id.item(self.node_id)
-        return None if value < 0 else value
-
-    @straggler_id.setter
-    def straggler_id(self, value: int | None) -> None:
-        self._store.straggler_id[self.node_id] = -1 if value is None else value
-
-    @property
-    def failed(self) -> bool:
-        return self._store.failed.item(self.node_id)
-
-    @failed.setter
-    def failed(self, value: bool) -> None:
-        self._store.failed[self.node_id] = value
-
-    @property
-    def received_count(self) -> int:
-        return self._store.received_count.item(self.node_id)
-
-    @received_count.setter
-    def received_count(self, value: int) -> None:
-        self._store.received_count[self.node_id] = value
 
     @property
     def roster(self) -> "frozenset[int]":
@@ -578,7 +489,6 @@ class _TreeRound:
         m = tree.num_shards
         self.m = m
         self.parts = np.ascontiguousarray(tree.participants, dtype=np.int64)
-        self.n_parts = int(self.parts.size)
         member_mask = np.zeros(n, dtype=bool)
         member_mask[self.parts] = True
         self.nonparticipants = np.flatnonzero(~member_mask)
@@ -650,64 +560,6 @@ class _TreeRound:
         self.acc_sum = np.empty(m, dtype=dtype)
         self.x_arr = np.empty(n, dtype=float)
         self.alpha_arr = np.empty(n, dtype=dtype)
-        #: Process-parallel shard execution (Layer 10): one shared
-        #: segment per tree-round epoch carrying the static index
-        #: arrays, the per-round staging vectors, and every kernel
-        #: output; ``None`` when ``shard_procs == 1`` or the process
-        #: layer is unavailable (serial fallback).
-        self.shm = None
-        self.proc_pool = None
-        if protocol.shard_procs > 1:
-            try:
-                from repro.backend import shardpool
-
-                pool = shardpool.get_pool(protocol.shard_procs)
-                shm = shardpool.RoundShm(
-                    {
-                        "parts": (np.int64, (self.n_parts,)),
-                        "full_offsets": (np.int64, (m,)),
-                        "ends": (np.int64, (m,)),
-                        "local": (dtype, (n,)),
-                        "alphas": (dtype, (n,)),
-                        "x_new": (dtype, (n,)),
-                        "ordered_local": (dtype, (self.n_parts,)),
-                        "ordered_alpha": (dtype, (self.n_parts,)),
-                        "ordered_x": (dtype, (self.n_parts,)),
-                        "out_max": (dtype, (m,)),
-                        "out_arg": (np.int64, (m,)),
-                        "out_alpha": (dtype, (m,)),
-                        "acc_sum": (dtype, (m,)),
-                    }
-                )
-            except Exception as exc:  # fall back to serial
-                _warn_shard_procs_fallback(exc)
-            else:
-                arrays = shm.arrays
-                arrays["parts"][:] = self.parts
-                arrays["full_offsets"][:] = self.full_offsets
-                arrays["ends"][:] = self.ends
-                # The segment's views become the canonical buffers so
-                # parent-side serial code (combine passes, final
-                # writes) reads the children's output zero-copy.
-                self.parts = arrays["parts"]
-                self.full_offsets = arrays["full_offsets"]
-                self.ends = arrays["ends"]
-                self.out_max = arrays["out_max"]
-                self.out_arg = arrays["out_arg"]
-                self.out_alpha = arrays["out_alpha"]
-                self.acc_sum = arrays["acc_sum"]
-                self.alpha_arr = arrays["alphas"]
-                self.shm = shm
-                self.proc_pool = pool
-
-    def release(self) -> None:
-        """Tear down epoch-owned process resources (the shared segment);
-        called on every membership-churn invalidation. The worker pool
-        itself is process-global and outlives epochs."""
-        if self.shm is not None:
-            shm, self.shm = self.shm, None
-            self.proc_pool = None
-            shm.release()
 
     def resync(self, store: PeerStore) -> None:
         """Refresh the x/alpha mirrors from live peer state (needed
@@ -736,7 +588,6 @@ class FullyDistributedDolbie:
         shard_size: int | None = None,
         branching: int = 4,
         backend: "str | ArrayBackend | None" = None,
-        shard_procs: int | None = None,
     ) -> None:
         """``topology`` restricts connectivity to a connected graph (see
         :class:`repro.net.topology.Topology`); per-round information then
@@ -773,17 +624,6 @@ class FullyDistributedDolbie:
         on a degraded roster that stand in for them, always compute in
         float64 — the backend governs the healthy vectorized rounds only.
         ``"compiled"`` is accepted as another name for ``"numpy64"``.
-
-        ``shard_procs`` (default ``$REPRO_SHARD_PROCS`` or 1) fans the
-        tree round's per-shard kernels over a persistent process pool,
-        with the round vectors living in one
-        ``multiprocessing.shared_memory`` segment per tree-round epoch
-        (:mod:`repro.backend.shardpool`) — no per-round pickling of (N,)
-        arrays. Each process writes a disjoint shard range, so any
-        process count is bit-identical to serial. If the process layer
-        cannot be established the round falls back to serial execution
-        with a one-time ``RuntimeWarning``; values above 1 apply to tree
-        rounds only.
 
         Peer state lives in packed struct-of-arrays columns
         (:class:`repro.core.peerstore.PeerStore`) and per-worker ledger
@@ -822,14 +662,6 @@ class FullyDistributedDolbie:
                 f"branching must be >= 2, got {self.branching}"
             )
         self.backend = get_backend(backend)
-        if shard_procs is None:
-            raw = os.environ.get(SHARD_PROCS_ENV)
-            shard_procs = int(raw) if raw else 1
-        self.shard_procs = int(shard_procs)
-        if self.shard_procs < 1:
-            raise ConfigurationError(
-                f"shard_procs must be >= 1, got {self.shard_procs}"
-            )
         self._chunk_frames = default_chunk_frames()
         self.num_workers = int(num_workers)
         self.topology = topology
@@ -973,11 +805,7 @@ class FullyDistributedDolbie:
         ``_readmit`` rewrites allocations and step sizes behind the
         mirrors."""
         self._membership_dirty = True
-        if self._tree_round is not None:
-            # Epoch teardown: the shared segment (if any) belongs to the
-            # dropped round cache and must be unlinked now, not at GC.
-            self._tree_round.release()
-            self._tree_round = None
+        self._tree_round = None
 
     def _participants(self) -> list[int]:
         """Peers expected to take part in the next round."""
@@ -1265,24 +1093,8 @@ class FullyDistributedDolbie:
         backend.ensure(local, "local costs")
 
         # Participant-ordered views (phase A payloads + reduction input).
-        shm = cc.shm
-        if shm is not None:
-            from repro.backend import shardpool
-
-            # Stage the one freshly computed input into the shared
-            # segment; alphas already live there (cc.alpha_arr *is* the
-            # segment's view), and all outputs are written in place by
-            # the children — nothing else crosses a process boundary.
-            shm.arrays["local"][:] = local
-            ordered_local = shm.arrays["ordered_local"]
-            ordered_alpha = shm.arrays["ordered_alpha"]
-            shardpool.run_ranges(
-                cc.proc_pool, shm, cc.n_parts, "tree_gather_reports",
-                self.shard_procs,
-            )
-        else:
-            ordered_local = kernels.gather(local, parts)
-            ordered_alpha = kernels.gather(alphas, parts)
+        ordered_local = kernels.gather(local, parts)
+        ordered_alpha = kernels.gather(alphas, parts)
 
         # Lines 5-7 as flat reductions, kept (cheap) to cross-check the
         # tree combine: max/min/lowest-index-argmax are exact under any
@@ -1310,15 +1122,10 @@ class FullyDistributedDolbie:
         # Per-shard consensus + up-tree semilattice combine (phase B's
         # aggregates), fused.
         out_max, out_arg, out_alpha = cc.out_max, cc.out_arg, cc.out_alpha
-        if shm is not None:
-            shardpool.run_ranges(
-                cc.proc_pool, shm, m, "tree_consensus", self.shard_procs
-            )
-        else:
-            kernels.shard_consensus(
-                ordered_local, ordered_alpha, parts, cc.full_offsets,
-                cc.ends, out_max, out_arg, out_alpha,
-            )
+        kernels.shard_consensus(
+            ordered_local, ordered_alpha, parts, cc.full_offsets,
+            cc.ends, out_max, out_arg, out_alpha,
+        )
         kernels.combine_up_consensus(
             out_max, out_arg, out_alpha, cc.order, cc.parent64
         )
@@ -1396,22 +1203,10 @@ class FullyDistributedDolbie:
         # Phase F: documented-order decision sums + up-tree frames.
         exclude_pos = int(np.searchsorted(parts, straggler))
         acc_sum = cc.acc_sum
-        if shm is not None:
-            shm.arrays["x_new"][:] = x_new
-            ordered_x = shm.arrays["ordered_x"]
-            shardpool.run_ranges(
-                cc.proc_pool, shm, cc.n_parts, "tree_gather_x",
-                self.shard_procs,
-            )
-            shardpool.run_ranges(
-                cc.proc_pool, shm, m, "tree_sums", self.shard_procs,
-                extra=(exclude_pos,),
-            )
-        else:
-            ordered_x = kernels.gather(x_new, parts)
-            kernels.shard_decision_sums(
-                ordered_x, cc.full_offsets, cc.ends, exclude_pos, acc_sum
-            )
+        ordered_x = kernels.gather(x_new, parts)
+        kernels.shard_decision_sums(
+            ordered_x, cc.full_offsets, cc.ends, exclude_pos, acc_sum
+        )
         kernels.combine_up_sums(acc_sum, cc.order, cc.parent64)
         backend.ensure(acc_sum, "decision partial sums")
         for level, parent_lv, _plan_b, plan_f in cc.up_levels:

@@ -8,11 +8,9 @@ is that **both flavors equal the reference semantics bit for bit, in
 either float dtype, on any roster** (including sparse "degraded" id
 sets left behind by crashes). These properties pin that contract:
 
-- the loop and numpy flavors of each range-splittable kernel agree with
-  each other and with the :class:`~repro.net.aggtree.AggregationTree`
-  reference reductions;
-- running a kernel over split ``lo``/``hi`` ranges equals the full-range
-  call (the deterministic shard-ordered merge of the process pool);
+- the loop and numpy flavors of each kernel agree with each other and
+  with the :class:`~repro.net.aggtree.AggregationTree` reference
+  reductions;
 - the decision sums replay the documented association exactly — the
   numpy fallback's column-wise ``np.where`` chain is operand-for-operand
   the sequential per-shard chain, so even float32 matches bitwise.
@@ -73,12 +71,6 @@ def _layout(tree: AggregationTree):
     return parts, offsets, ends
 
 
-def _split_points(m: int) -> list[tuple[int, int]]:
-    """Two uneven ranges covering [0, m) — a process-pool split shape."""
-    mid = max(1, m // 3)
-    return [(0, mid), (mid, m)] if m > 1 else [(0, m)]
-
-
 def _consensus(ordered_local, ordered_alpha, parts, offsets, ends, tree):
     """Phase B's aggregates as the tree round computes them: per-shard
     reductions, then the up-tree combine. Entry 0 is the root's triple."""
@@ -116,22 +108,18 @@ def test_shard_consensus_matches_reference_and_flavors_agree(case, dtype):
     ordered_alpha = alphas.astype(dtype)[parts]
     m = tree.num_shards
 
-    def run(impl, ranges):
+    def run(impl):
         out = (
             np.empty(m, dtype=dtype),
             np.empty(m, dtype=np.int64),
             np.empty(m, dtype=dtype),
         )
-        for lo, hi in ranges:
-            impl(ordered_local, ordered_alpha, parts, offsets, ends, *out, lo, hi)
+        impl(ordered_local, ordered_alpha, parts, offsets, ends, *out)
         return out
 
-    loop = run(kernels._shard_consensus_loop, [(0, m)])
-    vec = run(kernels._shard_consensus_numpy, [(0, m)])
-    split = run(kernels._shard_consensus_numpy, _split_points(m))
+    loop = run(kernels._shard_consensus_loop)
+    vec = run(kernels._shard_consensus_numpy)
     for a, b in zip(loop, vec):
-        assert np.array_equal(a, b)
-    for a, b in zip(vec, split):
         assert np.array_equal(a, b)
     # Per-shard reference: sequential python over each shard.
     for s, shard in enumerate(tree.shards):
@@ -174,12 +162,11 @@ def test_decision_sums_bitwise_equal_documented_order(case, dtype):
     assert full.dtype == np.dtype(dtype)
     assert np.array_equal(full, reference.astype(dtype))
 
-    # Loop and numpy shard flavors agree, including over split ranges.
+    # Loop and numpy shard flavors agree.
     out_loop = np.empty(m, dtype=dtype)
     out_vec = np.empty(m, dtype=dtype)
-    kernels._shard_sums_loop(ordered, offsets, ends, exclude_pos, out_loop, 0, m)
-    for lo, hi in _split_points(m):
-        kernels._shard_sums_numpy(ordered, offsets, ends, exclude_pos, out_vec, lo, hi)
+    kernels._shard_sums_loop(ordered, offsets, ends, exclude_pos, out_loop)
+    kernels._shard_sums_numpy(ordered, offsets, ends, exclude_pos, out_vec)
     assert np.array_equal(out_loop, out_vec)
 
 
@@ -221,11 +208,9 @@ def test_gather_and_scatter_max_are_exact(case, dtype):
     values = rng.normal(size=max(ids) + 1).astype(dtype)
     idx = np.asarray(ids, dtype=np.int64)
     assert np.array_equal(kernels.gather(values, idx), values[idx])
-    # Split-range gather fills disjoint slices of one output buffer.
+    # The loop flavor fills its output buffer with the same copy.
     out = np.empty(idx.size, dtype=dtype)
-    mid = idx.size // 2
-    kernels.gather(values, idx, out=out, lo=0, hi=mid)
-    kernels.gather(values, idx, out=out, lo=mid, hi=idx.size)
+    kernels._gather_loop(values, idx, out)
     assert np.array_equal(out, values[idx])
 
     targets = rng.integers(0, 4, size=idx.size)
