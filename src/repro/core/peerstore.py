@@ -177,63 +177,59 @@ class PeerStore:
         }
 
 
-class Column:
+class Column(property):
     """A view field backed by the same-named :class:`PeerStore` column.
 
     The owning view keeps its store as ``_store`` and its row as
     ``node_id``. Reads return a python scalar straight from the column
-    (``ndarray.item``): the event engine reads these once or more per
-    delivered message. The subclasses decode the table's ``None``
-    encodings, each with its own ``__get__`` so no read pays a branch
-    for an encoding its column does not use.
+    (``ndarray.item``). The accessors are closures over the field name,
+    made once the class body names the field, so the C-level
+    ``property.__get__`` calls them directly and a read costs what a
+    hand-written property costs: the event engine reads these once or
+    more per delivered message. The subclasses decode the table's
+    ``None`` encodings.
     """
 
-    __slots__ = ("name",)
-
     def __set_name__(self, owner, name: str) -> None:
-        self.name = name
+        def get(view):
+            return getattr(view._store, name).item(view.node_id)
 
-    def __get__(self, view, owner=None):
-        if view is None:
-            return self
-        return getattr(view._store, self.name).item(view.node_id)
+        def set_(view, value):
+            getattr(view._store, name)[view.node_id] = value
 
-    def __set__(self, view, value) -> None:
-        getattr(view._store, self.name)[view.node_id] = value
+        property.__init__(self, get, set_)
 
 
 class NanNoneColumn(Column):
     """A float column in which ``NaN`` encodes ``None``."""
 
-    __slots__ = ()
+    def __set_name__(self, owner, name: str) -> None:
+        def get(view):
+            value = getattr(view._store, name).item(view.node_id)
+            return None if value != value else value  # the NaN test
 
-    def __get__(self, view, owner=None):
-        if view is None:
-            return self
-        value = getattr(view._store, self.name).item(view.node_id)
-        return None if value != value else value  # the NaN test
+        def set_(view, value):
+            getattr(view._store, name)[view.node_id] = (
+                np.nan if value is None else value
+            )
 
-    def __set__(self, view, value) -> None:
-        getattr(view._store, self.name)[view.node_id] = (
-            np.nan if value is None else value
-        )
+        property.__init__(self, get, set_)
 
 
 class NegativeNoneColumn(Column):
     """An int column in which ``-1`` encodes ``None``."""
 
-    __slots__ = ()
+    def __set_name__(self, owner, name: str) -> None:
+        def get(view):
+            value = getattr(view._store, name).item(view.node_id)
+            return None if value < 0 else value
 
-    def __get__(self, view, owner=None):
-        if view is None:
-            return self
-        value = getattr(view._store, self.name).item(view.node_id)
-        return None if value < 0 else value
+        def set_(view, value):
+            getattr(view._store, name)[view.node_id] = (
+                -1 if value is None else value
+            )
 
-    def __set__(self, view, value) -> None:
-        getattr(view._store, self.name)[view.node_id] = (
-            -1 if value is None else value
-        )
+        property.__init__(self, get, set_)
 
 
 class LedgerBook:

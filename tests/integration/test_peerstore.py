@@ -3,7 +3,8 @@
 The store is the FD protocol's only peer state. Its contract has three
 parts, each pinned here: construction is O(N) array allocations with
 peers hydrated lazily as flyweight views (a clean compiled round
-hydrates nobody); views over a sparse topology carry the topology's
+hydrates nobody) whose every field reads and writes its store column;
+views over a sparse topology carry the topology's
 neighbor lists; and snapshots of the retired object-peer representation
 still restore, bit-for-bit.
 """
