@@ -70,8 +70,8 @@ class _Peer(Node):
     Every scalar field (``x``, ``alpha_bar``, ``local_cost``, the
     agreed ``global_cost``/``straggler_id``, the node's
     ``failed``/``received_count``) is a :class:`~repro.core.peerstore.
-    Column` over the store's packed columns, and the roster a property
-    over its shared-roster table, so views and array code see one
+    Column` over the store's packed columns, and ``roster`` a property
+    over the store's shared roster, so views and array code see one
     state. Views are hydrated
     lazily (via the cluster's :class:`~repro.net.node.LazyNodeTable`)
     only when some code path addresses the peer as an object — the
