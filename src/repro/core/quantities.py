@@ -16,7 +16,7 @@ import numpy as np
 from repro.backend import as_float
 from repro.costs.affine import AffineLatencyCost
 from repro.costs.affine_vector import AffineCostVector
-from repro.costs.base import CostFunction
+from repro.costs.base import CostFunction, CostVector
 from repro.exceptions import ConfigurationError
 
 __all__ = [
@@ -80,6 +80,14 @@ def acceptable_workloads(
         raise ConfigurationError(f"allocation shape {x.shape} != ({n},)")
     if not 0 <= straggler < n:
         raise ConfigurationError(f"straggler index {straggler} out of range")
+    if isinstance(costs, CostVector) and not isinstance(costs, AffineCostVector):
+        # The scalar loop below as array operations; np.where on the
+        # comparisons min() and max() make keeps their tie handling.
+        acceptable = costs.astype(float).max_acceptable(global_cost)
+        acceptable = np.where(1.0 < acceptable, 1.0, acceptable)
+        x_prime = np.where(x > acceptable, x, acceptable)
+        x_prime[straggler] = x[straggler]
+        return x_prime
     fast = _affine_fast_path(costs, x, global_cost, straggler)
     if fast is not None:
         return fast

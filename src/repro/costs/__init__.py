@@ -2,7 +2,13 @@
 
 from repro.costs.affine import AffineLatencyCost
 from repro.costs.affine_vector import AffineCostVector
-from repro.costs.base import CallableCost, ConstantCost, CostFunction, compose_max
+from repro.costs.base import (
+    CallableCost,
+    ConstantCost,
+    CostFunction,
+    CostVector,
+    compose_max,
+)
 from repro.costs.nonlinear import (
     ExponentialCost,
     LogCost,
@@ -10,6 +16,7 @@ from repro.costs.nonlinear import (
     PowerLawCost,
     QueueingDelayCost,
     SaturatingQueueingCost,
+    SaturatingQueueingCostVector,
 )
 from repro.costs.timevarying import (
     CostProcess,
@@ -19,9 +26,13 @@ from repro.costs.timevarying import (
     StaticCostProcess,
     SwitchingProcess,
 )
+from repro.costs.vector import ScalarCostVector, as_cost_vector
 
 __all__ = [
     "CostFunction",
+    "CostVector",
+    "ScalarCostVector",
+    "as_cost_vector",
     "CallableCost",
     "ConstantCost",
     "compose_max",
@@ -33,6 +44,7 @@ __all__ = [
     "PiecewiseLinearCost",
     "QueueingDelayCost",
     "SaturatingQueueingCost",
+    "SaturatingQueueingCostVector",
     "CostProcess",
     "StaticCostProcess",
     "RandomAffineProcess",

@@ -27,13 +27,13 @@ import numpy as np
 
 from repro.backend import as_float
 from repro.costs.affine import AffineLatencyCost
-from repro.costs.base import DEFAULT_TOL
+from repro.costs.base import DEFAULT_TOL, CostVector
 from repro.exceptions import CostFunctionError
 
 __all__ = ["AffineCostVector"]
 
 
-class AffineCostVector(Sequence[AffineLatencyCost]):
+class AffineCostVector(CostVector):
     """``N`` affine costs ``f_i(x) = slopes[i] * x + intercepts[i]`` on [0, 1]."""
 
     __slots__ = ("slopes", "intercepts", "_items", "_safe_slopes", "_f_at_one")
@@ -96,6 +96,10 @@ class AffineCostVector(Sequence[AffineLatencyCost]):
         if all(type(c) is AffineLatencyCost and c.x_max == 1.0 for c in costs):
             return cls.from_costs(costs)
         return None
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.slopes.dtype
 
     def __len__(self) -> int:
         return self.slopes.size

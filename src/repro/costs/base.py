@@ -13,17 +13,27 @@ through exactly two operations:
 Subclasses implement :meth:`CostFunction.value`; an analytic inverse is an
 optional fast path that is cross-checked against the bisection fallback in
 the test suite.
+
+A round asks those two questions of every worker at once, so the hot
+paths take a :class:`CostVector`: the ``N`` costs of one round answering
+both for all workers with array operations.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.exceptions import CostFunctionError
 
-__all__ = ["CostFunction", "CallableCost", "ConstantCost", "compose_max"]
+__all__ = [
+    "CostFunction",
+    "CostVector",
+    "CallableCost",
+    "ConstantCost",
+    "compose_max",
+]
 
 #: Default numeric tolerance for level-inverse computations.
 DEFAULT_TOL = 1e-12
@@ -114,6 +124,36 @@ class CostFunction(abc.ABC):
                 return False
             prev = cur
         return True
+
+
+class CostVector(Sequence[CostFunction]):
+    """The ``N`` per-worker costs of one round, evaluated as arrays.
+
+    Each round of problem (1) needs every worker's cost at its played
+    workload and its acceptable workload at the agreed level (Eq. 4). A
+    cost vector answers both for all workers at once, bit-identical to
+    the scalar :class:`CostFunction` calls on its items. It is still a
+    ``Sequence``: indexing returns a real scalar cost object (built on
+    first access, then cached), so code written against a list of costs
+    keeps working.
+    """
+
+    __slots__ = ()
+
+    @abc.abstractmethod
+    def values(self, x):
+        """``[f_i(x_i)]`` in :attr:`dtype`, with the domain check and
+        clamping of :meth:`CostFunction.__call__`."""
+
+    @abc.abstractmethod
+    def max_acceptable(self, level: float):
+        """``[f_i.max_acceptable(level)]`` (x-tilde of Eq. (4)) in
+        :attr:`dtype`."""
+
+    @abc.abstractmethod
+    def astype(self, dtype) -> "CostVector":
+        """This vector evaluating in ``dtype`` (``self`` when it already
+        does)."""
 
 
 class CallableCost(CostFunction):

@@ -19,7 +19,8 @@ costs:
   the whole simplex. The serving control plane evaluates costs at
   whatever allocation the routing policy actually played — possibly past
   a worker's stability region — and needs a finite (huge, steep) value
-  there instead of a domain error.
+  there instead of a domain error. :class:`SaturatingQueueingCostVector`
+  holds one control period's curves for the whole fleet as arrays.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.costs.base import CostFunction
+import numpy as np
+
+from repro.costs.base import DEFAULT_TOL, ConstantCost, CostFunction, CostVector
 from repro.exceptions import CostFunctionError
 
 __all__ = [
@@ -37,7 +40,14 @@ __all__ = [
     "PiecewiseLinearCost",
     "QueueingDelayCost",
     "SaturatingQueueingCost",
+    "SaturatingQueueingCostVector",
+    "DEAD_WORKER_COST",
 ]
+
+#: Cost a dead worker reports to the serving control plane: a constant far
+#: above any finite sojourn, so a DOLBIE controller treats the dead worker
+#: as the permanent straggler and steadily sheds its weight.
+DEAD_WORKER_COST = 1.0e6
 
 
 class PowerLawCost(CostFunction):
@@ -254,4 +264,161 @@ class SaturatingQueueingCost(CostFunction):
         return (
             f"SaturatingQueueingCost(mu={self.mu:.4g}, lam={self.lam:.4g}, "
             f"c={self.c:.4g}, x_knee={self.x_knee:.4g})"
+        )
+
+
+class SaturatingQueueingCostVector(CostVector):
+    """``N`` :class:`SaturatingQueueingCost` curves as arrays, dead workers
+    masked.
+
+    Entry ``i`` is ``SaturatingQueueingCost(mu[i], lam[i], c[i], knee=knee)``
+    or, where ``dead[i]``, ``ConstantCost(DEAD_WORKER_COST)``; ``lam`` and
+    ``c`` broadcast. :meth:`values` and :meth:`max_acceptable` mirror
+    ``SaturatingQueueingCost.__call__`` / ``value`` / ``level_inverse`` and
+    :meth:`CostFunction.max_acceptable` branch by branch, so every entry
+    is bit-identical to the scalar call on that entry:
+
+    * the knee parameters are the constructor's float64 expressions, with
+      ``d ** 2`` as ``np.float_power`` (libm ``pow``, as Python's ``**``;
+      numpy's ``**`` squares, which rounds differently);
+    * ``values`` runs in :attr:`dtype` (a float32 input meets Python-float
+      parameters as float32), except at a clamped input, where the scalar
+      call evaluates ``value(0.0)`` / ``value(1.0)`` in float64;
+    * ``max_acceptable`` runs in float64, as the scalar method does, and
+      rounds to :attr:`dtype` at the end; ``np.where`` on the comparisons
+      Python's ``min`` / ``max`` make reproduces their tie handling.
+    """
+
+    __slots__ = (
+        "mu", "lam", "c", "knee", "dead", "dtype",
+        "_p64", "_f0", "_f1", "_dead_item", "_items",
+    )
+
+    def __init__(
+        self,
+        mu: np.ndarray,
+        lam: float | np.ndarray,
+        c: float | np.ndarray = 0.0,
+        knee: float = 0.95,
+        dead: np.ndarray | None = None,
+    ) -> None:
+        mu = np.asarray(mu, dtype=np.float64)
+        if mu.ndim != 1:
+            raise CostFunctionError(f"mu must be a 1-D vector, got shape {mu.shape}")
+        n = mu.size
+        lam = np.full(n, lam, dtype=np.float64)
+        c = np.full(n, c, dtype=np.float64)
+        dead = np.zeros(n, dtype=bool) if dead is None else np.asarray(dead, dtype=bool)
+        if dead.shape != (n,):
+            raise CostFunctionError(f"dead mask {dead.shape} != ({n},)")
+        # The scalar constructor's checks, on the live entries.
+        if ((mu <= 0) | (lam <= 0))[~dead].any():
+            raise CostFunctionError("mu and lam must be positive")
+        if (c < 0)[~dead].any():
+            raise CostFunctionError("c must be non-negative")
+        if not 0 < knee < 1:
+            raise CostFunctionError(f"knee must lie in (0, 1), got {knee}")
+        self.mu, self.lam, self.c = mu, lam, c
+        self.knee = float(knee)
+        self.dead = dead
+        self._dead_item = ConstantCost(DEAD_WORKER_COST)
+        self.dtype = np.dtype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_knee = self.knee * mu / lam
+            denom_knee = mu - lam * x_knee
+            f_knee = 1.0 / denom_knee
+            slope = lam / np.float_power(denom_knee, 2.0)
+            self._p64 = (mu, lam, c, x_knee, f_knee, slope)
+            # value(0.0) and value(x_max): the first two branches of
+            # max_acceptable, and __call__ at a clamped input.
+            self._f0, self._f1 = self._value(np.array([[0.0], [1.0]]), self._p64)
+        self._items: list[CostFunction | None] = [None] * n
+
+    @staticmethod
+    def _value(x, params) -> np.ndarray:
+        """``SaturatingQueueingCost.value`` at ``x``."""
+        mu, lam, c, x_knee, f_knee, slope = params
+        return np.where(
+            x < x_knee,
+            1.0 / (mu - lam * x) + c,
+            f_knee + slope * (x - x_knee) + c,
+        )
+
+    def __len__(self) -> int:
+        return self.mu.size
+
+    def __getitem__(self, index: int) -> CostFunction:
+        i = int(index)
+        if i < 0:
+            i += len(self)
+        item = self._items[i]
+        if item is None:
+            if self.dead[i]:
+                item = self._dead_item
+            else:
+                item = SaturatingQueueingCost(
+                    mu=float(self.mu[i]), lam=float(self.lam[i]),
+                    c=float(self.c[i]), knee=self.knee,
+                )
+            self._items[i] = item
+        return item
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Vectorized ``[f_i(x_i)]`` with the scalar ``__call__`` semantics."""
+        dtype = self.dtype
+        x = np.asarray(x, dtype=dtype)
+        if x.shape != self.mu.shape:
+            raise CostFunctionError(
+                f"allocation shape {x.shape} != costs shape {self.mu.shape}"
+            )
+        lo, hi = x.min(), x.max()
+        if lo < -DEFAULT_TOL or hi > 1.0 + DEFAULT_TOL:
+            raise CostFunctionError(
+                f"allocation {x!r} outside domain [0, 1] of {self!r}"
+            )
+        params = self._p64
+        if dtype != params[0].dtype:
+            with np.errstate(over="ignore"):
+                params = tuple(p.astype(dtype) for p in params)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = self._value(x, params)
+        # __call__ clamps to the float 0.0 / 1.0, evaluated in float64.
+        if lo < 0.0:
+            out = np.where(x < 0.0, self._f0.astype(dtype), out)
+        if hi > 1.0:
+            out = np.where(x > 1.0, self._f1.astype(dtype), out)
+        return np.where(self.dead, dtype.type(DEAD_WORKER_COST), out)
+
+    def max_acceptable(self, level: float) -> np.ndarray:
+        """Vectorized x-tilde of Eq. (4), one entry per worker."""
+        mu, lam, c, x_knee, f_knee, slope = self._p64
+        gap = level - c
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            below_knee = (mu - 1.0 / gap) / lam
+            past_knee = x_knee + (gap - f_knee) / slope
+        analytic = np.where(
+            gap <= 0, 0.0, np.where(gap < f_knee, below_knee, past_knee)
+        )
+        # min(max(analytic, 0.0), x_max), with Python's tie handling.
+        caps = np.where(0.0 > analytic, 0.0, analytic)
+        caps = np.where(1.0 < caps, 1.0, caps)
+        caps = np.where(self._f1 <= level, 1.0, caps)
+        caps = np.where(self._f0 > level, 0.0, caps)
+        caps = np.where(self.dead, self._dead_item.max_acceptable(level), caps)
+        return caps.astype(self.dtype, copy=False)
+
+    def astype(self, dtype) -> "SaturatingQueueingCostVector":
+        dtype = np.dtype(dtype)
+        if dtype == self.dtype:
+            return self
+        other = object.__new__(SaturatingQueueingCostVector)
+        for name in self.__slots__:
+            setattr(other, name, getattr(self, name))
+        other.dtype = dtype
+        return other
+
+    def __repr__(self) -> str:
+        return (
+            f"SaturatingQueueingCostVector(N={len(self)}, "
+            f"dead={int(self.dead.sum())})"
         )

@@ -37,9 +37,9 @@ from repro.core.peerstore import (
     PeerStore,
 )
 from repro.core.step_size import feasibility_cap, initial_step_size
-from repro.costs.affine_vector import AffineCostVector
 from repro.costs.base import CostFunction
 from repro.costs.timevarying import CostProcess
+from repro.costs.vector import as_cost_vector
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.net.aggtree import AggregationTree, segment_reduce
 from repro.net.batch import DeliveryPlan, default_chunk_frames
@@ -1084,12 +1084,8 @@ class FullyDistributedDolbie:
         t0 = self.cluster.engine.now
         x = backend.asarray(x_played)
         alphas = cc.alpha_arr
-        vector = AffineCostVector.coerce(costs)
-        if vector is not None:
-            vector = vector.astype(backend.dtype)
-            local = vector.values(x)
-        else:
-            local = backend.asarray([fn(xi) for fn, xi in zip(costs, x)])
+        vector = as_cost_vector(costs, backend.dtype)
+        local = vector.values(x)
         backend.ensure(local, "local costs")
 
         # Participant-ordered views (phase A payloads + reduction input).
@@ -1165,12 +1161,7 @@ class FullyDistributedDolbie:
 
         # Line 8 at every non-straggler (vectorized; the straggler's slot
         # is overwritten by the closure below).
-        if vector is not None:
-            x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
-        else:
-            x_prime = backend.asarray(
-                [min(fn.max_acceptable(global_cost), 1.0) for fn in costs]
-            )
+        x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
         x_prime = np.maximum(x_prime, x)
         x_new = x - alpha * (x - x_prime)
         backend.ensure(x_new, "updated allocation")
@@ -1289,7 +1280,6 @@ class FullyDistributedDolbie:
         detection round computes in float64 whatever the backend, as the
         event engine does.
         """
-        n = self.num_workers
         store = self._store
         fr = self._flat_round
         if fr is None or not fr.matches(participants):
@@ -1310,13 +1300,8 @@ class FullyDistributedDolbie:
         t0 = self.cluster.engine.now
         x = backend.asarray(x_played)
         alphas = backend.asarray(store.alpha_bar)
-        vector = AffineCostVector.coerce(costs)
-        if vector is not None:
-            vector = vector.astype(backend.dtype)
-            local = vector.values(x)
-        else:
-            local = backend.full(n, np.nan)
-            local[sel] = [costs[i](x[i]) for i in parts.tolist()]
+        vector = as_cost_vector(costs, backend.dtype, among=parts)
+        local = vector.values(x)
         backend.ensure(local, "local costs")
 
         # Phase 1 (line 4): (l_i, alpha-bar_i) broadcast to every node id.
@@ -1339,14 +1324,7 @@ class FullyDistributedDolbie:
         alpha = float(alphas[sel].min())
 
         # Line 8: risk-averse update at the non-stragglers.
-        if vector is not None:
-            x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
-        else:
-            x_prime = x.copy()
-            x_prime[sel] = [
-                min(costs[i].max_acceptable(global_cost), 1.0)
-                for i in parts.tolist()
-            ]
+        x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
         x_prime = np.maximum(x_prime, x)
         x_new = x - alpha * (x - x_prime)
         backend.ensure(x_new, "updated allocation")

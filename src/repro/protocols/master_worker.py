@@ -32,9 +32,9 @@ from repro.core.ledger import LedgerEntry, RoundLedger
 from repro.core.loop import RunResult
 from repro.core.membership import add_worker_allocation
 from repro.core.step_size import feasibility_cap, initial_step_size
-from repro.costs.affine_vector import AffineCostVector
 from repro.costs.base import CostFunction
 from repro.costs.timevarying import CostProcess
+from repro.costs.vector import as_cost_vector
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.net.cluster import Cluster
 from repro.net.links import Link
@@ -451,11 +451,8 @@ class MasterWorkerDolbie:
         master_col = np.full(n, self.master_id)
         t0 = self.cluster.engine.now
         x = x_played
-        vector = AffineCostVector.coerce(costs)
-        if vector is not None:
-            local = vector.values(x)
-        else:
-            local = np.array([fn(xi) for fn, xi in zip(costs, x)])
+        vector = as_cost_vector(costs)
+        local = vector.values(x)
 
         # Phase 1 (line 4): every worker reports its cost to the master.
         cost_batch = FrameBatch(TAG_COST, ids, master_col, {"l": local}, round_index)
@@ -480,12 +477,7 @@ class MasterWorkerDolbie:
         coord_arrivals = batched.deliver(coord_batch, coordinate_time)
 
         # Lines 5-6: risk-averse update at the non-stragglers.
-        if vector is not None:
-            x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
-        else:
-            x_prime = np.array(
-                [min(fn.max_acceptable(global_cost), 1.0) for fn in costs]
-            )
+        x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
         x_prime = np.maximum(x_prime, x)
         x_new = x - alpha * (x - x_prime)
 

@@ -206,26 +206,30 @@ class BurstyArrivals(ArrivalProcess):
         if n < 1:
             raise ConfigurationError(f"batch size must be >= 1, got {n}")
         u = self._rng_switch.random(n)
-        # Regime path: from position `pos` in regime `s`, the next flip is
-        # the first u below that regime's flip probability. Precomputing
-        # the candidate flip positions per regime makes the scan
-        # O(n + flips log n) instead of O(n * flips).
+        # Regime path: from regime `s` the next flip is the first later
+        # arrival whose u is below that regime's flip probability. After a
+        # flip at a hit of one list, the next flip is that hit's successor
+        # in the other list, so two searchsorted calls give every
+        # successor and the walk touches only plain ints.
         hits = (
             np.flatnonzero(u < self.p_enter),
             np.flatnonzero(u < self.p_exit),
         )
-        states = np.empty(n, dtype=np.intp)
-        pos, state = 0, self._state
-        while pos < n:
-            candidates = hits[state]
-            k = int(np.searchsorted(candidates, pos))
-            flip_at = int(candidates[k]) if k < len(candidates) else n
-            states[pos:flip_at] = state
-            if flip_at >= n:
-                break
+        successor = (
+            np.searchsorted(hits[1], hits[0], side="right").tolist(),
+            np.searchsorted(hits[0], hits[1], side="right").tolist(),
+        )
+        positions = (hits[0].tolist(), hits[1].tolist())
+        flips = []
+        state, k = self._state, 0
+        while k < len(positions[state]):
+            flips.append(positions[state][k])
+            k = successor[state][k]
             state = 1 - state
-            states[flip_at] = state
-            pos = flip_at + 1
+        toggles = np.zeros(n, dtype=np.intp)
+        toggles[flips] = 1
+        # A flip at arrival f sets the regime of arrival f itself.
+        states = (self._state + np.cumsum(toggles)) & 1
         self._state = int(state)
         gaps = self._rng_gap.exponential(1.0, size=n) / self._rates[states]
         return self._fold_gaps(gaps)

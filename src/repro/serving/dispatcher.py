@@ -18,7 +18,8 @@ so seeded reruns and checkpoint resumes consume the stream identically.
 For weight-based policies the recursion is vectorized per segment: with
 ``cs`` the within-segment cumulative service time of one worker's
 requests, ``d_k = cs_k + max(d_0, max_{j<=k}(a_j - cs_{j-1}))`` — a
-``cumsum`` plus a ``maximum.accumulate``, no Python-level loop. The
+``cumsum`` plus a ``maximum.accumulate``, run for every worker at once
+on the rows of a padded matrix (:class:`LindleyRows`). The
 segment split points (control-period boundaries, crash times, chunk
 edges) are deterministic, so two seeded runs with the same chunk size —
 including a run resumed from a checkpoint at a chunk boundary — produce
@@ -27,10 +28,12 @@ bit-identical latencies.
 Control plane
 -------------
 At every control-period boundary the dispatcher builds per-worker
-analytic sojourn-cost curves (:class:`~repro.costs.nonlinear.
-SaturatingQueueingCost` at the period's measured arrival rate) and hands
-them to the policy's ``control_update`` — one online round of problem
-(1) for the DOLBIE-backed policies, a no-op for JSQ/P2C/WRR.
+analytic sojourn-cost curves (one :class:`~repro.costs.nonlinear.
+SaturatingQueueingCostVector` at the period's measured arrival rate; a
+dead worker costs :data:`~repro.costs.nonlinear.DEAD_WORKER_COST`, so it
+stays the straggler while routing masks it) and hands them to the policy's
+``control_update`` — one online round of problem (1) for the
+DOLBIE-backed policies, a no-op for JSQ/P2C/WRR.
 
 Fault model
 -----------
@@ -51,8 +54,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.costs.base import ConstantCost, CostFunction
-from repro.costs.nonlinear import SaturatingQueueingCost
+from repro.costs.nonlinear import SaturatingQueueingCostVector
 from repro.exceptions import CheckpointError, ConfigurationError, SimulationError
 from repro.obs.records import (
     MembershipRecord,
@@ -68,12 +70,6 @@ from repro.serving.quantiles import ExactQuantiles, QuantileSketch
 from repro.utils.rng import spawn_rng
 
 __all__ = ["WorkerCrash", "ServingSummary", "ServingSimulator"]
-
-#: Cost assigned to a dead worker in the control plane: a constant far
-#: above any finite sojourn, so a DOLBIE controller treats the dead
-#: worker as the permanent straggler and steadily sheds its weight
-#: (routing itself masks dead workers immediately regardless).
-DEAD_WORKER_COST = 1.0e6
 
 #: Quantiles every summary reports.
 SUMMARY_QUANTILES = (0.50, 0.99, 0.999)
@@ -110,6 +106,77 @@ class ServingSummary:
     def throughput_rps(self) -> float:
         """Completed requests per simulated second."""
         return self.completed / self.duration if self.duration > 0 else 0.0
+
+
+class LindleyRows:
+    """One segment's Lindley recursion over every worker at once.
+
+    Each busy worker's requests, in arrival order, fill one row of a
+    zero-padded matrix, so one ``cumsum(axis=1)`` and one
+    ``maximum.accumulate(axis=1)`` run the recursion for all of them.
+    Both accumulate sequentially along a row and a row's padding comes
+    after its requests, so every departure is the same sum, in the same
+    order, as a 1-D pass over that worker alone.
+
+    A worker with ``k`` requests gets a row of ``2^ceil(log2 k)`` cells,
+    and the rows of one width form one matrix. Every row is under twice
+    its request count, so a segment of ``m`` requests pads to fewer than
+    ``2 m`` cells however skewed the weights (a single ``N x m`` matrix
+    would hold ``N m``). Rows run in (width, worker) order: ``workers``
+    lists the busy workers in that order, ``row_of`` maps a worker to its
+    row and ``ends`` holds the running request count at each row's end.
+    """
+
+    __slots__ = ("workers", "row_of", "counts", "ends", "cells", "_cell", "_blocks")
+
+    def __init__(self, counts: np.ndarray) -> None:
+        busy = np.flatnonzero(counts)
+        # Smallest power of two >= k: 2 ** bit_length(k - 1).
+        widths = np.int64(1) << np.frexp(counts[busy] - 1)[1]
+        by_width = np.argsort(widths, kind="stable")
+        self.workers = busy[by_width]
+        widths = widths[by_width]
+        self.counts = counts[self.workers]
+        self.row_of = np.zeros(counts.size, dtype=np.intp)
+        self.row_of[self.workers] = np.arange(self.workers.size)
+        self.ends = np.cumsum(self.counts)
+        row_cell = np.cumsum(widths) - widths  # each row's first cell
+        self.cells = int(row_cell[-1] + widths[-1])
+        # Flat cell of each request (grouped by row): row start + rank.
+        self._cell = np.arange(int(self.ends[-1])) + np.repeat(
+            row_cell - (self.ends - self.counts), self.counts
+        )
+        # (first cell, first row, last row + 1, width) of each matrix.
+        firsts = [0] + (np.flatnonzero(np.diff(widths)) + 1).tolist()
+        self._blocks = [
+            (int(row_cell[r0]), r0, r1, int(widths[r0]))
+            for r0, r1 in zip(firsts, firsts[1:] + [widths.size])
+        ]
+
+    def departures(
+        self, arrivals: np.ndarray, service: np.ndarray, dep0: np.ndarray
+    ) -> np.ndarray:
+        """Departures of requests grouped by row (as ``arrivals`` and
+        ``service`` are), each queue continuing from ``dep0[worker]``;
+        ``dep0`` is left holding every busy worker's last departure."""
+        cell = self._cell
+        srv = np.zeros(self.cells)
+        srv[cell] = service
+        arr = np.zeros(self.cells)
+        arr[cell] = arrivals
+        start = dep0[self.workers]
+        dep = np.empty(self.cells)
+        for lo, r0, r1, width in self._blocks:
+            hi = lo + (r1 - r0) * width
+            s = srv[lo:hi].reshape(r1 - r0, width)
+            a = arr[lo:hi].reshape(r1 - r0, width)
+            # d_k = cs_k + max(d_0, max_{j<=k} (a_j - cs_{j-1}))
+            cs = np.cumsum(s, axis=1)
+            slack = np.maximum.accumulate(a - (cs - s), axis=1)
+            dep[lo:hi] = (cs + np.maximum(slack, start[r0:r1, None])).ravel()
+        out = dep[cell]
+        dep0[self.workers] = out[self.ends - 1]
+        return out
 
 
 class ServingSimulator:
@@ -366,15 +433,10 @@ class ServingSimulator:
         self._period_dispatched[:] = 0
         self._period_lats = []
 
-    def _control_costs(self, lam: float) -> list[CostFunction]:
+    def _control_costs(self, lam: float) -> SaturatingQueueingCostVector:
         """Per-worker analytic sojourn curves at total arrival rate
         ``lam``; dead workers cost a huge constant (permanent straggler)."""
-        return [
-            SaturatingQueueingCost(mu=float(self.mu[i]), lam=float(lam))
-            if self.alive[i]
-            else ConstantCost(DEAD_WORKER_COST)
-            for i in range(self.num_workers)
-        ]
+        return SaturatingQueueingCostVector(self.mu, float(lam), dead=~self.alive)
 
     def effective_weights(self) -> np.ndarray:
         """The routing distribution the next weighted segment will use:
@@ -426,28 +488,16 @@ class ServingSimulator:
         u = (np.arange(start + 1, start + m + 1) * GOLDEN) % 1.0
         assign = alive_idx[np.searchsorted(cum, u, side="right")]
         service = self._service_rng.exponential(1.0, size=m) / self.mu[assign]
+        rows = LindleyRows(np.bincount(assign, minlength=self.num_workers))
+        # Requests grouped by row, each row's in arrival order.
+        order = np.argsort(rows.row_of[assign], kind="stable")
+        arrivals = times[order]
+        dep = rows.departures(arrivals, service[order], self._dep)
+        lat = dep - arrivals
         latencies = np.empty(m)
-        departures = np.empty(m)
-        order = np.argsort(assign, kind="stable")
-        sorted_w = assign[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sorted_w[1:] != sorted_w[:-1]))
-        )
-        ends = np.concatenate((starts[1:], [m]))
-        for s0, e0 in zip(starts, ends):
-            w = int(sorted_w[s0])
-            idx = order[s0:e0]
-            arr_w = times[idx]
-            srv_w = service[idx]
-            cs = np.cumsum(srv_w)
-            # Lindley, vectorized: d_k = cs_k + max(d_0, max_j (a_j - cs_{j-1}))
-            slack = np.maximum.accumulate(arr_w - (cs - srv_w))
-            dep = cs + np.maximum(slack, self._dep[w])
-            self._dep[w] = float(dep[-1])
-            latencies[idx] = dep - arr_w
-            departures[idx] = dep
-            if self._pending is not None:
-                self._pending[w].append((dep, dep - arr_w))
+        latencies[order] = lat
+        if self._pending is not None:
+            self._defer(rows.workers, rows.ends[:-1], dep, lat)
         self._account(times, assign, latencies, deferred=self._pending is not None)
 
     def _dispatch_sequential(self, times: np.ndarray) -> None:
@@ -461,6 +511,7 @@ class ServingSimulator:
         # the weighted path.
         service_std = self._service_rng.exponential(1.0, size=m)
         assign = np.empty(m, dtype=np.int64)
+        departures = np.empty(m)
         latencies = np.empty(m)
         select = self.policy.select
         for k in range(m):
@@ -470,11 +521,14 @@ class ServingSimulator:
             d = max(t, dep[w]) + service_std[k] / mu[w]
             dep[w] = d
             assign[k] = w
+            departures[k] = d
             latencies[k] = d - t
-            if self._pending is not None:
-                self._pending[w].append(
-                    (np.array([d]), np.array([d - t]))
-                )
+        if self._pending is not None:
+            order = np.argsort(assign, kind="stable")
+            workers, firsts = np.unique(assign[order], return_index=True)
+            self._defer(
+                workers, firsts[1:], departures[order], latencies[order]
+            )
         self._account(times, assign, latencies, deferred=self._pending is not None)
 
     def _account(
@@ -508,6 +562,21 @@ class ServingSimulator:
             self._period_lats.append(latencies)
 
     # -- deferred completion (fault mode) ----------------------------------
+    def _defer(
+        self,
+        workers: np.ndarray,
+        bounds: np.ndarray,
+        deps: np.ndarray,
+        lats: np.ndarray,
+    ) -> None:
+        """Queue one segment's requests, grouped by worker and split at
+        ``bounds``: one (departures, latencies) pair per worker."""
+        bounds = bounds.tolist()
+        for w, d, l in zip(
+            workers.tolist(), np.split(deps, bounds), np.split(lats, bounds)
+        ):
+            self._pending[w].append((d, l))
+
     def _take_pending(self, worker: int) -> tuple[np.ndarray, np.ndarray]:
         entries = self._pending[worker]
         if not entries:

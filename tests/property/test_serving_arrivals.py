@@ -11,6 +11,9 @@ promises, checked on arbitrary rates/seeds/chunk splits:
   process intensity within CLT bounds; timestamps strictly increase.
 * **Checkpoint round-trip** — restore into a *fresh* generator resumes
   the identical stream.
+* **Bursty regime path** — the successor walk equals the per-flip
+  ``searchsorted`` loop it replaced (kept below as the reference), batch
+  by batch, regime state included.
 """
 
 import json
@@ -27,6 +30,7 @@ from repro.serving.arrivals import (
     PoissonArrivals,
     make_arrivals,
 )
+from repro.utils.rng import spawn_rng
 
 PROCESSES = sorted(ARRIVALS)
 
@@ -172,3 +176,54 @@ class TestCheckpoint:
         state["process"] = "something-else"
         with pytest.raises(CheckpointError):
             arrivals.restore_state(state)
+
+
+def _reference_regimes(u, p_enter, p_exit, state):
+    """The bursty regime path as the per-flip ``searchsorted`` loop."""
+    n = len(u)
+    hits = (np.flatnonzero(u < p_enter), np.flatnonzero(u < p_exit))
+    states = np.empty(n, dtype=np.intp)
+    pos = 0
+    while pos < n:
+        candidates = hits[state]
+        k = int(np.searchsorted(candidates, pos))
+        flip_at = int(candidates[k]) if k < len(candidates) else n
+        states[pos:flip_at] = state
+        if flip_at >= n:
+            break
+        state = 1 - state
+        states[flip_at] = state
+        pos = flip_at + 1
+    return states, state
+
+
+class TestBurstyRegimePath:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        p_enter=st.floats(0.001, 0.9),
+        p_exit=st.floats(0.001, 0.9),
+        sizes=st.lists(
+            st.one_of(st.just(1), st.integers(1, 3000)), min_size=1, max_size=8
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_reference_loop_batch_by_batch(
+        self, seed, p_enter, p_exit, sizes
+    ):
+        proc = BurstyArrivals(20.0, seed=seed, p_enter=p_enter, p_exit=p_exit)
+        switch = spawn_rng(seed, "serving.arrivals.bursty.switch")
+        gap = spawn_rng(seed, "serving.arrivals.bursty.gap")
+        rates = np.array([20.0, 20.0 * proc.burst_factor])
+        state, now = 0, 0.0
+        for n in sizes:
+            times = proc.next_batch(n)
+            states, state = _reference_regimes(
+                switch.random(n), p_enter, p_exit, state
+            )
+            gaps = gap.exponential(1.0, size=n) / rates[states]
+            gaps[0] += now
+            expected = np.cumsum(gaps)
+            now = float(expected[-1])
+            np.testing.assert_array_equal(times, expected)
+            assert proc._state == state
+        assert proc.capture_state()["rng_switch"] == switch.bit_generator.state
