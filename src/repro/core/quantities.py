@@ -14,9 +14,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.backend import as_float
-from repro.costs.affine import AffineLatencyCost
 from repro.costs.affine_vector import AffineCostVector
-from repro.costs.base import CostFunction, CostVector
+from repro.costs.base import CostFunction
+from repro.costs.vector import as_cost_vector
 from repro.exceptions import ConfigurationError
 
 __all__ = [
@@ -28,31 +28,20 @@ __all__ = [
 
 
 def _affine_fast_path(
-    costs: Sequence[CostFunction],
+    costs: AffineCostVector,
     x: np.ndarray,
     global_cost: float,
     straggler: int,
-) -> np.ndarray | None:
-    """Vectorized x' for all-affine cost vectors (the §VI-A formula).
+) -> np.ndarray:
+    """Vectorized x' for affine costs (the §VI-A formula).
 
     The level inverse of an affine latency cost is closed-form, so the
     whole vector is three numpy operations — this is what keeps DOLBIE's
     per-round decision in the tens of microseconds (Fig. 11, lower).
-    An :class:`AffineCostVector` (the materialized-environment
-    representation) supplies the slope/intercept arrays directly; object
-    lists pay one attribute-extraction pass first.
     """
-    if isinstance(costs, AffineCostVector):
-        slopes = costs.slopes
-        intercepts = costs.intercepts
-    elif all(type(c) is AffineLatencyCost for c in costs):
-        slopes = np.array([c.slope for c in costs])
-        intercepts = np.array([c.intercept for c in costs])
-    else:
-        return None
     with np.errstate(divide="ignore", invalid="ignore"):
-        tilde = (global_cost - intercepts) / slopes
-    tilde = np.where(slopes == 0.0, 1.0, tilde)
+        tilde = (global_cost - costs.intercepts) / costs.slopes
+    tilde = np.where(costs.slopes == 0.0, 1.0, tilde)
     x_prime = np.clip(tilde, x, 1.0)
     x_prime[straggler] = x[straggler]
     return x_prime
@@ -80,26 +69,19 @@ def acceptable_workloads(
         raise ConfigurationError(f"allocation shape {x.shape} != ({n},)")
     if not 0 <= straggler < n:
         raise ConfigurationError(f"straggler index {straggler} out of range")
-    if isinstance(costs, CostVector) and not isinstance(costs, AffineCostVector):
-        # The scalar loop below as array operations; np.where on the
-        # comparisons min() and max() make keeps their tie handling.
-        acceptable = costs.astype(float).max_acceptable(global_cost)
-        acceptable = np.where(1.0 < acceptable, 1.0, acceptable)
-        x_prime = np.where(x > acceptable, x, acceptable)
-        x_prime[straggler] = x[straggler]
-        return x_prime
-    fast = _affine_fast_path(costs, x, global_cost, straggler)
-    if fast is not None:
-        return fast
-    x_prime = np.empty(n, dtype=float)
-    for i, cost in enumerate(costs):
-        if i == straggler:
-            x_prime[i] = x[i]
-            continue
-        acceptable = min(cost.max_acceptable(global_cost), 1.0)
-        # Guard floating-point dust: Lemma 1-ii guarantees x' >= x because
-        # f_i(x_i) <= l_t, so clamp tiny negative gaps from bisection.
-        x_prime[i] = max(acceptable, x[i])
+    # The straggler's own x-tilde is never needed, so a scalar cost list
+    # is not asked for it.
+    costs = as_cost_vector(costs, among=np.flatnonzero(np.arange(n) != straggler))
+    if isinstance(costs, AffineCostVector):
+        return _affine_fast_path(costs, x, global_cost, straggler)
+    # min(x-tilde, 1) and max(., x_i) as np.where on the comparisons
+    # Python's min() and max() make, which keeps their tie handling. The
+    # max also guards floating-point dust: Lemma 1-ii guarantees x' >= x
+    # because f_i(x_i) <= l_t, so tiny negative gaps from bisection clamp.
+    acceptable = costs.astype(float).max_acceptable(global_cost)
+    acceptable = np.where(1.0 < acceptable, 1.0, acceptable)
+    x_prime = np.where(x > acceptable, x, acceptable)
+    x_prime[straggler] = x[straggler]
     return x_prime
 
 

@@ -97,10 +97,6 @@ class AffineCostVector(CostVector):
             return cls.from_costs(costs)
         return None
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.slopes.dtype
-
     def __len__(self) -> int:
         return self.slopes.size
 

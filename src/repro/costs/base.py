@@ -142,13 +142,13 @@ class CostVector(Sequence[CostFunction]):
 
     @abc.abstractmethod
     def values(self, x):
-        """``[f_i(x_i)]`` in :attr:`dtype`, with the domain check and
-        clamping of :meth:`CostFunction.__call__`."""
+        """``[f_i(x_i)]`` in the vector's dtype, with the domain check
+        and clamping of :meth:`CostFunction.__call__`."""
 
     @abc.abstractmethod
     def max_acceptable(self, level: float):
-        """``[f_i.max_acceptable(level)]`` (x-tilde of Eq. (4)) in
-        :attr:`dtype`."""
+        """``[f_i.max_acceptable(level)]`` (x-tilde of Eq. (4)) in the
+        vector's dtype."""
 
     @abc.abstractmethod
     def astype(self, dtype) -> "CostVector":

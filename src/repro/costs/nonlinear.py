@@ -268,15 +268,16 @@ class SaturatingQueueingCost(CostFunction):
 
 
 class SaturatingQueueingCostVector(CostVector):
-    """``N`` :class:`SaturatingQueueingCost` curves as arrays, dead workers
-    masked.
+    """``N`` :class:`SaturatingQueueingCost` curves at one arrival rate,
+    dead workers masked.
 
-    Entry ``i`` is ``SaturatingQueueingCost(mu[i], lam[i], c[i], knee=knee)``
-    or, where ``dead[i]``, ``ConstantCost(DEAD_WORKER_COST)``; ``lam`` and
-    ``c`` broadcast. :meth:`values` and :meth:`max_acceptable` mirror
-    ``SaturatingQueueingCost.__call__`` / ``value`` / ``level_inverse`` and
-    :meth:`CostFunction.max_acceptable` branch by branch, so every entry
-    is bit-identical to the scalar call on that entry:
+    Entry ``i`` is ``SaturatingQueueingCost(mu[i], lam)`` (default ``c``
+    and ``knee``, as the serving control plane builds them) or, where
+    ``dead[i]``, ``ConstantCost(DEAD_WORKER_COST)``. :meth:`values` and
+    :meth:`max_acceptable` mirror ``SaturatingQueueingCost.__call__`` /
+    ``value`` / ``level_inverse`` and :meth:`CostFunction.max_acceptable`
+    branch by branch, so every entry is bit-identical to the scalar call
+    on that entry:
 
     * the knee parameters are the constructor's float64 expressions, with
       ``d ** 2`` as ``np.float_power`` (libm ``pow``, as Python's ``**``;
@@ -287,48 +288,38 @@ class SaturatingQueueingCostVector(CostVector):
     * ``max_acceptable`` runs in float64, as the scalar method does, and
       rounds to :attr:`dtype` at the end; ``np.where`` on the comparisons
       Python's ``min`` / ``max`` make reproduces their tie handling.
+
+    The scalar default ``c = 0`` adds nothing to a value or a level, so
+    it does not appear here.
     """
 
-    __slots__ = (
-        "mu", "lam", "c", "knee", "dead", "dtype",
-        "_p64", "_f0", "_f1", "_dead_item", "_items",
-    )
+    #: ``SaturatingQueueingCost``'s default knee.
+    KNEE = 0.95
+
+    __slots__ = ("mu", "lam", "dead", "dtype", "_p64", "_f0", "_f1", "_items")
 
     def __init__(
-        self,
-        mu: np.ndarray,
-        lam: float | np.ndarray,
-        c: float | np.ndarray = 0.0,
-        knee: float = 0.95,
-        dead: np.ndarray | None = None,
+        self, mu: np.ndarray, lam: float, dead: np.ndarray | None = None
     ) -> None:
         mu = np.asarray(mu, dtype=np.float64)
         if mu.ndim != 1:
             raise CostFunctionError(f"mu must be a 1-D vector, got shape {mu.shape}")
         n = mu.size
-        lam = np.full(n, lam, dtype=np.float64)
-        c = np.full(n, c, dtype=np.float64)
+        lam = float(lam)
         dead = np.zeros(n, dtype=bool) if dead is None else np.asarray(dead, dtype=bool)
         if dead.shape != (n,):
             raise CostFunctionError(f"dead mask {dead.shape} != ({n},)")
-        # The scalar constructor's checks, on the live entries.
-        if ((mu <= 0) | (lam <= 0))[~dead].any():
+        # The scalar constructor's check, on the live entries.
+        if lam <= 0 or (mu <= 0)[~dead].any():
             raise CostFunctionError("mu and lam must be positive")
-        if (c < 0)[~dead].any():
-            raise CostFunctionError("c must be non-negative")
-        if not 0 < knee < 1:
-            raise CostFunctionError(f"knee must lie in (0, 1), got {knee}")
-        self.mu, self.lam, self.c = mu, lam, c
-        self.knee = float(knee)
-        self.dead = dead
-        self._dead_item = ConstantCost(DEAD_WORKER_COST)
+        self.mu, self.lam, self.dead = mu, lam, dead
         self.dtype = np.dtype(np.float64)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            x_knee = self.knee * mu / lam
+            x_knee = self.KNEE * mu / lam
             denom_knee = mu - lam * x_knee
             f_knee = 1.0 / denom_knee
             slope = lam / np.float_power(denom_knee, 2.0)
-            self._p64 = (mu, lam, c, x_knee, f_knee, slope)
+            self._p64 = (mu, np.float64(lam), x_knee, f_knee, slope)
             # value(0.0) and value(x_max): the first two branches of
             # max_acceptable, and __call__ at a clamped input.
             self._f0, self._f1 = self._value(np.array([[0.0], [1.0]]), self._p64)
@@ -337,11 +328,9 @@ class SaturatingQueueingCostVector(CostVector):
     @staticmethod
     def _value(x, params) -> np.ndarray:
         """``SaturatingQueueingCost.value`` at ``x``."""
-        mu, lam, c, x_knee, f_knee, slope = params
+        mu, lam, x_knee, f_knee, slope = params
         return np.where(
-            x < x_knee,
-            1.0 / (mu - lam * x) + c,
-            f_knee + slope * (x - x_knee) + c,
+            x < x_knee, 1.0 / (mu - lam * x), f_knee + slope * (x - x_knee)
         )
 
     def __len__(self) -> int:
@@ -351,15 +340,14 @@ class SaturatingQueueingCostVector(CostVector):
         i = int(index)
         if i < 0:
             i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(index)
         item = self._items[i]
         if item is None:
             if self.dead[i]:
-                item = self._dead_item
+                item = ConstantCost(DEAD_WORKER_COST)
             else:
-                item = SaturatingQueueingCost(
-                    mu=float(self.mu[i]), lam=float(self.lam[i]),
-                    c=float(self.c[i]), knee=self.knee,
-                )
+                item = SaturatingQueueingCost(mu=float(self.mu[i]), lam=self.lam)
             self._items[i] = item
         return item
 
@@ -391,8 +379,8 @@ class SaturatingQueueingCostVector(CostVector):
 
     def max_acceptable(self, level: float) -> np.ndarray:
         """Vectorized x-tilde of Eq. (4), one entry per worker."""
-        mu, lam, c, x_knee, f_knee, slope = self._p64
-        gap = level - c
+        mu, lam, x_knee, f_knee, slope = self._p64
+        gap = np.float64(level)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             below_knee = (mu - 1.0 / gap) / lam
             past_knee = x_knee + (gap - f_knee) / slope
@@ -404,7 +392,8 @@ class SaturatingQueueingCostVector(CostVector):
         caps = np.where(1.0 < caps, 1.0, caps)
         caps = np.where(self._f1 <= level, 1.0, caps)
         caps = np.where(self._f0 > level, 0.0, caps)
-        caps = np.where(self.dead, self._dead_item.max_acceptable(level), caps)
+        dead_cap = ConstantCost(DEAD_WORKER_COST).max_acceptable(level)
+        caps = np.where(self.dead, dead_cap, caps)
         return caps.astype(self.dtype, copy=False)
 
     def astype(self, dtype) -> "SaturatingQueueingCostVector":

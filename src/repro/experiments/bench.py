@@ -20,7 +20,6 @@ baseline after intentional performance changes.
 from __future__ import annotations
 
 import contextlib
-import gc
 import json
 import os
 import platform
@@ -151,9 +150,6 @@ def _pair_metrics_off():
 
 
 def _time_once(fn: Callable[[], object]) -> float:
-    # Collect the previous leg's garbage before the clock starts, so a
-    # generation-2 collection it would trigger is not charged to ``fn``.
-    gc.collect()
     t0 = time.perf_counter()
     fn()
     return time.perf_counter() - t0

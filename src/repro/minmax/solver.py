@@ -26,7 +26,8 @@ import numpy as np
 
 from repro.backend import as_float
 from repro.costs.affine_vector import AffineCostVector
-from repro.costs.base import CostFunction, CostVector
+from repro.costs.base import CostFunction
+from repro.costs.vector import as_cost_vector
 from repro.exceptions import SolverError
 
 __all__ = [
@@ -58,12 +59,7 @@ def evaluate_allocation(
     """
     if len(costs) != len(x):
         raise SolverError(f"got {len(costs)} costs but {len(x)} allocations")
-    if isinstance(costs, CostVector):
-        # Array-backed batch: same per-element arithmetic as the scalar
-        # calls below, minus the N Python-level round trips.
-        local = costs.values(np.asarray(x, dtype=float))
-    else:
-        local = np.array([f(xi) for f, xi in zip(costs, x)], dtype=float)
+    local = as_cost_vector(costs).values(x)
     straggler = int(local.argmax())  # argmax returns the first (lowest) index
     return local, float(local[straggler]), straggler
 

@@ -42,26 +42,24 @@ def _assert_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 @st.composite
 def fleets(draw):
-    """(mu, lam, c, knee, dead) with every live knee inside (0, 1) half
-    of the time, so both branches of the curve are reachable."""
+    """(mu, lam, dead) with every live knee inside (0, 1) half of the
+    time, so both branches of the curve are reachable."""
     n = draw(st.integers(1, 10))
     mu = np.array(draw(st.lists(st.floats(0.05, 20.0), min_size=n, max_size=n)))
-    knee = draw(st.sampled_from([0.95, draw(st.floats(0.05, 0.99))]))
     if draw(st.booleans()):
-        # Saturate inside the simplex: x_knee = knee * mu / lam < 1.
+        # Saturate inside the simplex: x_knee = 0.95 * mu / lam < 1.
         lam = float(mu.max()) * draw(st.floats(1.0, 40.0))
     else:
         lam = draw(st.floats(0.05, 200.0))
-    c = draw(st.sampled_from([0.0, draw(st.floats(0.0, 3.0))]))
     dead = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return mu, lam, c, knee, dead
+    return mu, lam, dead
 
 
-def _scalar_items(mu, lam, c, knee, dead):
+def _scalar_items(mu, lam, dead):
     return [
         ConstantCost(DEAD_WORKER_COST)
         if d
-        else SaturatingQueueingCost(mu=float(m), lam=float(lam), c=float(c), knee=knee)
+        else SaturatingQueueingCost(mu=float(m), lam=float(lam))
         for m, d in zip(mu, dead)
     ]
 
@@ -89,18 +87,17 @@ def allocations(draw, items):
 
 @st.composite
 def levels(draw, items, x):
-    """Levels at every branch of max_acceptable: gap <= 0, f(0) > level,
-    f(1) <= level, the knee value, the dead cost and in between."""
+    """Levels at every branch of max_acceptable: gap <= 0 (c is 0),
+    f(0) > level, f(1) <= level, the knee value, the dead cost and in
+    between."""
     live = [f for f in items if isinstance(f, SaturatingQueueingCost)]
-    pool = [DEAD_WORKER_COST, np.nextafter(DEAD_WORKER_COST, 0.0), 0.0]
+    pool = [DEAD_WORKER_COST, np.nextafter(DEAD_WORKER_COST, 0.0), 0.0, -0.5]
     for f in live:
         pool += [
-            f.c,
-            f.c - 0.5,
             f.value(0.0),
             np.nextafter(f.value(0.0), 0.0),
             f.value(1.0),
-            f.f_knee + f.c,
+            f.f_knee,
         ]
     pool += [float(f(xi)) for f, xi in zip(items, np.clip(x, 0.0, 1.0))]
     if draw(st.booleans()):
@@ -111,9 +108,9 @@ def levels(draw, items, x):
 @given(data=st.data(), fleet=fleets())
 @settings(max_examples=300, deadline=None)
 def test_saturating_vector_matches_scalar_objects(data, fleet):
-    mu, lam, c, knee, dead = fleet
-    items = _scalar_items(mu, lam, c, knee, dead)
-    vector = SaturatingQueueingCostVector(mu, lam, c=c, knee=knee, dead=dead)
+    mu, lam, dead = fleet
+    items = _scalar_items(mu, lam, dead)
+    vector = SaturatingQueueingCostVector(mu, lam, dead=dead)
     x = data.draw(allocations(items))
     level = data.draw(levels(items, x))
     for dtype in DTYPES:
@@ -134,7 +131,7 @@ def test_past_the_knee_on_a_large_fleet():
     mu = rng.uniform(0.2, 8.0, n)
     lam = 2.0 * float(mu.max())  # every knee inside the simplex
     vector = SaturatingQueueingCostVector(mu, lam)
-    items = _scalar_items(mu, lam, 0.0, 0.95, np.zeros(n, dtype=bool))
+    items = _scalar_items(mu, lam, np.zeros(n, dtype=bool))
     knees = np.array([f.x_knee for f in items])
     x = knees + rng.uniform(0.0, 1.0, n) * (1.0 - knees)
     _assert_bits(vector.values(x), np.array([f(xi) for f, xi in zip(items, x)]))
@@ -146,14 +143,18 @@ def test_past_the_knee_on_a_large_fleet():
 @given(fleet=fleets())
 @settings(max_examples=100, deadline=None)
 def test_saturating_vector_items_are_the_scalar_costs(fleet):
-    mu, lam, c, knee, dead = fleet
-    vector = SaturatingQueueingCostVector(mu, lam, c=c, knee=knee, dead=dead)
-    for i, want in enumerate(_scalar_items(mu, lam, c, knee, dead)):
+    mu, lam, dead = fleet
+    vector = SaturatingQueueingCostVector(mu, lam, dead=dead)
+    n = len(vector)
+    for i, want in enumerate(_scalar_items(mu, lam, dead)):
         got = vector[i]
-        assert got is vector[i]  # built once, then cached
+        assert got is vector[i] is vector[i - n]  # built once, then cached
         assert type(got) is type(want)
         assert vars(got) == vars(want)
-    assert list(vector) == [vector[i] for i in range(len(vector))]
+    assert list(vector) == [vector[i] for i in range(n)]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            vector[index]
     assert vector.astype(np.float64) is vector
 
 
@@ -163,10 +164,6 @@ def test_saturating_vector_rejects_what_the_scalar_rejects():
         SaturatingQueueingCostVector(np.array([1.0, -1.0]), 5.0)
     with pytest.raises(CostFunctionError):
         SaturatingQueueingCostVector(mu, 0.0)
-    with pytest.raises(CostFunctionError):
-        SaturatingQueueingCostVector(mu, 5.0, c=-1.0)
-    with pytest.raises(CostFunctionError):
-        SaturatingQueueingCostVector(mu, 5.0, knee=1.0)
     # A dead entry's parameters are never read.
     SaturatingQueueingCostVector(np.array([1.0, -1.0]), 5.0, dead=[False, True])
     with pytest.raises(CostFunctionError):
@@ -209,23 +206,57 @@ def test_as_cost_vector_picks_one_representation():
     assert scalar.dtype == np.float32 and scalar.among.tolist() == [1]
 
 
+def _reference_local(costs, x):
+    """The scalar loop ``evaluate_allocation`` ran before cost vectors."""
+    return np.array([f(xi) for f, xi in zip(costs, x)], dtype=float)
+
+
+def _reference_acceptable(costs, x, level, straggler):
+    """The scalar loop ``acceptable_workloads`` ran before cost vectors."""
+    x_prime = np.empty(len(costs), dtype=float)
+    for i, cost in enumerate(costs):
+        if i == straggler:
+            x_prime[i] = x[i]
+            continue
+        x_prime[i] = max(min(cost.max_acceptable(level), 1.0), x[i])
+    return x_prime
+
+
 @given(data=st.data(), fleet=fleets())
 @settings(max_examples=150, deadline=None)
 def test_centralized_quantities_match_the_scalar_loop(data, fleet):
-    mu, lam, c, knee, dead = fleet
-    items = _scalar_items(mu, lam, c, knee, dead)
-    vector = SaturatingQueueingCostVector(mu, lam, c=c, knee=knee, dead=dead)
+    mu, lam, dead = fleet
+    items = _scalar_items(mu, lam, dead)
+    vector = SaturatingQueueingCostVector(mu, lam, dead=dead)
     x = np.clip(data.draw(allocations(items)), 0.0, 1.0)
-    local, global_cost, straggler = evaluate_allocation(items, x)
-    got = evaluate_allocation(vector, x)
-    _assert_bits(got[0], local)
-    assert got[1:] == (global_cost, straggler)
+    want = _reference_local(items, x)
     level = data.draw(levels(items, x))
     s = data.draw(st.integers(0, len(items) - 1))
-    _assert_bits(
-        acceptable_workloads(vector, x, level, s),
-        acceptable_workloads(items, x, level, s),
-    )
+    for costs in (items, vector):
+        local, global_cost, straggler = evaluate_allocation(costs, x)
+        _assert_bits(local, want)
+        assert (global_cost, straggler) == (want.max(), int(want.argmax()))
+        _assert_bits(
+            acceptable_workloads(costs, x, level, s),
+            _reference_acceptable(items, x, level, s),
+        )
+
+
+class _CountingInverse(PowerLawCost):
+    asked: list = []
+
+    def max_acceptable(self, level, tol=1e-10):
+        _CountingInverse.asked.append(self.c)
+        return super().max_acceptable(level, tol)
+
+
+def test_centralized_quantities_never_ask_the_straggler():
+    costs = [_CountingInverse(1.0, 2.0, c=float(i)) for i in range(4)]
+    x = np.full(4, 0.25)
+    _CountingInverse.asked = []
+    got = acceptable_workloads(costs, x, 2.5, 2)
+    assert _CountingInverse.asked == [0.0, 1.0, 3.0]
+    _assert_bits(got, _reference_acceptable(costs, x, 2.5, 2))
 
 
 def _serving_costs(rng, n, dead):
