@@ -12,8 +12,9 @@ What is deliberately **not** captured (each skip has a proof):
 - per-round transient protocol dicts *are* captured — they are cheap
   and make ``capture(restore(capture(x)))`` exactly idempotent — but
   the caches derived from configuration and membership (the FD
-  protocol's ``_flat_round``/``_tree_round``, MW's ``_batched``) are
-  not: they are pure functions of the rebuilt objects;
+  protocol's ``_membership``/``_flat_round``/``_tree_round``, MW's
+  ``_batched``) are not: they are pure functions of the rebuilt
+  objects;
 - cost processes: pure functions of ``(seed, t)``, no internal state;
 - :class:`~repro.utils.rng.RngFactory`: seeds only, no stream state;
 - the event engine's tie-break counter: checkpoints are only legal at
@@ -480,8 +481,10 @@ def _capture_master_worker(protocol) -> dict:
 def _restore_master_worker(protocol, state: Mapping) -> None:
     _check_shape(protocol, state, "master-worker")
     protocol._alive = [bool(a) for a in state["alive"]]
-    protocol.fast_rounds = int(state["fast_rounds"])
-    protocol.fallback_rounds = int(state["fallback_rounds"])
+    protocol.route_counts = {
+        "flat": int(state["fast_rounds"]),
+        "event": int(state["fallback_rounds"]),
+    }
     master_state = state["master"]
     master = protocol.master
     master.worker_ids = [int(w) for w in master_state["worker_ids"]]
@@ -524,10 +527,10 @@ def _restore_aggregation(protocol, agg: Mapping | None) -> None:
     alias of ``numpy64``) restores into a ``numpy64`` protocol.
     """
     protocol.last_tree = None
-    if hasattr(protocol, "_invalidate_tree_round"):
+    if hasattr(protocol, "_invalidate_membership"):
         # The restored peers/ledgers are new state behind the tree
         # round's mirrors and bound replica methods.
-        protocol._invalidate_tree_round()
+        protocol._invalidate_membership()
     if agg is None:
         return
     live = (
@@ -689,11 +692,16 @@ def _restore_fully_distributed(protocol, state: Mapping) -> None:
     _check_shape(protocol, state, "fully-distributed")
     protocol._alive = np.asarray(state["alive"], dtype=bool).copy()
     protocol._stalled = {int(w) for w in state["stalled"]}
-    protocol.fast_rounds = int(state["fast_rounds"])
-    protocol.fallback_rounds = int(state["fallback_rounds"])
-    protocol.tree_rounds = int(state.get("tree_rounds", 0))
-    # Snapshots older than the batched detection round lack the counter.
-    protocol.detect_rounds = int(state.get("detect_rounds", 0))
+    # Snapshots from before tree aggregation or the batched detection
+    # round lack those counters (and ran no such rounds).
+    tree = int(state.get("tree_rounds", 0))
+    detect = int(state.get("detect_rounds", 0))
+    protocol.route_counts = {
+        "tree": tree,
+        "flat": int(state["fast_rounds"]) - tree - detect,
+        "detect": detect,
+        "event": int(state["fallback_rounds"]),
+    }
     _restore_aggregation(protocol, state.get("aggregation"))
     if "peerstore" in state:
         _restore_peers_from_store_block(protocol, state)

@@ -764,12 +764,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         protocol.run(
             scenarios._cost_process(args.workers, args.seed), args.rounds
         )
-        detections = (
-            f" ({protocol.detect_rounds} failure detection)"
-            if args.scenario == "fd" else ""
+        routes = " / ".join(
+            f"{count} {name}" for name, count in protocol.route_counts.items()
         )
-        label = f"{protocol.name}: {protocol.fast_rounds} fast{detections} " \
-                f"/ {protocol.fallback_rounds} event rounds"
+        label = f"{protocol.name}: {routes} rounds"
     elif args.scenario == "loop":
         from repro.core.dolbie import Dolbie
         from repro.core.loop import run_online

@@ -108,6 +108,11 @@ class RoundLedger:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __getitem__(self, index):
+        """One entry, or a slice of them as a list: reads no more of
+        the ledger than they return, unlike :attr:`entries`."""
+        return self._entries[index]
+
     def __iter__(self) -> Iterator[LedgerEntry]:
         return iter(self._entries)
 

@@ -57,6 +57,8 @@ so they sit in ``repro.core`` below everything that uses them.
 
 from __future__ import annotations
 
+import bisect
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -272,9 +274,8 @@ class LedgerBook:
             return ledger
         replica = RoundLedger()
         lo, hi = int(self.start[worker]), int(self.stop[worker])
-        if hi > lo:
-            for entry in self._authority.entries[lo:hi]:
-                replica.replicate(entry)
+        for entry in self._authority[lo:hi]:
+            replica.replicate(entry)
         return replica
 
     def wipe(self, worker: int) -> None:
@@ -293,16 +294,15 @@ class LedgerBook:
         back onto the span arrays; anything else is materialized."""
         self.materialized.pop(worker, None)
         entries = list(entries)
-        auth = self._authority.entries
+        auth = self._authority
         if not entries:
             self.wipe(worker)
             return
-        rounds = [entry.round_index for entry in auth]
-        import bisect
-
-        lo = bisect.bisect_left(rounds, entries[0].round_index)
+        lo = bisect.bisect_left(
+            auth, entries[0].round_index, key=attrgetter("round_index")
+        )
         hi = lo + len(entries)
-        if hi <= len(auth) and list(auth[lo:hi]) == entries:
+        if hi <= len(auth) and auth[lo:hi] == entries:
             self.start[worker] = lo
             self.stop[worker] = hi
         else:
@@ -313,32 +313,15 @@ class LedgerBook:
         self.materialized[worker] = ledger
         return ledger
 
-    def fanout(self, roster: Iterable[int], entry: LedgerEntry) -> None:
+    def fanout(self, ids: np.ndarray, entry: LedgerEntry) -> None:
         """Replicate ``entry`` — already appended to the authority as
-        its last element — to every worker in ``roster`` (scalar path;
-        the clean tree route uses :meth:`fanout_ids`)."""
+        its last element — to every worker of the ascending id array
+        ``ids``: O(1) per span-backed worker, vectorized."""
         length = len(self._authority)
-        assert length and self._authority.entries[-1] is entry
-        for worker in roster:
-            worker = int(worker)
-            ledger = self.materialized.get(worker)
-            if ledger is not None:
-                ledger.replicate(entry)
-            elif self.start[worker] == self.stop[worker]:
-                self.start[worker] = length - 1
-                self.stop[worker] = length
-            elif self.stop[worker] == length - 1:
-                self.stop[worker] = length
-            else:  # a gap opened (stall): fall off the span fast path
-                self._materialize(worker).replicate(entry)
-
-    def fanout_ids(self, ids: np.ndarray, entry: LedgerEntry) -> None:
-        """Vectorized :meth:`fanout` for an ascending id array — the
-        O(1)-per-round replica append of the clean tree route."""
-        length = len(self._authority)
+        assert self._authority[length - 1] is entry
         if self.materialized:
-            # The handful of materialized workers peel off to the
-            # scalar path; ids is ascending so membership is a search.
+            # The handful of materialized workers peel off to their own
+            # ledgers; ids is ascending so membership is a search.
             mat = np.fromiter(sorted(self.materialized), dtype=np.int64)
             pos = np.searchsorted(ids, mat)
             hit = (pos < ids.size) & (ids[np.minimum(pos, ids.size - 1)] == mat)
@@ -352,8 +335,11 @@ class LedgerBook:
         contiguous = self.stop[ids] == length - 1
         extend = empty | contiguous
         self.stop[ids[extend]] = length
-        for worker in ids[~extend].tolist():
+        for worker in ids[~extend].tolist():  # a gap opened (stall)
             self._materialize(worker).replicate(entry)
+
+    #: The benchmark's layer tracer patches both names of the fan-out.
+    fanout_ids = fanout
 
     # -- checkpoint payloads ---------------------------------------------
     def spans_state(self) -> dict:

@@ -50,6 +50,13 @@ from repro.net.node import LazyNodeTable, Node
 from repro.net.topology import Topology, connected_components
 from repro.obs.profiler import Profiler
 from repro.obs.tracer import Tracer
+from repro.protocols.routes import (
+    Route,
+    RouteChoice,
+    always,
+    choose_route,
+    round_span,
+)
 from repro.protocols.tracing import emit_membership, emit_round
 from repro.simplex.sampling import equal_split, is_feasible
 
@@ -391,6 +398,24 @@ class _PeerSeq(Sequence):
             yield cluster.node(i)
 
 
+class _Membership:
+    """One membership epoch, resolved once at the round boundary that
+    starts it and reused by every round of the epoch.
+
+    ``roster`` is the participant tuple (ascending ids; every ledger
+    entry of the epoch shares it), ``ids`` the same ids as an int64
+    array, and ``agree`` whether every participant's local roster
+    matches the set (:meth:`FullyDistributedDolbie._rosters_agree`).
+    """
+
+    __slots__ = ("ids", "roster", "agree")
+
+    def __init__(self, ids: np.ndarray, roster: tuple, agree: bool) -> None:
+        self.ids = ids
+        self.roster = roster
+        self.agree = agree
+
+
 class _FlatRound:
     """Frame-order index structures of the flat batched round for one
     participant set (rebuilt when the set changes).
@@ -413,17 +438,17 @@ class _FlatRound:
     """
 
     def __init__(
-        self, protocol: "FullyDistributedDolbie", participants: Sequence[int]
+        self, protocol: "FullyDistributedDolbie", membership: _Membership
     ) -> None:
         n = protocol.num_workers
         self.batched = protocol.cluster.batched()
-        parts = np.asarray(participants, dtype=np.int64)
+        parts = membership.ids
         m = parts.size
         self.parts = parts
         self.full = m == n
         #: Identity of a degraded participant set (a full one is
         #: identified by its size alone).
-        self.key = None if self.full else tuple(participants)
+        self.key = None if self.full else membership.roster
         ids = np.arange(n)
         grid = np.broadcast_to(ids, (m, n))
         self.src = np.repeat(parts, n - 1)
@@ -447,19 +472,19 @@ class _FlatRound:
             else None
         )
 
-    def matches(self, participants: list[int]) -> bool:
-        if len(participants) != self.parts.size:
+    def matches(self, membership: _Membership) -> bool:
+        if membership.ids.size != self.parts.size:
             return False
-        return self.full or self.key == tuple(participants)
+        key = membership.roster
+        return self.full or self.key is key or self.key == key
 
 
 class _TreeRound:
     """Everything the tree round precomputes for one roster.
 
-    Built once per membership epoch (keyed by the participant tuple)
-    and reused every round until the protocol's
-    ``_membership_dirty`` flag forces a resync or a roster change forces
-    a rebuild. Holds three kinds of state:
+    Built once per participant set (keyed by the membership's roster
+    tuple) and reused until a roster change or a membership event
+    drops it. Holds three kinds of state:
 
     - **Index arrays** (int64, contiguous — the layout the njit kernels
       expect): participant order, shard segment bounds, member->shard
@@ -472,15 +497,18 @@ class _TreeRound:
       only the accounting a materialized frame batch would produce.
     - **Mirrors and buffers**: copies of every peer's ``x`` (float64) and
       ``alpha_bar`` (backend dtype, the precision the consensus reduces
-      in), and the per-shard reduction outputs.
+      in), and the per-shard reduction outputs. The mirrors are fresh
+      only while every round since the last :meth:`resync` was a tree
+      round on this object: ``synced`` holds the round sequence number
+      (the sum of the protocol's route counts) of the last round that
+      wrote them.
     """
 
     def __init__(
-        self, protocol: "FullyDistributedDolbie", participants: Sequence[int]
+        self, protocol: "FullyDistributedDolbie", membership: _Membership
     ) -> None:
-        self.key = tuple(participants)
-        self.participants = list(participants)
-        self.roster_tuple = self.key
+        self.key = membership.roster
+        self.synced = -1
         tree = AggregationTree.build(
             self.key, protocol.shard_size, protocol.branching
         )
@@ -562,9 +590,7 @@ class _TreeRound:
         self.alpha_arr = np.empty(n, dtype=dtype)
 
     def resync(self, store: PeerStore) -> None:
-        """Refresh the x/alpha mirrors from live peer state (needed
-        whenever an event/flat round or a membership event touched the
-        peers since the last tree round)."""
+        """Refresh the x/alpha mirrors from live peer state."""
         self.x_arr[:] = store.x
         self.alpha_arr[:] = store.alpha_bar
 
@@ -600,8 +626,8 @@ class FullyDistributedDolbie:
         survivors agree on; it is bit-identical to the event engine and
         disabled automatically whenever chaos hooks, stalled peers, a
         detection whose frames could miss the timeout, or a restricted
-        topology are in play (see :attr:`fast_rounds` /
-        :attr:`detect_rounds` / :attr:`fallback_rounds`).
+        topology are in play (see :attr:`ROUTES`; :attr:`last_route`
+        names each round's route and why the faster ones refused it).
 
         ``aggregation`` selects the round's exchange pattern. ``"flat"``
         (default) is the paper's all-to-all broadcast — the bit-pinned
@@ -694,27 +720,22 @@ class FullyDistributedDolbie:
         #: folded into the straggler until the topology heals.
         self._stalled: set[int] = set()
         self.use_fast_path = bool(use_fast_path)
-        #: Rounds executed by the batched fast path / the event engine.
-        self.fast_rounds = 0
-        self.fallback_rounds = 0
-        #: Rounds that used hierarchical (tree) aggregation — a subset of
-        #: :attr:`fast_rounds`.
-        self.tree_rounds = 0
-        #: Failure-detection rounds run batched — a subset of
-        #: :attr:`fast_rounds`.
-        self.detect_rounds = 0
-        #: The flat batched round's index structures for the last
-        #: participant set it ran on.
+        #: Rounds run by each route of :attr:`ROUTES`.
+        self.route_counts = dict.fromkeys(
+            (route.name for route in self.ROUTES), 0
+        )
+        #: The route the latest round took and the earlier routes'
+        #: refusal reasons (``None`` before the first round).
+        self.last_route: RouteChoice | None = None
+        #: The current membership epoch (``None`` until the next round
+        #: boundary resolves one): emptied by crash, rejoin, readmit,
+        #: checkpoint restore and every detection or event round.
+        self._membership: _Membership | None = None
+        #: The roster tuple the latest epoch's ledger entries share.
+        self._ledger_roster: tuple[int, ...] = ()
+        #: Per-participant-set caches of the flat and the tree round.
         self._flat_round: _FlatRound | None = None
-        #: The tree round's per-roster cache, and whether its
-        #: mirrors/invariants can be trusted. ``_membership_dirty`` is
-        #: cleared only at the end of a successful tree round;
-        #: every other way peer state can change (event/flat rounds,
-        #: crash/rejoin/readmit, ledger restore, checkpoint restore)
-        #: sets it back, which routes the next round through the full
-        #: membership-resolution path.
         self._tree_round: _TreeRound | None = None
-        self._membership_dirty = True
         #: The overlay used by the most recent tree round (``None`` until
         #: one runs) — the chaos invariant checker revalidates it against
         #: the roster after every round.
@@ -730,7 +751,6 @@ class FullyDistributedDolbie:
         #: :mod:`repro.core.ledger`).
         self.ledger = RoundLedger()
         self._ledger_book = LedgerBook(num_workers, self.ledger)
-        self._ledger_roster: tuple[int, ...] = ()
 
     def _hydrate_peer(self, node_id: int) -> _Peer:
         """Factory the lazy node table uses to build flyweight peer
@@ -753,7 +773,7 @@ class FullyDistributedDolbie:
         self._alive[worker] = False
         self._stalled.discard(worker)
         self._store.failed[worker] = True  # no need to hydrate a view
-        self._invalidate_tree_round()
+        self._invalidate_membership()
         # Process memory is gone: the peer's ledger replica dies with it.
         self._ledger_book.wipe(worker)
         emit_membership(
@@ -779,7 +799,7 @@ class FullyDistributedDolbie:
             raise ConfigurationError(f"worker {worker} is already active")
         self._alive[worker] = True
         self._store.failed[worker] = False
-        self._invalidate_tree_round()
+        self._invalidate_membership()
         self._readmit(worker, share)
         emit_membership(
             self.tracer, self.cluster.trace_round, "rejoin", [worker],
@@ -797,28 +817,31 @@ class FullyDistributedDolbie:
         restart fault's recovery path; a plain rejoin starts empty)."""
         self._ledger_book.restore_replica(worker, entries)
 
-    def _invalidate_tree_round(self) -> None:
-        """Drop the tree round's cache and mark its mirrors stale.
+    def _invalidate_membership(self) -> None:
+        """Empty the membership cache and drop the tree round's.
 
-        Called on every mutation the tree round does not itself
-        perform — crash/rejoin/checkpoint restore change the roster;
-        ``_readmit`` rewrites allocations and step sizes behind the
-        mirrors."""
-        self._membership_dirty = True
+        Called on every mutation no round performs itself:
+        crash/rejoin/checkpoint restore change the roster; ``_readmit``
+        rewrites allocations and step sizes behind the tree mirrors."""
+        self._membership = None
         self._tree_round = None
 
-    def _participants(self) -> list[int]:
-        """Peers expected to take part in the next round."""
-        alive = np.flatnonzero(self._alive).tolist()
+    def _participant_ids(self) -> np.ndarray:
+        """Peers expected to take part in the next round (ascending)."""
         if self._stalled:
-            return [i for i in alive if i not in self._stalled]
-        return alive
+            active = self._alive.copy()
+            active[list(self._stalled)] = False
+            return np.flatnonzero(active)
+        return np.flatnonzero(self._alive)
+
+    def _participants(self) -> list[int]:
+        return self._participant_ids().tolist()
 
     def _readmit(self, worker: int, share: float | None = None) -> None:
         """Reshard the live allocation over ``participants + worker`` and
         re-merge every participant's roster (the heal-side half of the
         failure-detector protocol)."""
-        self._invalidate_tree_round()
+        self._invalidate_membership()
         self._stalled.discard(worker)
         incumbents = [i for i in self._participants() if i != worker]
         if not incumbents:
@@ -901,44 +924,118 @@ class FullyDistributedDolbie:
     def alpha(self) -> float:
         """The consensus step size the *next* round will use (the min
         over the active quorum's local step sizes)."""
-        return float(self._store.alpha_bar[self._participants()].min())
+        return float(self._store.alpha_bar[self._participant_ids()].min())
 
     @property
     def metrics(self):
         return self.cluster.metrics
 
-    def _fast_eligible(self, participants: list[int]) -> bool:
-        """Whether this round can run on the flat batched round.
+    # -- route counters (views over route_counts) ---------------------------
+    @property
+    def fast_rounds(self) -> int:
+        """Rounds run batched: tree, flat and detection rounds."""
+        counts = self.route_counts
+        return counts["tree"] + counts["flat"] + counts["detect"]
 
-        Requires the paper's implicit all-to-all connectivity, no
-        stalled peers, a chaos-free cluster with no frames in flight
-        (:meth:`~repro.net.cluster.Cluster.batch_eligible`), and one of
-        the two roster states in which the event-engine round is
-        deterministic given the link delays:
+    @property
+    def tree_rounds(self) -> int:
+        """Rounds run with tree aggregation (a subset of fast_rounds)."""
+        return self.route_counts["tree"]
 
-        - every participant's local roster equals the participant set —
-          a healthy round, or a degraded roster everyone agrees on
-          (checked by length, see :meth:`_rosters_agree`);
-        - a pending failure detection (:meth:`_detection_timeout`).
+    @property
+    def detect_rounds(self) -> int:
+        """Failure detections run batched (a subset of fast_rounds)."""
+        return self.route_counts["detect"]
 
-        Any worker outside the participant set is then dead. A tree
-        protocol reaches this check only for a pending detection: an
-        agreed roster takes the tree route first.
-        """
-        return (
-            self.use_fast_path
-            and self.topology is None
-            and not self._stalled
-            and self.cluster.batch_eligible()
-            and (
-                self._rosters_agree(participants)
-                or self._detection_timeout(participants) is not None
+    @property
+    def fallback_rounds(self) -> int:
+        """Rounds run on the event engine."""
+        return self.route_counts["event"]
+
+    # -- membership and the route checks ------------------------------------
+    def _resolve_membership(self, round_index: int) -> _Membership:
+        """Resolve the membership at a round boundary.
+
+        The round runs on the *primary* component of the effective graph
+        (alive peers over partition-respecting edges): largest
+        component, lowest peer id breaking ties. Stalled peers that
+        became reachable again (partition healed) are re-admitted via
+        resharding; alive peers that just became unreachable stall and
+        have their shares folded by the participants' failure detectors
+        during this round."""
+        components = self._reachable_components()
+        primary = max(components, key=lambda c: (len(c), -min(c)))
+        if len(primary) < 2:
+            raise ProtocolError(
+                f"round {round_index}: the primary component has only "
+                f"{len(primary)} reachable peer(s) "
+                f"(components: {sorted(sorted(c) for c in components)}); "
+                "a partition or a dead relay left no quorum to continue"
             )
-        )
+        for worker in sorted(self._stalled & primary):
+            self._readmit(worker)  # heal: re-merge roster and reshard
+        for worker in sorted(set(self.alive_workers) - primary):
+            self._stalled.add(worker)
+        ids = self._participant_ids()
+        roster = tuple(ids.tolist())
+        if roster != self._ledger_roster:
+            self._ledger_roster = roster
+        roster = self._ledger_roster  # entries share one tuple per roster
+        return _Membership(ids, roster, self._rosters_agree(roster))
 
-    def _detection_timeout(self, participants: list[int]) -> float | None:
-        """The failure detectors' timeout when this round is a failure
-        detection the batched round reproduces exactly, else ``None``.
+    def _rosters_agree(self, participants: Sequence[int]) -> bool:
+        """Every participant's local roster matches the participant set.
+
+        Checked by length — O(1) per peer — which is sound because
+        rosters only ever change collectively (timeout shrink, readmit
+        rebind)."""
+        store = self._store
+        if not store.roster_overrides:
+            # One shared roster for everyone — a single length check
+            # replaces the N-peer scan (and hydrates no views).
+            return len(store.shared_roster) == len(participants)
+        want = len(participants)
+        return all(len(store.roster_of(i)) == want for i in participants)
+
+    def _batch_refusal(self) -> str | None:
+        """Why no batched route can run this round, or ``None``: they
+        need the fast path on, the paper's implicit all-to-all
+        connectivity, no stalled peers, and a chaos-free cluster with
+        nothing in flight (:meth:`~repro.net.cluster.Cluster.
+        batch_eligible`)."""
+        if not self.use_fast_path:
+            return "fast path disabled"
+        if self.topology is not None:
+            return "restricted topology"
+        if self._stalled:
+            return "stalled peers"
+        if not self.cluster.batch_eligible():
+            return "cluster not batch-eligible"
+        return None
+
+    def _check_tree(self, members: _Membership, blocked: str | None) -> str | None:
+        """Hierarchical aggregation tolerates a *degraded* roster — the
+        overlay is rebuilt from whatever quorum survives — but needs
+        every participant's local roster to agree with the set (a
+        pending failure detection first runs the ``detect`` route, which
+        is what re-agrees the rosters)."""
+        if self.aggregation != "tree":
+            return "aggregation is flat"
+        if blocked is not None:
+            return blocked
+        return None if members.agree else "rosters disagree"
+
+    def _check_flat(self, members: _Membership, blocked: str | None) -> str | None:
+        """The flat batched round on an agreed roster — a healthy round,
+        or a degraded roster everyone agrees on. Any worker outside the
+        participant set is then dead."""
+        if blocked is not None:
+            return blocked
+        return None if members.agree else "rosters disagree"
+
+    def _check_detect(self, members: _Membership, blocked: str | None) -> str | None:
+        """Whether this round is a failure detection the flat batched
+        round reproduces exactly.
 
         That is the state :meth:`crash_worker` leaves behind: every
         participant holds one roster ``R`` strictly containing the
@@ -953,85 +1050,37 @@ class FullyDistributedDolbie:
         coordinate at ``T``. Otherwise the event engine runs the round
         (and raises when too few costs beat the timeout).
         """
+        if blocked is not None:
+            return blocked
         store = self._store
+        participants = members.roster
         roster = store.roster_of(participants[0])
         size = len(roster)
-        if size <= len(participants):
-            return None
+        if size <= len(participants) or not roster.issuperset(participants):
+            return "no pending detection"
         if store.roster_overrides and not all(
             len(store.roster_of(i)) == size for i in participants
         ):
-            return None
-        if not roster.issuperset(participants):
-            return None
-        silent = list(roster.difference(participants))
-        if self._alive[silent].any():
-            return None
+            return "no pending detection"
+        if self._alive[list(roster.difference(participants))].any():
+            return "silent peer alive"
         timeout = _Peer.cost_timeout
         if any(
             peer.cost_timeout != timeout
             for peer in self.cluster._nodes.values()  # hydrated views
         ):
-            return None  # per-view timeouts: the event engine orders them
+            return "per-view cost timeout"  # the event engine orders them
         t0 = self.cluster.engine.now
         bound = self.cluster.default_link.max_delay(COST_FRAME_BYTES)
-        return timeout if t0 + bound < t0 + timeout else None
-
-    def _tree_eligible(self, participants: list[int]) -> bool:
-        """Whether this round can run hierarchical (tree) aggregation.
-
-        The tree tolerates a *degraded* roster — the overlay is rebuilt
-        from whatever quorum survives — but it needs agreement: every
-        participant's local roster must equal the participant set (a
-        pending failure detection first runs one flat round, batched
-        when :meth:`_fast_eligible` allows, which is what re-agrees the
-        rosters), and the cluster must be batch-eligible (no chaos hooks,
-        nothing in flight). Roster agreement is checked by length — O(1)
-        per peer, the same proxy the flat batched round uses — which is
-        sound because rosters only ever change collectively (timeout
-        shrink, readmit rebind).
-        """
-        return (
-            self.use_fast_path
-            and self.aggregation == "tree"
-            and self.topology is None
-            and len(participants) >= 2
-            and self._rosters_agree(participants)
-            and self.cluster.batch_eligible()
-        )
-
-    def _rosters_agree(self, participants: list[int]) -> bool:
-        """Every participant's local roster matches the participant set
-        (by length — the O(1)-per-peer proxy documented above)."""
-        store = self._store
-        if not store.roster_overrides:
-            # One shared roster for everyone — a single length check
-            # replaces the N-peer scan (and hydrates no views).
-            return len(store.shared_roster) == len(participants)
-        want = len(participants)
-        return all(len(store.roster_of(i)) == want for i in participants)
-
-    def _tree_round_for(self, participants: list[int]) -> _TreeRound:
-        """The tree round's per-roster cache (rebuilt on membership
-        change, deterministically from the sorted roster alone — every
-        peer could do the same locally).
-
-        The clean route passes ``cc.participants`` itself, which needs
-        no N-element tuple compare against the key."""
-        cc = self._tree_round
-        if cc is None or (
-            participants is not cc.participants
-            and cc.key != tuple(participants)
-        ):
-            cc = self._tree_round = _TreeRound(self, participants)
-        return cc
+        if not t0 + bound < t0 + timeout:
+            return "detection latency guard"
+        return None
 
     def _run_round_tree(
         self,
         round_index: int,
         costs: Sequence[CostFunction],
-        x_played: np.ndarray,
-        participants: list[int],
+        members: _Membership,
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         """One round with hierarchical (tree) aggregation — O(N) frames.
 
@@ -1076,9 +1125,18 @@ class FullyDistributedDolbie:
         n = self.num_workers
         store = self._store
         backend = self.backend
-        cc = self._tree_round_for(participants)
-        if self._membership_dirty:
+        cc = self._tree_round
+        if cc is None or (
+            cc.key is not members.roster and cc.key != members.roster
+        ):
+            # Rebuilt deterministically from the sorted roster alone —
+            # every peer could do the same locally.
+            cc = self._tree_round = _TreeRound(self, members)
+        cc.key = members.roster  # later rounds compare by identity
+        seq = sum(self.route_counts.values())  # this round's number
+        if cc.synced != seq - 1:  # another route ran since, or rebuilt
             cc.resync(store)
+        x_played = cc.x_arr.copy()
         m = cc.m
         parts = cc.parts
         t0 = self.cluster.engine.now
@@ -1230,8 +1288,9 @@ class FullyDistributedDolbie:
         x_new[straggler] = x_close
         if cc.nonparticipants.size:
             # Non-participants' shares were folded into the straggler;
-            # their peers already hold x == 0.0 from the (dirty) round
-            # that removed them, so only the mirror needs the zeros.
+            # their peers already hold x == 0.0 from the detection or
+            # event round that removed them, so only the mirror needs
+            # the zeros.
             x_new[cc.nonparticipants] = 0.0
         local64 = np.full(n, np.nan)
         local64[parts] = np.asarray(ordered_local, dtype=float)
@@ -1241,7 +1300,7 @@ class FullyDistributedDolbie:
         store.x[parts] = x_new[parts]
         straggler_alpha = min(
             float(store.alpha_bar[straggler]),
-            feasibility_cap(x_close, len(participants)),
+            feasibility_cap(x_close, parts.size),
         )  # line 13 / Eq. (8)
         store.alpha_bar[straggler] = straggler_alpha
         cc.x_arr = x_new  # owned: the column writes copied values out
@@ -1249,15 +1308,15 @@ class FullyDistributedDolbie:
 
         cc.batched.finish_round(final_now, events)
         self.last_tree = cc.tree
-        self._membership_dirty = False
+        cc.synced = seq
         return x_played, local64, global_cost, straggler
 
     def _run_round_fast(
         self,
         round_index: int,
         costs: Sequence[CostFunction],
-        x_played: np.ndarray,
-        participants: list[int],
+        members: _Membership,
+        timeout: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         """One flat round as two batched phases (Algorithm 2 verbatim).
 
@@ -1270,11 +1329,11 @@ class FullyDistributedDolbie:
         The participants are the live peers. Their broadcasts also go to
         the dead peers' node ids: those frames are counted and drawn,
         and their receivers discard them uncounted. In a failure
-        detection (:meth:`_detection_timeout`) no participant completes
-        on arrival; at ``T = t0 + cost_timeout`` each one drops the
-        silent set and coordinates, so the decisions leave at ``T`` in
-        ascending id order and the participants' timeouts count as
-        processed events.
+        detection (``timeout`` given, see :meth:`_check_detect`) no
+        participant completes on arrival; at ``T = t0 + timeout`` each
+        one drops the silent set and coordinates, so the decisions leave
+        at ``T`` in ascending id order and the participants' timeouts
+        count as processed events.
 
         A full-roster round computes in the backend dtype; a degraded or
         detection round computes in float64 whatever the backend, as the
@@ -1282,13 +1341,9 @@ class FullyDistributedDolbie:
         """
         store = self._store
         fr = self._flat_round
-        if fr is None or not fr.matches(participants):
-            fr = self._flat_round = _FlatRound(self, participants)
-        timeout = (
-            None
-            if self._rosters_agree(participants)
-            else self._detection_timeout(participants)
-        )
+        if fr is None or not fr.matches(members):
+            fr = self._flat_round = _FlatRound(self, members)
+        x_played = self.allocation
         parts = fr.parts
         m = parts.size
         # Participant columns: a full roster slices (no copies). Payload
@@ -1354,7 +1409,6 @@ class FullyDistributedDolbie:
             senders = parts[keep]
             send_times = t0 + timeout
             events += m
-            self.detect_rounds += 1
         decision_batch = FrameBatch(
             TAG_DECISION, senders, np.full(m - 1, straggler),
             {"x": x_new[senders]}, round_index,
@@ -1418,163 +1472,30 @@ class FullyDistributedDolbie:
         local[fr.nonparticipants] = np.nan
         return x_played, local, global_cost, straggler
 
-    def run_round(
-        self, round_index: int, costs: Sequence[CostFunction]
+    def _run_round_detect(
+        self,
+        round_index: int,
+        costs: Sequence[CostFunction],
+        members: _Membership,
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        if len(costs) != self.num_workers:
-            raise ConfigurationError(
-                f"round {round_index}: {len(costs)} costs for {self.num_workers} workers"
-            )
-        tracer = self.tracer
-        profiler = self.profiler
-        if tracer is not None:
-            self.cluster.trace_round = round_index
-            engine = self.cluster.engine
-            start_time = engine.now
-            start_events = engine.processed_events
-            roster_before = self.roster
-        # -- membership resolution at the round boundary ------------------
-        # The round runs on the *primary* component of the effective
-        # graph (alive peers over partition-respecting edges): largest
-        # component, lowest peer id breaking ties. Stalled peers that
-        # became reachable again (partition healed) are re-admitted via
-        # resharding; alive peers that just became unreachable stall and
-        # have their shares folded by the participants' failure
-        # detectors during this round.
-        # Clean tree route: when the previous round was a tree round and
-        # nothing touched membership, chaos, or peer state since
-        # (``_membership_dirty`` is the single gate — every mutation path
-        # sets it), the membership resolution and the O(N)
-        # eligibility/allocation scans are skipped outright. Sound
-        # because with no chaos hooks, no partition, and no stalled
-        # peers the primary component and the rosters are exactly what
-        # the cached round left them; ``batch_eligible`` still runs (it
-        # also covers frames in flight).
-        cc = self._tree_round
-        if (
-            cc is not None
-            and not self._membership_dirty
-            and self.use_fast_path
-            and self.aggregation == "tree"
-            and not self._stalled
-            and self.cluster.batch_eligible()
-        ):
-            participants = cc.participants
-            x_played = cc.x_arr.copy()
-            route = "tree"
-        else:
-            components = self._reachable_components()
-            primary = max(components, key=lambda c: (len(c), -min(c)))
-            if len(primary) < 2:
-                raise ProtocolError(
-                    f"round {round_index}: the primary component has only "
-                    f"{len(primary)} reachable peer(s) "
-                    f"(components: {sorted(sorted(c) for c in components)}); "
-                    "a partition or a dead relay left no quorum to continue"
-                )
-            for worker in sorted(self._stalled & primary):
-                self._readmit(worker)  # heal: re-merge roster and reshard
-            for worker in sorted(set(self.alive_workers) - primary):
-                self._stalled.add(worker)
-            participants = self._participants()
-            participant_set = set(participants)
-            x_played = self.allocation
-            if self._tree_eligible(participants):
-                route = "tree"
-            elif self._fast_eligible(participants):
-                route = "fast"
-            else:
-                route = "event"
-        if route == "tree":
-            self.fast_rounds += 1
-            self.tree_rounds += 1
-            if profiler is None:
-                result = self._run_round_tree(
-                    round_index, costs, x_played, participants
-                )
-            else:
-                with profiler.span("protocol.tree_round"):
-                    result = self._run_round_tree(
-                        round_index, costs, x_played, participants
-                    )
-        elif route == "fast":
-            self._membership_dirty = True  # peer state diverges from cc
-            self.fast_rounds += 1
-            if profiler is None:
-                result = self._run_round_fast(
-                    round_index, costs, x_played, participants
-                )
-            else:
-                with profiler.span("protocol.fast_round"):
-                    result = self._run_round_fast(
-                        round_index, costs, x_played, participants
-                    )
-        else:
-            self._membership_dirty = True  # peer state diverges from cc
-            self.fallback_rounds += 1
-            if profiler is None:
-                result = self._run_round_event(
-                    round_index, costs, x_played, participants, participant_set
-                )
-            else:
-                with profiler.span("protocol.event_round"):
-                    result = self._run_round_event(
-                        round_index, costs, x_played, participants,
-                        participant_set,
-                    )
-        if route == "tree":
-            # Tree round completed: the roster is the cached tuple by
-            # the clean-route invariant, and the replicas take the
-            # authoritative-validated entry as one vectorized span
-            # extension over the participant ids.
-            cc = self._tree_round
-            assert cc is not None
-            entry = LedgerEntry(
-                round_index=round_index,
-                straggler=int(result[3]),
-                global_cost=float(result[2]),
-                roster=cc.roster_tuple,
-            )
-            self.ledger.append(entry)
-            self._ledger_book.fanout_ids(cc.parts, entry)
-        else:
-            roster = tuple(self.roster)
-            if roster != self._ledger_roster:
-                self._ledger_roster = roster
-            entry = LedgerEntry(
-                round_index=round_index,
-                straggler=int(result[3]),
-                global_cost=float(result[2]),
-                # Entries share one tuple while the roster is unchanged.
-                roster=self._ledger_roster,
-            )
-            self.ledger.append(entry)
-            self._ledger_book.fanout(entry.roster, entry)
-        if tracer is not None:
-            roster_after = self.roster
-            if roster_after != roster_before:
-                emit_membership(
-                    tracer, round_index, "roster_change",
-                    sorted(set(roster_before) ^ set(roster_after)),
-                    roster_after,
-                )
-            emit_round(
-                tracer, round_index, result[0], result[1], result[2],
-                result[3], self.allocation, start_time, start_events,
-                self.cluster.engine,
-            )
-        return result
+        """The failure detection on the flat batched round. Every
+        participant times out at the class-wide ``cost_timeout``:
+        :meth:`_check_detect` refuses the round when a view has its own."""
+        return self._run_round_fast(
+            round_index, costs, members, timeout=_Peer.cost_timeout
+        )
 
     def _run_round_event(
         self,
         round_index: int,
         costs: Sequence[CostFunction],
-        x_played: np.ndarray,
-        participants: list[int],
-        participant_set: set[int],
+        members: _Membership,
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         """One round on the discrete-event engine (the general path)."""
         store = self._store
+        participants = members.roster
+        participant_set = set(participants)
+        x_played = self.allocation
         rosters_incomplete = any(
             store.roster_of(i) != participant_set for i in participants
         )
@@ -1591,16 +1512,16 @@ class FullyDistributedDolbie:
             budget = 16 * self.num_workers * (self.topology.num_edges + 1) + 50
         self.cluster.run(max_events=budget)
         taking_part = np.zeros(self.num_workers, dtype=bool)
-        taking_part[participants] = True
+        taking_part[members.ids] = True
         store.x[~taking_part] = 0.0  # shares folded into the straggler's closure
         local = np.where(taking_part, store.local_cost, np.nan)
         straggler = int(store.straggler_id[participants[0]])
         global_cost = float(store.global_cost[participants[0]])
         assert straggler >= 0 and not np.isnan(global_cost)
         # Every participating peer must have reached the same view.
-        seen = store.straggler_id[participants]
+        seen = store.straggler_id[members.ids]
         disagree = np.flatnonzero(
-            (seen != straggler) | (store.global_cost[participants] != global_cost)
+            (seen != straggler) | (store.global_cost[members.ids] != global_cost)
         )
         if disagree.size:
             i = int(disagree[0])
@@ -1609,6 +1530,72 @@ class FullyDistributedDolbie:
                 f"sees straggler {int(seen[i])}, expected {straggler}"
             )
         return x_played, local, global_cost, straggler
+
+    #: Routes in preference order: a round takes the first whose check
+    #: accepts it (see :mod:`repro.protocols.routes`).
+    ROUTES = (
+        Route("tree", _check_tree, _run_round_tree),
+        Route("flat", _check_flat, _run_round_fast),
+        Route("detect", _check_detect, _run_round_detect),
+        Route("event", always, _run_round_event),
+    )
+
+    def run_round(
+        self, round_index: int, costs: Sequence[CostFunction]
+    ) -> tuple[np.ndarray, np.ndarray, float, int]:
+        """Execute one round on the first route of :attr:`ROUTES` that
+        accepts it; returns (x_played, l, l_t, s_t).
+
+        Membership is resolved once per epoch (:meth:`_resolve_membership`).
+        A later round of the epoch reuses it while a batched route is
+        possible at all: with no chaos hooks, no partition and no
+        stalled peers, the primary component and the rosters are
+        exactly what the epoch's first round left them, since every
+        membership event empties the cache and so does every detection
+        or event round (both rewrite rosters or peer state)."""
+        if len(costs) != self.num_workers:
+            raise ConfigurationError(
+                f"round {round_index}: {len(costs)} costs for {self.num_workers} workers"
+            )
+        tracer = self.tracer
+        if tracer is not None:
+            self.cluster.trace_round = round_index
+            engine = self.cluster.engine
+            start_time = engine.now
+            start_events = engine.processed_events
+            roster_before = self.roster
+        members, blocked = self._membership, self._batch_refusal()
+        if members is None or blocked is not None:
+            members = self._membership = self._resolve_membership(round_index)
+            blocked = self._batch_refusal()  # resolution may stall peers
+        route, self.last_route = choose_route(self.ROUTES, self, members, blocked)
+        self.route_counts[route.name] += 1
+        if route.name in ("detect", "event"):
+            self._membership = None
+        with round_span(self.profiler, route):
+            result = route.run(self, round_index, costs, members)
+        entry = LedgerEntry(
+            round_index=round_index,
+            straggler=int(result[3]),
+            global_cost=float(result[2]),
+            roster=members.roster,
+        )
+        self.ledger.append(entry)
+        self._ledger_book.fanout(members.ids, entry)
+        if tracer is not None:
+            roster_after = self.roster
+            if roster_after != roster_before:
+                emit_membership(
+                    tracer, round_index, "roster_change",
+                    sorted(set(roster_before) ^ set(roster_after)),
+                    roster_after,
+                )
+            emit_round(
+                tracer, round_index, result[0], result[1], result[2],
+                result[3], self.allocation, start_time, start_events,
+                self.cluster.engine,
+            )
+        return result
 
     def run(self, process: CostProcess, horizon: int) -> RunResult:
         n = self.num_workers

@@ -42,6 +42,13 @@ from repro.net.message import FrameBatch, Message
 from repro.net.node import Node
 from repro.obs.profiler import Profiler
 from repro.obs.tracer import Tracer
+from repro.protocols.routes import (
+    Route,
+    RouteChoice,
+    always,
+    choose_route,
+    round_span,
+)
 from repro.protocols.tracing import emit_membership, emit_round
 from repro.simplex.sampling import equal_split, is_feasible
 
@@ -266,7 +273,7 @@ class MasterWorkerDolbie:
         (:mod:`repro.net.batch`) on healthy rounds; it is bit-identical
         to the event engine and disabled automatically whenever chaos
         hooks, dead workers, or an embedded master are in play (see
-        :attr:`fast_rounds` / :attr:`fallback_rounds`).
+        :attr:`ROUTES` and :attr:`last_route`).
 
         ``tracer``/``profiler`` attach the observability layer (see
         :mod:`repro.obs`): per-round decision/straggler/phase records,
@@ -298,9 +305,13 @@ class MasterWorkerDolbie:
             self.cluster.colocate(0, self.master_id)
         self._alive = [True] * num_workers
         self.use_fast_path = bool(use_fast_path)
-        #: Rounds executed by the batched fast path / the event engine.
-        self.fast_rounds = 0
-        self.fallback_rounds = 0
+        #: Rounds run by each route of :attr:`ROUTES`.
+        self.route_counts = dict.fromkeys(
+            (route.name for route in self.ROUTES), 0
+        )
+        #: The route the latest round took and the flat route's refusal
+        #: reason (``None`` before the first round).
+        self.last_route: RouteChoice | None = None
         self._batched = None
         self.tracer = tracer
         self.profiler = profiler
@@ -412,26 +423,34 @@ class MasterWorkerDolbie:
         """Network metrics (message/byte counts) for §IV-C."""
         return self.cluster.metrics
 
-    def _fast_eligible(self) -> bool:
-        """Whether this round can run on the batched fast path.
+    @property
+    def fast_rounds(self) -> int:
+        """Rounds run on the batched fast path."""
+        return self.route_counts["flat"]
 
-        Requires the full roster healthy (nobody crashed or declared
-        dead) and a chaos-free cluster with no frames in flight; an
-        embedded master co-locates worker 0, which already disqualifies
-        the cluster (see :meth:`~repro.net.cluster.Cluster.batch_eligible`).
-        """
-        return (
-            self.use_fast_path
-            and all(self._alive)
-            and len(self.master.worker_ids) == self.num_workers
-            and self.cluster.batch_eligible()
-        )
+    @property
+    def fallback_rounds(self) -> int:
+        """Rounds run on the event engine."""
+        return self.route_counts["event"]
+
+    def _check_flat(self) -> str | None:
+        """The batched fast path needs the full roster healthy (nobody
+        crashed or declared dead) and a chaos-free cluster with no
+        frames in flight; an embedded master co-locates worker 0, which
+        already disqualifies the cluster (see
+        :meth:`~repro.net.cluster.Cluster.batch_eligible`)."""
+        if not self.use_fast_path:
+            return "fast path disabled"
+        if not all(self._alive):
+            return "dead workers"
+        if len(self.master.worker_ids) != self.num_workers:
+            return "workers declared dead"
+        if not self.cluster.batch_eligible():
+            return "cluster not batch-eligible"
+        return None
 
     def _run_round_fast(
-        self,
-        round_index: int,
-        costs: Sequence[CostFunction],
-        x_played: np.ndarray,
+        self, round_index: int, costs: Sequence[CostFunction]
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         """One healthy round as four batched phases (Algorithm 1 verbatim).
 
@@ -450,7 +469,7 @@ class MasterWorkerDolbie:
         ids = np.arange(n)
         master_col = np.full(n, self.master_id)
         t0 = self.cluster.engine.now
-        x = x_played
+        x = x_played = self.allocation
         vector = as_cost_vector(costs)
         local = vector.values(x)
 
@@ -553,28 +572,16 @@ class MasterWorkerDolbie:
                 f"round {round_index}: {len(costs)} costs for {self.num_workers} workers"
             )
         tracer = self.tracer
-        profiler = self.profiler
         if tracer is not None:
             self.cluster.trace_round = round_index
             engine = self.cluster.engine
             start_time = engine.now
             start_events = engine.processed_events
             roster_before = self.roster
-        x_played = self.allocation
-        if self._fast_eligible():
-            self.fast_rounds += 1
-            if profiler is None:
-                result = self._run_round_fast(round_index, costs, x_played)
-            else:
-                with profiler.span("protocol.fast_round"):
-                    result = self._run_round_fast(round_index, costs, x_played)
-        else:
-            self.fallback_rounds += 1
-            if profiler is None:
-                result = self._run_round_event(round_index, costs, x_played)
-            else:
-                with profiler.span("protocol.event_round"):
-                    result = self._run_round_event(round_index, costs, x_played)
+        route, self.last_route = choose_route(self.ROUTES, self)
+        self.route_counts[route.name] += 1
+        with round_span(self.profiler, route):
+            result = route.run(self, round_index, costs)
         entry = LedgerEntry(
             round_index=round_index,
             straggler=int(result[3]),
@@ -600,12 +607,10 @@ class MasterWorkerDolbie:
         return result
 
     def _run_round_event(
-        self,
-        round_index: int,
-        costs: Sequence[CostFunction],
-        x_played: np.ndarray,
+        self, round_index: int, costs: Sequence[CostFunction]
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         """One round on the discrete-event engine (the general path)."""
+        x_played = self.allocation
         # A rostered worker is only responsive if its process runs AND no
         # partition separates it from the master; otherwise the failure
         # detector must be armed so its silence folds this round.
@@ -646,6 +651,13 @@ class MasterWorkerDolbie:
         )
         assert self.master.global_cost is not None and self.master.straggler is not None
         return x_played, local, self.master.global_cost, self.master.straggler
+
+    #: Routes in preference order: a round takes the first whose check
+    #: accepts it (see :mod:`repro.protocols.routes`).
+    ROUTES = (
+        Route("flat", _check_flat, _run_round_fast),
+        Route("event", always, _run_round_event),
+    )
 
     def run(self, process: CostProcess, horizon: int) -> RunResult:
         """Drive the protocol for ``horizon`` rounds; mirrors ``run_online``."""
