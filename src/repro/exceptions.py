@@ -20,10 +20,6 @@ class CostFunctionError(ReproError):
     """A cost function was queried outside its domain or is malformed."""
 
 
-class RootFindingError(ReproError):
-    """A root finder failed to bracket or converge."""
-
-
 class SolverError(ReproError):
     """The instantaneous min-max solver could not produce a solution."""
 
