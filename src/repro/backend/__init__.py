@@ -19,11 +19,10 @@ mid-loop.
   rounding only (see :attr:`ArrayBackend.eps`), and runs are bit-stable
   run-to-run because nothing about execution order changes.
 
-A backend is only a dtype. The FD protocol's tree round runs the fused
-kernels of :mod:`repro.backend.kernels` in either dtype (numba-njit when
-numba is importable, vectorized numpy otherwise — bit-identical either
-way). ``compiled``, the name that once selected those kernels, remains
-accepted as an alias of ``numpy64`` (see :data:`ALIASES`).
+A backend is only a dtype. The FD protocol's tree round runs the numpy
+kernels of :mod:`repro.backend.kernels` in either dtype. ``compiled``,
+the name that once selected those kernels, remains accepted as an alias
+of ``numpy64`` (see :data:`ALIASES`).
 
 The contract a backend-threaded hot path must keep: every floating-point
 array it allocates goes through the backend (``asarray`` / ``zeros`` /

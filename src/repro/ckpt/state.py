@@ -554,14 +554,21 @@ def _restore_aggregation(protocol, agg: Mapping | None) -> None:
     if last is not None:
         from repro.net.aggtree import AggregationTree
 
-        members = [int(w) for shard in last["shards"] for w in shard]
+        members = np.array(
+            [w for shard in last["shards"] for w in shard], dtype=np.int64
+        )
+        sizes = np.array(
+            [len(shard) for shard in last["shards"]], dtype=np.int64
+        )
         rebuilt = AggregationTree.build(
             members,
             shard_size=int(last["shard_size"]),
             branching=int(last["branching"]),
         )
-        recorded = tuple(tuple(int(w) for w in s) for s in last["shards"])
-        if rebuilt.shards != recorded:
+        if not (
+            np.array_equal(rebuilt.ids, members)
+            and np.array_equal(rebuilt.offsets, np.cumsum(sizes) - sizes)
+        ):
             raise CheckpointError(
                 "snapshot aggregation tree is not the deterministic "
                 "rebuild of its own membership (corrupt snapshot?)"
@@ -622,9 +629,7 @@ def _capture_fully_distributed(protocol) -> dict:
             else {
                 "shard_size": int(last_tree.shard_size),
                 "branching": int(last_tree.branching),
-                "shards": [
-                    [int(w) for w in shard] for shard in last_tree.shards
-                ],
+                "shards": [list(shard) for shard in last_tree.shards],
             },
         },
         **_ledgers_state(protocol),

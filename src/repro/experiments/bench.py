@@ -59,19 +59,12 @@ BENCH = replace(
 )
 
 def _machine_context() -> dict:
-    """The machine block stamped into results and history lines.
-
-    Besides the hardware identity, it records whether the tree-round
-    kernels are numba-jitted or running the numpy fallback — what most
-    changes what a wall-clock number from this machine means.
-    """
-    from repro.backend.kernels import HAVE_NUMBA
-
+    """The machine block stamped into results and history lines: the
+    hardware identity a wall-clock number from this machine depends on."""
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "kernel_backend": "numba" if HAVE_NUMBA else "numpy",
     }
 
 

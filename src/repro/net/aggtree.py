@@ -41,7 +41,7 @@ same property the flat protocol's failure detectors rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -81,19 +81,21 @@ def segment_reduce(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AggregationTree:
     """The overlay for one roster: shards + a k-ary tree over the heads.
 
-    Built via :meth:`build`; all arrays are precomputed so the protocol
-    fast path does pure indexing per round. Frozen: a membership change
-    means a *new* tree (see ``FullyDistributedDolbie._tree_round_for``).
+    Built via :meth:`build`; the layout is held only as int64 arrays, so
+    the protocol's tree round indexes them directly and a roster of N
+    peers costs no Python object per peer. Frozen: a membership change
+    means a *new* tree (see ``repro.protocols.fully_distributed.
+    _TreeRound``).
     """
 
-    participants: tuple[int, ...]  #: sorted worker ids this tree covers
+    ids: np.ndarray = field(repr=False)  #: (n,) sorted participant ids
     shard_size: int
     branching: int
-    shards: tuple[tuple[int, ...], ...]  #: contiguous id chunks
+    offsets: np.ndarray = field(repr=False)  #: (m,) shard starts in ids
     heads: np.ndarray = field(repr=False)  #: (m,) head worker id per shard
     parent: np.ndarray = field(repr=False)  #: (m,) parent shard idx, -1 root
     member_ids: np.ndarray = field(repr=False)  #: non-head ids, ascending
@@ -104,11 +106,16 @@ class AggregationTree:
     @classmethod
     def build(
         cls,
-        participants: Sequence[int],
+        participants: Iterable[int],
         shard_size: int | None = None,
         branching: int = 4,
     ) -> "AggregationTree":
-        ids = np.fromiter(participants, dtype=np.int64)
+        """The overlay for ``participants`` (any iterable of ids; an
+        integer array is converted without a per-id Python object)."""
+        if isinstance(participants, np.ndarray):
+            ids = participants.astype(np.int64)
+        else:
+            ids = np.fromiter(participants, dtype=np.int64)
         ids.sort()
         if (ids[1:] == ids[:-1]).any():
             raise ConfigurationError(f"duplicate participants: {ids.tolist()}")
@@ -123,18 +130,15 @@ class AggregationTree:
             raise ConfigurationError(f"shard_size must be >= 2, got {shard_size}")
         if branching < 2:
             raise ConfigurationError(f"branching must be >= 2, got {branching}")
-        id_list = ids.tolist()
-        shards = tuple(
-            tuple(id_list[i : i + shard_size]) for i in range(0, n, shard_size)
-        )
-        m = len(shards)
         # Shard i is ids[i*shard_size : (i+1)*shard_size]: its head is the
         # first entry, its members the rest.
-        heads = ids[::shard_size].copy()
+        offsets = np.arange(0, n, shard_size, dtype=np.int64)
+        m = int(offsets.size)
+        heads = ids[offsets]
         sizes = np.full(m, shard_size - 1, dtype=np.int64)
         sizes[-1] = n - shard_size * (m - 1) - 1
         is_member = np.ones(n, dtype=bool)
-        is_member[::shard_size] = False
+        is_member[offsets] = False
         member_ids = ids[is_member]
         member_head = np.repeat(heads, sizes)
         member_offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
@@ -149,10 +153,10 @@ class AggregationTree:
             np.flatnonzero(depth == d) for d in range(int(depth.max()) + 1)
         )
         return cls(
-            participants=tuple(id_list),
+            ids=ids,
             shard_size=int(shard_size),
             branching=int(branching),
-            shards=shards,
+            offsets=offsets,
             heads=heads,
             parent=parent,
             member_ids=member_ids,
@@ -164,7 +168,20 @@ class AggregationTree:
     # -- shape ------------------------------------------------------------
     @property
     def num_shards(self) -> int:
-        return len(self.shards)
+        return int(self.offsets.size)
+
+    @property
+    def ends(self) -> np.ndarray:
+        """(m,) one past each shard's last index in :attr:`ids`."""
+        return np.append(self.offsets[1:], self.ids.size)
+
+    @property
+    def shards(self) -> tuple[tuple[int, ...], ...]:
+        """The shards as tuples of worker ids, built on each access (one
+        Python int per participant) for checkpoints and tests; the tree
+        round reads :attr:`ids` and :attr:`offsets` instead."""
+        shards = np.split(self.ids, self.offsets[1:])
+        return tuple(tuple(shard.tolist()) for shard in shards)
 
     @property
     def depth(self) -> int:
@@ -178,12 +195,12 @@ class AggregationTree:
 
     def shard_of(self, worker: int) -> int:
         """Shard index holding ``worker`` (raises if not covered)."""
-        for index, shard in enumerate(self.shards):
-            if worker in shard:
-                return index
-        raise ConfigurationError(f"worker {worker} is not in this tree")
+        pos = int(np.searchsorted(self.ids, worker))
+        if pos == self.ids.size or int(self.ids[pos]) != worker:
+            raise ConfigurationError(f"worker {worker} is not in this tree")
+        return int(np.searchsorted(self.offsets, pos, side="right")) - 1
 
-    def validate(self, expected: Sequence[int]) -> list[str]:
+    def validate(self, expected: Iterable[int]) -> list[str]:
         """Structural problems vs. the roster ``expected`` (empty = ok).
 
         The chaos invariant checker calls this after every round of a
@@ -192,31 +209,39 @@ class AggregationTree:
         the parent links must form one tree rooted at shard 0.
         """
         problems: list[str] = []
-        flat = [w for shard in self.shards for w in shard]
-        if len(flat) != len(set(flat)):
-            problems.append(f"duplicate shard assignment: {sorted(flat)}")
-        if set(flat) != {int(w) for w in expected}:
+        ids = self.ids
+        covered = np.unique(ids)
+        if covered.size != ids.size:
             problems.append(
-                f"shards cover {sorted(set(flat))}, roster is "
-                f"{sorted(int(w) for w in expected)}"
+                f"duplicate shard assignment: {np.sort(ids).tolist()}"
             )
-        for index, shard in enumerate(self.shards):
-            if len(shard) > self.shard_size:
-                problems.append(
-                    f"shard {index} holds {len(shard)} > shard_size "
-                    f"{self.shard_size}"
-                )
-            if shard and int(self.heads[index]) != shard[0]:
-                problems.append(
-                    f"shard {index} head {int(self.heads[index])} is not its "
-                    f"lowest member {shard[0]}"
-                )
+        roster = np.unique(np.fromiter(expected, dtype=np.int64))
+        if not np.array_equal(covered, roster):
+            problems.append(
+                f"shards cover {covered.tolist()}, roster is {roster.tolist()}"
+            )
+        sizes = self.ends - self.offsets
+        for index in np.flatnonzero(sizes > self.shard_size).tolist():
+            problems.append(
+                f"shard {index} holds {int(sizes[index])} > shard_size "
+                f"{self.shard_size}"
+            )
+        filled = np.flatnonzero(sizes > 0)
+        lowest = ids[self.offsets[filled]]
+        for k in np.flatnonzero(self.heads[filled] != lowest).tolist():
+            index = int(filled[k])
+            problems.append(
+                f"shard {index} head {int(self.heads[index])} is not its "
+                f"lowest member {int(lowest[k])}"
+            )
         if self.num_shards and int(self.parent[0]) != -1:
             problems.append("shard 0 is not the root")
-        for i in range(1, self.num_shards):
-            p = int(self.parent[i])
-            if not 0 <= p < i:
-                problems.append(f"shard {i} has invalid parent {p}")
+        below_root = np.arange(1, self.num_shards)
+        links = self.parent[1:]
+        for i in below_root[(links < 0) | (links >= below_root)].tolist():
+            problems.append(
+                f"shard {i} has invalid parent {int(self.parent[i])}"
+            )
         children = np.bincount(
             self.parent[1:], minlength=max(self.num_shards, 1)
         )
@@ -236,11 +261,7 @@ class AggregationTree:
         ``values`` is indexed by worker id (size >= max participant + 1);
         reduction runs over each shard's members in ascending id order.
         """
-        ordered = values[np.asarray(self.participants)]
-        offsets = np.array(
-            [sum(len(s) for s in self.shards[:i]) for i in range(self.num_shards)]
-        )
-        return segment_reduce(ufunc, ordered, offsets, empty)
+        return segment_reduce(ufunc, values[self.ids], self.offsets, empty)
 
     def reduce_max(self, values: np.ndarray) -> float:
         """Hierarchical max: shard-reduce, then combine up the head tree.
@@ -264,12 +285,9 @@ class AggregationTree:
         under any combination order because the selected *element* is
         unique.
         """
-        ids = np.asarray(self.participants)
+        ids = self.ids
         ordered = values[ids]
-        offsets = np.array(
-            [sum(len(s) for s in self.shards[:i]) for i in range(self.num_shards)]
-        )
-        ends = np.append(offsets[1:], ordered.size)
+        offsets, ends = self.offsets, self.ends
         best_value = np.empty(self.num_shards, dtype=values.dtype)
         best_id = np.empty(self.num_shards, dtype=int)
         for i in range(self.num_shards):
@@ -330,9 +348,11 @@ class AggregationTree:
         values_by_worker = np.asarray(values_by_worker)
         zero = values_by_worker.dtype.type(0.0)
         acc = np.zeros(self.num_shards, dtype=values_by_worker.dtype)
-        for i, shard in enumerate(self.shards):
+        ids = self.ids.tolist()
+        bounds = zip(self.offsets.tolist(), self.ends.tolist())
+        for i, (start, end) in enumerate(bounds):
             total = zero
-            for w in shard:
+            for w in ids[start:end]:
                 if w != exclude:
                     total = total + values_by_worker[w]
             acc[i] = total

@@ -48,8 +48,6 @@ Bit-identity contract (same discipline as ``docs/performance.md``):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.exceptions import SimulationError
@@ -60,7 +58,6 @@ __all__ = [
     "BatchedCluster",
     "DeliveryPlan",
     "group_by_destination",
-    "default_chunk_frames",
     "DEFAULT_CHUNK_FRAMES",
 ]
 
@@ -68,20 +65,6 @@ __all__ = [
 #: chunk's per-frame intermediates stay cache-resident, large enough
 #: that phases below N~65k keep their historical one-shot path.
 DEFAULT_CHUNK_FRAMES = 65536
-
-#: Env override for :func:`default_chunk_frames` (``0`` disables
-#: chunking entirely).
-CHUNK_ENV = "REPRO_BATCH_CHUNK"
-
-
-def default_chunk_frames() -> int | None:
-    """The streaming chunk size: ``$REPRO_BATCH_CHUNK`` or the default
-    (``None`` — unchunked — when the env var is ``0`` or negative)."""
-    raw = os.environ.get(CHUNK_ENV)
-    if raw is None:
-        return DEFAULT_CHUNK_FRAMES
-    value = int(raw)
-    return value if value > 0 else None
 
 
 def group_by_destination(

@@ -42,7 +42,7 @@ from repro.costs.timevarying import CostProcess
 from repro.costs.vector import as_cost_vector
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.net.aggtree import AggregationTree, segment_reduce
-from repro.net.batch import DeliveryPlan, default_chunk_frames
+from repro.net.batch import DEFAULT_CHUNK_FRAMES, DeliveryPlan
 from repro.net.cluster import Cluster
 from repro.net.links import Link
 from repro.net.message import SCALAR_BYTES, FrameBatch, Message
@@ -465,10 +465,9 @@ class _FlatRound:
         taking_part = np.zeros(n, dtype=bool)
         taking_part[parts] = True
         self.nonparticipants = np.flatnonzero(~taking_part)
-        chunk = protocol._chunk_frames
         self.plan = (  # payload (l, alpha_bar)
             self.batched.plan(self.src, self.dst, 2)
-            if self.full and (chunk is None or self.src.size <= chunk)
+            if self.full and self.src.size <= protocol._chunk_frames
             else None
         )
 
@@ -486,9 +485,10 @@ class _TreeRound:
     tuple) and reused until a roster change or a membership event
     drops it. Holds three kinds of state:
 
-    - **Index arrays** (int64, contiguous — the layout the njit kernels
-      expect): participant order, shard segment bounds, member->shard
-      maps, the up-tree combine order.
+    - **Index arrays** (int64): the overlay's own arrays
+      (:class:`~repro.net.aggtree.AggregationTree`, read in place) plus
+      the shard ends, the member->shard map and the up-tree combine
+      order derived from them.
     - **Delivery plans** (:class:`repro.net.batch.DeliveryPlan`) for
       every fixed-layout phase — A (member reports, 2 payload fields),
       B/C (per-level consensus frames, 3 fields), D (member fan-out, 3
@@ -510,47 +510,34 @@ class _TreeRound:
         self.key = membership.roster
         self.synced = -1
         tree = AggregationTree.build(
-            self.key, protocol.shard_size, protocol.branching
+            membership.ids, protocol.shard_size, protocol.branching
         )
         self.tree = tree
         n = protocol.num_workers
         m = tree.num_shards
         self.m = m
-        self.parts = np.ascontiguousarray(tree.participants, dtype=np.int64)
+        self.parts = tree.ids
         member_mask = np.zeros(n, dtype=bool)
         member_mask[self.parts] = True
         self.nonparticipants = np.flatnonzero(~member_mask)
-        shard_sizes = np.array([len(s) for s in tree.shards], dtype=np.int64)
-        self.full_offsets = np.concatenate(
-            ([0], np.cumsum(shard_sizes)[:-1])
-        ).astype(np.int64)
-        self.ends = self.full_offsets + shard_sizes
-        self.member_ids = np.ascontiguousarray(tree.member_ids, dtype=np.int64)
-        self.member_head = np.ascontiguousarray(
-            tree.member_head, dtype=np.int64
-        )
-        self.member_offsets = np.ascontiguousarray(
-            tree.member_offsets, dtype=np.int64
-        )
+        self.ends = tree.ends
         self.member_shard = np.repeat(
-            np.arange(m, dtype=np.int64), shard_sizes - 1
+            np.arange(m, dtype=np.int64), self.ends - tree.offsets - 1
         )
         self.order = tree.up_order()
-        self.parent64 = np.ascontiguousarray(tree.parent, dtype=np.int64)
-        self.root = tree.root
         self.root_arr = np.array([tree.root])
-        heads = np.ascontiguousarray(tree.heads, dtype=np.int64)
+        heads, parent = tree.heads, tree.parent
         batched = protocol.cluster.batched()
         self.batched = batched
-        if self.member_ids.size:
+        if tree.member_ids.size:
             self.plan_a: DeliveryPlan | None = batched.plan(
-                self.member_ids, self.member_head, 2
+                tree.member_ids, tree.member_head, 2
             )
             self.plan_d: DeliveryPlan | None = batched.plan(
-                self.member_head, self.member_ids, 3
+                tree.member_head, tree.member_ids, 3
             )
             self.plan_e: DeliveryPlan | None = batched.plan(
-                self.member_ids, self.member_head, 1
+                tree.member_ids, tree.member_head, 1
             )
         else:
             self.plan_a = self.plan_d = self.plan_e = None
@@ -560,14 +547,13 @@ class _TreeRound:
             tuple[np.ndarray, np.ndarray, DeliveryPlan, DeliveryPlan]
         ] = []
         for level in tree.levels[:0:-1]:
-            lvl = np.ascontiguousarray(level, dtype=np.int64)
-            par = self.parent64[lvl]
+            par = parent[level]
             self.up_levels.append(
                 (
-                    lvl,
+                    level,
                     par,
-                    batched.plan(heads[lvl], heads[par], 3),
-                    batched.plan(heads[lvl], heads[par], 1),
+                    batched.plan(heads[level], heads[par], 3),
+                    batched.plan(heads[level], heads[par], 1),
                 )
             )
         #: (level, parent-of-level, plan) per down-tree level, top first
@@ -576,10 +562,9 @@ class _TreeRound:
             tuple[np.ndarray, np.ndarray, DeliveryPlan]
         ] = []
         for level in tree.levels[1:]:
-            lvl = np.ascontiguousarray(level, dtype=np.int64)
-            par = self.parent64[lvl]
+            par = parent[level]
             self.down_levels.append(
-                (lvl, par, batched.plan(heads[par], heads[lvl], 3))
+                (level, par, batched.plan(heads[par], heads[level], 3))
             )
         dtype = protocol.backend.dtype
         self.out_max = np.empty(m, dtype=dtype)
@@ -688,7 +673,7 @@ class FullyDistributedDolbie:
                 f"branching must be >= 2, got {self.branching}"
             )
         self.backend = get_backend(backend)
-        self._chunk_frames = default_chunk_frames()
+        self._chunk_frames = DEFAULT_CHUNK_FRAMES
         self.num_workers = int(num_workers)
         self.topology = topology
         if topology is not None and topology.num_nodes != num_workers:
@@ -1105,9 +1090,9 @@ class FullyDistributedDolbie:
         readiness through the levels, so virtual time reflects the
         tree's O(log) sequential depth.
 
-        Packing, the shard reductions and the documented-order decision
-        sums run as fused kernels (:mod:`repro.backend.kernels`) over
-        preallocated flat buffers; deliveries go through cached
+        The shard reductions and the documented-order decision sums run
+        as fused kernels (:mod:`repro.backend.kernels`) over preallocated
+        flat buffers; deliveries go through cached
         :class:`~repro.net.batch.DeliveryPlan` objects, so no frame batch
         — and none of the ~3N per-round payload columns — is ever
         materialized (pinned by the ``fd-tree`` golden traces and the
@@ -1133,6 +1118,7 @@ class FullyDistributedDolbie:
             # every peer could do the same locally.
             cc = self._tree_round = _TreeRound(self, members)
         cc.key = members.roster  # later rounds compare by identity
+        tree = cc.tree
         seq = sum(self.route_counts.values())  # this round's number
         if cc.synced != seq - 1:  # another route ran since, or rebuilt
             cc.resync(store)
@@ -1147,8 +1133,8 @@ class FullyDistributedDolbie:
         backend.ensure(local, "local costs")
 
         # Participant-ordered views (phase A payloads + reduction input).
-        ordered_local = kernels.gather(local, parts)
-        ordered_alpha = kernels.gather(alphas, parts)
+        ordered_local = local[parts]
+        ordered_alpha = alphas[parts]
 
         # Lines 5-7 as flat reductions, kept (cheap) to cross-check the
         # tree combine: max/min/lowest-index-argmax are exact under any
@@ -1166,7 +1152,7 @@ class FullyDistributedDolbie:
             final_now = max(final_now, float(report_arrivals.max()))
             head_ready = np.maximum(
                 segment_reduce(
-                    np.maximum, report_arrivals, cc.member_offsets, -np.inf
+                    np.maximum, report_arrivals, tree.member_offsets, -np.inf
                 ),
                 t0,
             )
@@ -1177,11 +1163,11 @@ class FullyDistributedDolbie:
         # aggregates), fused.
         out_max, out_arg, out_alpha = cc.out_max, cc.out_arg, cc.out_alpha
         kernels.shard_consensus(
-            ordered_local, ordered_alpha, parts, cc.full_offsets,
+            ordered_local, ordered_alpha, parts, tree.offsets,
             cc.ends, out_max, out_arg, out_alpha,
         )
         kernels.combine_up_consensus(
-            out_max, out_arg, out_alpha, cc.order, cc.parent64
+            out_max, out_arg, out_alpha, cc.order, tree.parent
         )
         assert (
             float(out_max[0]) == global_cost
@@ -1195,7 +1181,7 @@ class FullyDistributedDolbie:
             arrivals = plan_b.deliver(round_index, up_ready[level])
             events += arrivals.size
             final_now = max(final_now, float(arrivals.max()))
-            kernels.scatter_max(up_ready, parent_lv, arrivals)
+            np.maximum.at(up_ready, parent_lv, arrivals)
 
         # Phase C: the global triple descends the head tree.
         down_ready = np.full(m, np.inf)
@@ -1210,7 +1196,7 @@ class FullyDistributedDolbie:
         if cc.plan_d is not None:
             member_know = cc.plan_d.deliver(
                 round_index,
-                kernels.phase_d_sendtimes(down_ready, cc.member_shard),
+                down_ready[cc.member_shard],
             )
             events += member_know.size
             final_now = max(final_now, float(member_know.max()))
@@ -1229,7 +1215,7 @@ class FullyDistributedDolbie:
         # masked send times, exactly like a masked frame batch).
         sum_ready = down_ready.copy()  # heads' own decisions ready on D
         if cc.plan_e is not None:
-            member_ids = cc.member_ids
+            member_ids = tree.member_ids
             drop = int(np.searchsorted(member_ids, straggler))
             if not (
                 drop < member_ids.size
@@ -1247,26 +1233,25 @@ class FullyDistributedDolbie:
                     shard_idx = cc.member_shard
                 events += arrivals.size
                 final_now = max(final_now, float(arrivals.max()))
-                kernels.scatter_max(sum_ready, shard_idx, arrivals)
+                np.maximum.at(sum_ready, shard_idx, arrivals)
 
         # Phase F: documented-order decision sums + up-tree frames.
         exclude_pos = int(np.searchsorted(parts, straggler))
         acc_sum = cc.acc_sum
-        ordered_x = kernels.gather(x_new, parts)
         kernels.shard_decision_sums(
-            ordered_x, cc.full_offsets, cc.ends, exclude_pos, acc_sum
+            x_new[parts], tree.offsets, cc.ends, exclude_pos, acc_sum
         )
-        kernels.combine_up_sums(acc_sum, cc.order, cc.parent64)
+        kernels.combine_up_sums(acc_sum, cc.order, tree.parent)
         backend.ensure(acc_sum, "decision partial sums")
         for level, parent_lv, _plan_b, plan_f in cc.up_levels:
             arrivals = plan_f.deliver(round_index, sum_ready[level])
             events += arrivals.size
             final_now = max(final_now, float(arrivals.max()))
-            kernels.scatter_max(sum_ready, parent_lv, arrivals)
+            np.maximum.at(sum_ready, parent_lv, arrivals)
 
         # Phase G + line 12: the grand total reaches the straggler.
         total = acc_sum[0]
-        if straggler != cc.root:
+        if straggler != tree.root:
             batch = FrameBatch(
                 TAG_DECISION, cc.root_arr, np.array([straggler]),
                 {"x": np.array([total])}, round_index,
@@ -1286,18 +1271,14 @@ class FullyDistributedDolbie:
         # hydrated on a clean round.
         x_new = np.asarray(x_new, dtype=float)
         x_new[straggler] = x_close
-        if cc.nonparticipants.size:
-            # Non-participants' shares were folded into the straggler;
-            # their peers already hold x == 0.0 from the detection or
-            # event round that removed them, so only the mirror needs
-            # the zeros.
-            x_new[cc.nonparticipants] = 0.0
+        # Non-participants' shares were folded into the straggler.
+        x_new[cc.nonparticipants] = 0.0
         local64 = np.full(n, np.nan)
         local64[parts] = np.asarray(ordered_local, dtype=float)
         store.current_round[parts] = round_index
         store.global_cost[parts] = global_cost
         store.straggler_id[parts] = straggler
-        store.x[parts] = x_new[parts]
+        store.x[:] = x_new
         straggler_alpha = min(
             float(store.alpha_bar[straggler]),
             feasibility_cap(x_close, parts.size),
@@ -1307,7 +1288,7 @@ class FullyDistributedDolbie:
         cc.alpha_arr[straggler] = straggler_alpha
 
         cc.batched.finish_round(final_now, events)
-        self.last_tree = cc.tree
+        self.last_tree = tree
         cc.synced = seq
         return x_played, local64, global_cost, straggler
 

@@ -155,6 +155,34 @@ class TestCrashReshard:
         ) == []
         assert protocol.allocation.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("aggregation", ["flat", "tree"])
+    def test_crash_during_rejoin_zeroes_the_dead_share(self, aggregation):
+        """A crash at the boundary where another worker rejoins: the
+        rejoin re-agrees the rosters without the crashed worker, so the
+        next round runs on the batched route without a detection round.
+        That round must zero the dead worker's share in the peer store,
+        not only in the route's own mirror."""
+        n = 8
+        kwargs = {"aggregation": aggregation}
+        if aggregation == "tree":
+            kwargs["shard_size"] = 3
+        protocol = _protocol(n, **kwargs)
+        process = _process(n)
+        protocol.crash_worker(1)
+        for t in range(1, 5):
+            if t == 3:
+                protocol.crash_worker(2)
+                protocol.rejoin_worker(1)
+            obs = RoundObservation(protocol)
+            _, local, global_cost, straggler = protocol.run_round(
+                t, process.costs_at(t)
+            )
+            assert check_round_invariants(
+                protocol, obs, t, local, global_cost, straggler
+            ) == []
+        assert protocol.allocation[2] == 0.0
+        assert protocol.allocation.sum() == pytest.approx(1.0)
+
     def test_crash_rejoin_epoch_at_n128_never_falls_back(self):
         """One membership epoch at N=128 — tree rounds, a crash, tree
         rounds, the rejoin, tree rounds — without an event-engine round:

@@ -8,6 +8,8 @@ surviving peer rebuild the identical tree after a crash or rejoin with
 no extra coordination.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ class TestBuildStructure:
 
     def test_unsorted_input_is_sorted(self):
         tree = AggregationTree.build([5, 1, 9, 3], shard_size=2)
-        assert tree.participants == (1, 3, 5, 9)
+        assert tree.ids.tolist() == [1, 3, 5, 9]
         assert tree.shards == ((1, 3), (5, 9))
 
     def test_parent_links_form_kary_heap(self):
@@ -72,7 +74,8 @@ class TestBuildStructure:
 
 def _reference_build(participants, shard_size=None, branching=4):
     """The list-based construction ``build`` replaced, kept as an oracle:
-    every field of the array-native build must equal this one's."""
+    every array of the array-native build, and the ``shards`` derived
+    from them, must equal this one's."""
     ids = sorted(int(w) for w in participants)
     if len(ids) != len(set(ids)):
         raise ConfigurationError(f"duplicate participants: {ids}")
@@ -92,9 +95,10 @@ def _reference_build(participants, shard_size=None, branching=4):
     for i in range(1, m):
         depth[i] = depth[(i - 1) // branching] + 1
     return {
-        "participants": tuple(ids),
+        "ids": np.array(ids, dtype=np.int64),
         "shard_size": int(shard_size),
         "branching": int(branching),
+        "offsets": np.array(range(0, len(ids), shard_size)),
         "shards": shards,
         "heads": np.array([shard[0] for shard in shards]),
         "parent": np.where(parent == 0, -1, (parent - 1) // branching),
@@ -129,7 +133,6 @@ class TestBuildParity:
             else:
                 assert got == want, name
                 assert type(got) is type(want), name
-        assert all(type(w) is int for w in tree.participants)
         assert all(type(w) is int for shard in tree.shards for w in shard)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -181,6 +184,22 @@ class TestBuildParity:
         with pytest.raises(ConfigurationError) as err:
             AggregationTree.build(participants)
         assert str(err.value) == str(ref_err.value)
+
+
+class TestFootprint:
+    def test_build_retains_at_most_32_bytes_per_participant(self):
+        """The layout is int64 arrays only: ids, members and member
+        heads (24 B per participant) plus O(sqrt N) shard arrays — no
+        Python object per participant."""
+        n = 10**5
+        tracemalloc.start()
+        try:
+            tree = AggregationTree.build(np.arange(n))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.ids.size == n
+        assert retained / n <= 32
 
 
 class TestDeterministicRebuild:

@@ -424,16 +424,6 @@ class TestFrameBatchChunks:
         with pytest.raises(ValueError):
             list(_phase_batch().chunks(0))
 
-    def test_default_chunk_frames_env(self, monkeypatch):
-        from repro.net.batch import CHUNK_ENV, DEFAULT_CHUNK_FRAMES, default_chunk_frames
-
-        monkeypatch.delenv(CHUNK_ENV, raising=False)
-        assert default_chunk_frames() == DEFAULT_CHUNK_FRAMES
-        monkeypatch.setenv(CHUNK_ENV, "100")
-        assert default_chunk_frames() == 100
-        monkeypatch.setenv(CHUNK_ENV, "0")
-        assert default_chunk_frames() is None
-
 
 class TestChunkedDelivery:
     """deliver(chunk_frames=K) is bit-identical to one-shot delivery."""
