@@ -565,10 +565,7 @@ def _restore_aggregation(protocol, agg: Mapping | None) -> None:
             shard_size=int(last["shard_size"]),
             branching=int(last["branching"]),
         )
-        if not (
-            np.array_equal(rebuilt.ids, members)
-            and np.array_equal(rebuilt.offsets, np.cumsum(sizes) - sizes)
-        ):
+        if not rebuilt.has_shards(members, np.cumsum(sizes) - sizes):
             raise CheckpointError(
                 "snapshot aggregation tree is not the deterministic "
                 "rebuild of its own membership (corrupt snapshot?)"

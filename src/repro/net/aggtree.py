@@ -183,6 +183,12 @@ class AggregationTree:
         shards = np.split(self.ids, self.offsets[1:])
         return tuple(tuple(shard.tolist()) for shard in shards)
 
+    def has_shards(self, ids: np.ndarray, offsets: np.ndarray) -> bool:
+        """Whether this tree splits exactly ``ids`` into shards starting
+        at ``offsets`` (the rest of the layout follows from those two)."""
+        same_ids = np.array_equal(self.ids, ids)
+        return bool(same_ids and np.array_equal(self.offsets, offsets))
+
     @property
     def depth(self) -> int:
         """Number of head-tree levels below the root."""
@@ -220,28 +226,24 @@ class AggregationTree:
             problems.append(
                 f"shards cover {covered.tolist()}, roster is {roster.tolist()}"
             )
-        sizes = self.ends - self.offsets
-        for index in np.flatnonzero(sizes > self.shard_size).tolist():
-            problems.append(
-                f"shard {index} holds {int(sizes[index])} > shard_size "
-                f"{self.shard_size}"
-            )
-        filled = np.flatnonzero(sizes > 0)
-        lowest = ids[self.offsets[filled]]
-        for k in np.flatnonzero(self.heads[filled] != lowest).tolist():
-            index = int(filled[k])
-            problems.append(
-                f"shard {index} head {int(self.heads[index])} is not its "
-                f"lowest member {int(lowest[k])}"
-            )
+        bounds = zip(self.offsets.tolist(), self.ends.tolist())
+        for index, (start, end) in enumerate(bounds):
+            if end - start > self.shard_size:
+                problems.append(
+                    f"shard {index} holds {end - start} > shard_size "
+                    f"{self.shard_size}"
+                )
+            if end > start and int(self.heads[index]) != int(ids[start]):
+                problems.append(
+                    f"shard {index} head {int(self.heads[index])} is not its "
+                    f"lowest member {int(ids[start])}"
+                )
         if self.num_shards and int(self.parent[0]) != -1:
             problems.append("shard 0 is not the root")
-        below_root = np.arange(1, self.num_shards)
-        links = self.parent[1:]
-        for i in below_root[(links < 0) | (links >= below_root)].tolist():
-            problems.append(
-                f"shard {i} has invalid parent {int(self.parent[i])}"
-            )
+        for i in range(1, self.num_shards):
+            p = int(self.parent[i])
+            if not 0 <= p < i:
+                problems.append(f"shard {i} has invalid parent {p}")
         children = np.bincount(
             self.parent[1:], minlength=max(self.num_shards, 1)
         )

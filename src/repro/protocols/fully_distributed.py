@@ -516,9 +516,8 @@ class _TreeRound:
         n = protocol.num_workers
         m = tree.num_shards
         self.m = m
-        self.parts = tree.ids
         member_mask = np.zeros(n, dtype=bool)
-        member_mask[self.parts] = True
+        member_mask[tree.ids] = True
         self.nonparticipants = np.flatnonzero(~member_mask)
         self.ends = tree.ends
         self.member_shard = np.repeat(
@@ -1124,7 +1123,7 @@ class FullyDistributedDolbie:
             cc.resync(store)
         x_played = cc.x_arr.copy()
         m = cc.m
-        parts = cc.parts
+        parts = tree.ids
         t0 = self.cluster.engine.now
         x = backend.asarray(x_played)
         alphas = cc.alpha_arr

@@ -254,6 +254,19 @@ class TestCheckpointRoundTrip:
         assert np.array_equal(replica.allocation, protocol.allocation)
         assert replica.tree_rounds == protocol.tree_rounds
 
+    def test_tampered_shards_are_rejected(self):
+        n = 10
+        protocol = _protocol(n, aggregation="tree", shard_size=3)
+        self._advance(protocol, _process(n), 1, 3)
+        state = capture_protocol(protocol)
+        shards = state["aggregation"]["last_tree"]["shards"]
+        assert shards[:2] == [[0, 1, 2], [3, 4, 5]]
+        shards[0].append(shards[1].pop(0))  # same members, other split
+        with pytest.raises(CheckpointError, match="deterministic rebuild"):
+            restore_protocol(
+                _protocol(n, aggregation="tree", shard_size=3), state
+            )
+
     def test_config_mismatch_is_rejected(self):
         n = 10
         protocol = _protocol(n, aggregation="tree", shard_size=3)
