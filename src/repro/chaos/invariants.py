@@ -20,8 +20,8 @@ faults, independently of the allocation's optimality:
    outcome is fixed by the link delays: no chaos hook is active, and
    every worker the roster lacks is dead — a crash the survivors agree
    on, or the failure detection that makes them agree (FD). A batched
-   round (the protocol's ``fast_rounds`` counter advanced) is flagged
-   when chaos hooks were active, when the roster shrank over the round
+   round (``protocol.last_route`` names any route but ``event``) is
+   flagged when chaos hooks were active, when the roster shrank over the round
    by a worker that was alive when it began, or — flat rounds — when a
    live worker was off the roster (a stalled peer needs the event
    engine). :class:`RoundObservation` records the roster and the
@@ -33,7 +33,7 @@ faults, independently of the allocation's optimality:
    exact prefix they checkpointed before dying (pass the injector's
    ``restart_prefixes`` so the checker can pin them).
 7. **Tree overlay consistency.** When the round ran the hierarchical
-   aggregation path (``tree_rounds`` advanced), the overlay the
+   aggregation path (the ``tree`` route), the overlay the
    protocol used must be a valid partition of the live roster — every
    rostered worker in exactly one shard, heads the lowest member of
    their shard, parent links acyclic — and must equal the
@@ -44,9 +44,8 @@ faults, independently of the allocation's optimality:
    5's live-workers-on-the-roster requirement applies only to flat
    batched rounds. Chaos hooks still disqualify both paths.
    The check is dtype-agnostic: tree rounds (the fused-kernel path of
-   :mod:`repro.backend.kernels`) advance the ``tree_rounds`` counter,
-   expose the ``last_tree`` overlay, and write the peer fields this
-   checker reads in either backend dtype.
+   :mod:`repro.backend.kernels`) expose the ``last_tree`` overlay and
+   write the peer fields this checker reads in either backend dtype.
 
 ``check_round_invariants`` returns human-readable violation strings
 (empty list = healthy); :func:`assert_round_invariants` raises
@@ -76,8 +75,6 @@ class RoundObservation:
         engine = protocol.cluster.engine
         self.time_before = engine.now
         self.events_before = engine.processed_events
-        self.fast_rounds_before = getattr(protocol, "fast_rounds", 0)
-        self.tree_rounds_before = getattr(protocol, "tree_rounds", 0)
         self.roster_before = frozenset(protocol.roster)
         self.alive_before = np.array(protocol._alive, dtype=bool)
 
@@ -160,12 +157,9 @@ def check_round_invariants(
     # 5. batched rounds run chaos-free and lose only dead workers; a
     # *flat* one additionally has no live worker off the roster (tree
     # rounds rebuild the overlay from the surviving quorum).
-    took_fast_path = (
-        getattr(protocol, "fast_rounds", 0) > observation.fast_rounds_before
-    )
-    took_tree_path = (
-        getattr(protocol, "tree_rounds", 0) > observation.tree_rounds_before
-    )
+    route = protocol.last_route.name
+    took_fast_path = route != "event"
+    took_tree_path = route == "tree"
     if took_fast_path:
         if protocol.cluster.chaos_active:
             violated(
@@ -192,7 +186,7 @@ def check_round_invariants(
 
     # 7. tree rounds used a valid, deterministically-rebuildable overlay
     if took_tree_path:
-        tree = getattr(protocol, "last_tree", None)
+        tree = protocol.last_tree
         if tree is None:
             violated("a tree round ran but the protocol kept no overlay")
         else:

@@ -2,8 +2,9 @@
 
 ``run_with_checkpoints`` replays exactly the run the trace scenarios in
 :mod:`repro.obs.scenarios` define (same factory arguments, same cost
-process, same header), but drives the round loop manually so it can
-drop a :class:`~repro.ckpt.snapshot.Snapshot` into a
+process, same header), with a per-round hook on
+:func:`~repro.core.loop.run_protocol` that drops a
+:class:`~repro.ckpt.snapshot.Snapshot` into a
 :class:`~repro.ckpt.store.CheckpointStore` every K rounds.
 ``resume_run`` rebuilds a factory-fresh protocol from the snapshot's
 ``config`` block, rehydrates it through
@@ -24,7 +25,7 @@ import numpy as np
 from repro.ckpt.snapshot import Snapshot
 from repro.ckpt.state import capture_protocol, restore_protocol
 from repro.ckpt.store import CheckpointStore
-from repro.core.loop import RunResult
+from repro.core.loop import RunResult, run_protocol
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.obs.diff import canonical_line
 from repro.obs.records import record_from_dict
@@ -77,45 +78,13 @@ def build_protocol(
     )
 
 
-def _emit_header(protocol, tracer: Tracer, horizon: int) -> None:
-    """The exact header ``protocol.run`` would have emitted."""
-    if hasattr(protocol, "master"):
-        tracer.header(
-            protocol.name, protocol.num_workers, horizon,
-            fast_path=protocol.use_fast_path,
-            embedded_master=protocol.embedded_master,
-        )
-    else:
-        tracer.header(
-            protocol.name, protocol.num_workers, horizon,
-            fast_path=protocol.use_fast_path,
-            topology="complete" if protocol.topology is None else "custom",
-        )
-
-
-def _result_prefix_state(
-    allocations, local, global_costs, stragglers, completed: int
-) -> dict:
+def _result_prefix_state(result: RunResult, completed: int) -> dict:
     return {
-        "allocations": np.asarray(allocations[:completed]),
-        "local_costs": np.asarray(local[:completed]),
-        "global_costs": np.asarray(global_costs[:completed]),
-        "stragglers": np.asarray(stragglers[:completed]),
+        "allocations": np.asarray(result.allocations[:completed]),
+        "local_costs": np.asarray(result.local_costs[:completed]),
+        "global_costs": np.asarray(result.global_costs[:completed]),
+        "stragglers": np.asarray(result.stragglers[:completed]),
     }
-
-
-def _make_result(protocol, horizon, allocations, local, global_costs,
-                 stragglers) -> RunResult:
-    return RunResult(
-        algorithm=protocol.name,
-        num_workers=protocol.num_workers,
-        horizon=horizon,
-        allocations=allocations,
-        local_costs=local,
-        global_costs=global_costs,
-        stragglers=stragglers,
-        decision_seconds=np.zeros(horizon),
-    )
 
 
 def run_with_checkpoints(
@@ -165,46 +134,35 @@ def run_with_checkpoints(
         "seed": int(seed),
     }
 
-    n = num_workers
-    allocations = np.empty((rounds, n))
-    local = np.empty((rounds, n))
-    global_costs = np.empty(rounds)
-    stragglers = np.empty(rounds, dtype=int)
-    _emit_header(protocol, tracer, rounds)
     # Incremental trace serialization: each checkpoint only encodes the
     # records appended since the last one, keeping per-checkpoint cost
     # O(rounds since previous checkpoint) instead of O(elapsed rounds).
     trace_lines: list[str] = []
     traced = 0
-    for t in range(1, rounds + 1):
-        x, l, l_t, s_t = protocol.run_round(t, process.costs_at(t))
-        allocations[t - 1] = x
-        local[t - 1] = l
-        global_costs[t - 1] = l_t
-        stragglers[t - 1] = s_t
-        if t in checkpoint_rounds:
-            if capture_trace:
-                trace_lines.extend(
-                    canonical_line(r) for r in tracer.records[traced:]
-                )
-                traced = len(tracer.records)
-            snapshot = Snapshot(
-                kind="run",
-                round_index=t,
-                config=config,
-                state={
-                    "protocol": capture_protocol(protocol),
-                    "results": _result_prefix_state(
-                        allocations, local, global_costs, stragglers, t
-                    ),
-                    "trace": list(trace_lines),
-                    "trace_complete": bool(capture_trace),
-                },
+
+    def checkpoint(t: int, partial: RunResult) -> None:
+        nonlocal traced
+        if t not in checkpoint_rounds:
+            return
+        if capture_trace:
+            trace_lines.extend(
+                canonical_line(r) for r in tracer.records[traced:]
             )
-            store.save(snapshot)
-    result = _make_result(
-        protocol, rounds, allocations, local, global_costs, stragglers
-    )
+            traced = len(tracer.records)
+        snapshot = Snapshot(
+            kind="run",
+            round_index=t,
+            config=config,
+            state={
+                "protocol": capture_protocol(protocol),
+                "results": _result_prefix_state(partial, t),
+                "trace": list(trace_lines),
+                "trace_complete": bool(capture_trace),
+            },
+        )
+        store.save(snapshot)
+
+    result = run_protocol(protocol, process, rounds, on_round=checkpoint)
     return tracer.trace, result
 
 
@@ -246,24 +204,9 @@ def resume_run(
         tracer.records.append(record_from_dict(json.loads(line)))
     process = build_process(int(config["num_workers"]), int(config["seed"]))
 
-    n = int(config["num_workers"])
-    allocations = np.empty((total_rounds, n))
-    local = np.empty((total_rounds, n))
-    global_costs = np.empty(total_rounds)
-    stragglers = np.empty(total_rounds, dtype=int)
-    prefix = snapshot.state["results"]
-    allocations[:completed] = np.asarray(prefix["allocations"])
-    local[:completed] = np.asarray(prefix["local_costs"])
-    global_costs[:completed] = np.asarray(prefix["global_costs"])
-    stragglers[:completed] = np.asarray(prefix["stragglers"])
-    for t in range(completed + 1, total_rounds + 1):
-        x, l, l_t, s_t = protocol.run_round(t, process.costs_at(t))
-        allocations[t - 1] = x
-        local[t - 1] = l
-        global_costs[t - 1] = l_t
-        stragglers[t - 1] = s_t
-    result = _make_result(
-        protocol, total_rounds, allocations, local, global_costs, stragglers
+    result = run_protocol(
+        protocol, process, total_rounds,
+        start=completed + 1, prefix=snapshot.state["results"],
     )
     return tracer.trace, result
 

@@ -357,55 +357,42 @@ def _ledgers_state(protocol) -> dict:
         entry.round_index: position
         for position, entry in enumerate(auth_entries)
     }
-    state = {"ledger": [entry.to_dict() for entry in auth_entries]}
-    book = getattr(protocol, "_ledger_book", None)
-    if book is not None:
-        # Fully distributed: the replicas already *are* spans — two
-        # packed arrays capture all N of them; only the few materialized
-        # (gap-holding) replicas need the per-entry packing.
-        state["worker_ledger_spans"] = book.spans_state()
-        state["worker_ledgers"] = {
+    book = protocol._ledger_book
+    # The replicas already *are* spans — two packed arrays capture all N
+    # of them; only the few materialized (gap-holding) replicas need the
+    # per-entry packing.
+    return {
+        "ledger": [entry.to_dict() for entry in auth_entries],
+        "worker_ledger_spans": book.spans_state(),
+        "worker_ledgers": {
             int(worker): _pack_replica(ledger, auth_entries, by_round)
             for worker, ledger in sorted(book.materialized.items())
-        }
-    else:
-        state["worker_ledgers"] = {
-            int(worker): _pack_replica(ledger, auth_entries, by_round)
-            for worker, ledger in sorted(protocol._worker_ledgers.items())
-        }
-    return state
+        },
+    }
 
 
 def _restore_ledgers(protocol, state: Mapping) -> None:
     authoritative = state["ledger"]
     ledger = RoundLedger.from_records(authoritative)
     protocol.ledger = ledger
-    book = getattr(protocol, "_ledger_book", None)
+    book = protocol._ledger_book
+    book.rebind_authority(ledger)
+    book.materialized = {}
     spans = state.get("worker_ledger_spans")
-    if book is not None:
-        book.rebind_authority(ledger)
-        book.materialized = {}
-        if spans is not None:
-            book.restore_spans(spans)
-            for worker, packed in state["worker_ledgers"].items():
-                book.materialized[int(worker)] = RoundLedger.from_records(
-                    _unpack_replica(packed, authoritative)
-                )
-        else:  # per-replica snapshot of the retired object peers
-            book.start[:] = 0
-            book.stop[:] = 0
-            for worker, packed in state["worker_ledgers"].items():
-                replica = RoundLedger.from_records(
-                    _unpack_replica(packed, authoritative)
-                )
-                book.restore_replica(int(worker), replica.entries)
-    else:
-        protocol._worker_ledgers = {
-            int(worker): RoundLedger.from_records(
+    if spans is not None:
+        book.restore_spans(spans)
+        for worker, packed in state["worker_ledgers"].items():
+            book.materialized[int(worker)] = RoundLedger.from_records(
                 _unpack_replica(packed, authoritative)
             )
-            for worker, packed in state["worker_ledgers"].items()
-        }
+    else:  # per-replica lists: FD object peers, MW before spans
+        book.start[:] = 0
+        book.stop[:] = 0
+        for worker, packed in state["worker_ledgers"].items():
+            replica = RoundLedger.from_records(
+                _unpack_replica(packed, authoritative)
+            )
+            book.restore_replica(int(worker), replica.entries)
 
 
 def capture_protocol(protocol) -> dict:
@@ -527,17 +514,16 @@ def _restore_aggregation(protocol, agg: Mapping | None) -> None:
     alias of ``numpy64``) restores into a ``numpy64`` protocol.
     """
     protocol.last_tree = None
-    if hasattr(protocol, "_invalidate_membership"):
-        # The restored peers/ledgers are new state behind the tree
-        # round's mirrors and bound replica methods.
-        protocol._invalidate_membership()
+    # The restored rosters replace what the cached membership and tree
+    # round were resolved from.
+    protocol._invalidate_membership()
     if agg is None:
         return
     live = (
-        str(getattr(protocol, "aggregation", "flat")),
-        getattr(protocol, "shard_size", None),
-        int(getattr(protocol, "branching", 4)),
-        str(protocol.backend.name) if hasattr(protocol, "backend") else "numpy64",
+        protocol.aggregation,
+        protocol.shard_size,
+        protocol.branching,
+        protocol.backend.name,
     )
     snap = (
         str(agg["mode"]),
@@ -590,7 +576,7 @@ def _peer_transients(peer) -> dict:
 
 
 def _capture_fully_distributed(protocol) -> dict:
-    last_tree = getattr(protocol, "last_tree", None)
+    last_tree = protocol.last_tree
     return {
         "architecture": "fully-distributed",
         "num_workers": int(protocol.num_workers),
@@ -598,7 +584,7 @@ def _capture_fully_distributed(protocol) -> dict:
         "stalled": sorted(int(w) for w in protocol._stalled),
         "fast_rounds": int(protocol.fast_rounds),
         "fallback_rounds": int(protocol.fallback_rounds),
-        "tree_rounds": int(getattr(protocol, "tree_rounds", 0)),
+        "tree_rounds": int(protocol.tree_rounds),
         "detect_rounds": int(protocol.detect_rounds),
         # All scalar peer state is a handful of packed arrays; the
         # event-round containers exist only on hydrated views and are
@@ -615,12 +601,10 @@ def _capture_fully_distributed(protocol) -> dict:
         # *rebuilds* it and verifies the membership matches rather than
         # trusting (or needing) a serialized tree object.
         "aggregation": {
-            "mode": str(getattr(protocol, "aggregation", "flat")),
-            "shard_size": getattr(protocol, "shard_size", None),
-            "branching": int(getattr(protocol, "branching", 4)),
-            "backend": str(protocol.backend.name)
-            if hasattr(protocol, "backend")
-            else "numpy64",
+            "mode": protocol.aggregation,
+            "shard_size": protocol.shard_size,
+            "branching": protocol.branching,
+            "backend": protocol.backend.name,
             "last_tree": None
             if last_tree is None
             else {

@@ -4,13 +4,15 @@ One function, :func:`run_online`, implements the protocol of problem (1)
 for every algorithm uniformly: play, reveal, suffer, update. It records
 the full trajectory (allocations, local costs, global costs, stragglers)
 and measures the wall-clock decision overhead per round — the statistic
-reported in the lower panel of Fig. 11.
+reported in the lower panel of Fig. 11. :func:`run_protocol` is its
+counterpart for the networked protocols of Algorithms 1 and 2, whose
+rounds run the whole exchange themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from repro.obs.profiler import Profiler
 from repro.obs.tracer import Tracer
 from repro.utils.timer import Stopwatch
 
-__all__ = ["RunResult", "run_online", "run_online_costs"]
+__all__ = ["RunResult", "run_online", "run_online_costs", "run_protocol"]
 
 
 @dataclass
@@ -165,3 +167,57 @@ def run_online_costs(
         stragglers=stragglers,
         decision_seconds=overhead,
     )
+
+
+def run_protocol(
+    protocol,
+    process: CostProcess,
+    horizon: int,
+    *,
+    start: int = 1,
+    prefix: Mapping[str, np.ndarray] | None = None,
+    on_round: Callable[[int, RunResult], None] | None = None,
+) -> RunResult:
+    """Drive a networked DOLBIE protocol for ``horizon`` rounds.
+
+    ``protocol`` is a master-worker or fully-distributed protocol: its
+    ``run_round(t, costs)`` returns ``(x_played, l, l_t, s_t)``, and
+    its ``header_context`` names the engine identity the trace header
+    carries (payload records diff empty across engines; headers are
+    excluded by default).
+
+    A run resumed at round ``start > 1`` emits no header (the resumed
+    trace already has one) and copies ``prefix`` — the
+    ``allocations``, ``local_costs``, ``global_costs`` and
+    ``stragglers`` of rounds ``1..start-1`` — into the result.
+    ``on_round(t, result)`` runs after every round with the partly
+    filled result (rows ``[:t]`` are final).
+    """
+    n = protocol.num_workers
+    result = RunResult(
+        algorithm=protocol.name,
+        num_workers=n,
+        horizon=horizon,
+        allocations=np.empty((horizon, n)),
+        local_costs=np.empty((horizon, n)),
+        global_costs=np.empty(horizon),
+        stragglers=np.empty(horizon, dtype=int),
+        decision_seconds=np.zeros(horizon),
+    )
+    if start > 1:
+        for field in ("allocations", "local_costs", "global_costs",
+                      "stragglers"):
+            getattr(result, field)[: start - 1] = np.asarray(prefix[field])
+    elif protocol.tracer is not None:
+        protocol.tracer.header(
+            protocol.name, n, horizon, **protocol.header_context
+        )
+    for t in range(start, horizon + 1):
+        x, l, l_t, s_t = protocol.run_round(t, process.costs_at(t))
+        result.allocations[t - 1] = x
+        result.local_costs[t - 1] = l
+        result.global_costs[t - 1] = l_t
+        result.stragglers[t - 1] = s_t
+        if on_round is not None:
+            on_round(t, result)
+    return result

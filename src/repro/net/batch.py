@@ -57,7 +57,6 @@ from repro.net.message import FrameBatch, SCALAR_BYTES
 __all__ = [
     "BatchedCluster",
     "DeliveryPlan",
-    "group_by_destination",
     "DEFAULT_CHUNK_FRAMES",
 ]
 
@@ -65,29 +64,6 @@ __all__ = [
 #: chunk's per-frame intermediates stay cache-resident, large enough
 #: that phases below N~65k keep their historical one-shot path.
 DEFAULT_CHUNK_FRAMES = 65536
-
-
-def group_by_destination(
-    dst: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Group per-frame ``values`` by destination in one argsort pass.
-
-    Returns ``(unique_dst, groups)`` with ``unique_dst`` ascending and
-    ``groups[i]`` holding the values of the frames addressed to
-    ``unique_dst[i]``, in original frame order (the argsort is stable).
-    O(E log E) array ops, no per-frame Python — the delivery loop and the
-    tree fast path's per-head gathers both ride on this.
-    """
-    dst = np.asarray(dst)
-    values = np.asarray(values)
-    order = np.argsort(dst, kind="stable")
-    sorted_dst = dst[order]
-    boundaries = np.flatnonzero(sorted_dst[1:] != sorted_dst[:-1]) + 1
-    groups = np.split(values[order], boundaries)
-    if sorted_dst.size == 0:
-        return sorted_dst, []
-    unique = sorted_dst[np.concatenate(([0], boundaries))]
-    return unique, groups
 
 
 class BatchedCluster:
@@ -161,26 +137,11 @@ class BatchedCluster:
         self._cluster.metrics.record_batch_arrays(
             batch.round_index, batch.count, batch.total_bytes, batch.src, batch.dst
         )
-        # One stable argsort/split pass replaces the historical
-        # per-destination bincount loop — O(E) array ops plus one Python
-        # attribute bump per *receiver* (bit-identical counts, pinned by
-        # tests/unit/test_net_batch.py). Over a lazy node table the
-        # per-receiver bumps collapse to a single scatter-add on the
-        # shared counter column. A failed receiver discards its frames
-        # uncounted, as :meth:`Node.deliver` does: the frames still
-        # crossed the wire (metrics above) and drew a delay.
-        lazy = self._cluster.lazy_nodes
-        if lazy is not None:
-            unique_dst, counts = np.unique(batch.dst, return_counts=True)
-            live = ~lazy.failed[unique_dst]
-            lazy.bump(unique_dst[live], counts[live])
-            return arrivals
-        unique_dst, groups = group_by_destination(batch.dst, batch.dst)
-        node = self._cluster.node
-        for dst, group in zip(unique_dst.tolist(), groups):
-            receiver = node(dst)
-            if not receiver.failed:
-                receiver.received_count += group.size
+        # A failed receiver discards its frames uncounted (see
+        # :meth:`Cluster.bump_received`): the frames still crossed the
+        # wire (metrics above) and drew a delay.
+        unique_dst, counts = np.unique(batch.dst, return_counts=True)
+        self._cluster.bump_received(unique_dst, counts)
         return arrivals
 
     def plan(
@@ -237,13 +198,12 @@ class DeliveryPlan:
     the eager masked path, and no slot is created for a pair whose bump
     is zero.
 
-    Plans hold references to the cluster's node objects and cached pair
-    slots; they die with the protocol's overlay cache on any membership
-    change, and re-resolve their slots when the metrics object is reset
-    or restored (:attr:`NetworkMetrics.pair_epoch`). Unlike
-    :meth:`BatchedCluster.deliver` a plan bumps every receiver it
-    lists without consulting ``failed``: plans are built over live
-    participants only.
+    Plans hold cached pair slots; they die with the protocol's overlay
+    cache on any membership change, and re-resolve their slots when the
+    metrics object is reset or restored
+    (:attr:`NetworkMetrics.pair_epoch`). Receiver counts go through
+    :meth:`~repro.net.cluster.Cluster.bump_received`, as in
+    :meth:`BatchedCluster.deliver`.
     """
 
     def __init__(
@@ -262,25 +222,12 @@ class DeliveryPlan:
             )
         self.count = int(self.src.size)
         self.size_bytes = SCALAR_BYTES * int(payload_fields)
-        cluster = batched.cluster
-        # Per-receiver bumps, ascending destination (the order the
-        # one-shot path applies them; addition is commutative but keep
-        # it anyway for strict attribute-write parity). Over a lazy node
-        # table the plan keeps (dst, count) arrays instead of resolved
-        # node objects — resolving would hydrate every receiver, which
-        # at N=10⁶ is exactly what lazy mode exists to avoid.
-        unique_dst, recv_counts = np.unique(self.dst, return_counts=True)
-        if cluster.lazy_nodes is not None:
-            self._recv = None
-            self._recv_dst = unique_dst
-            self._recv_counts = recv_counts
-        else:
-            node = cluster.node
-            self._recv = [
-                (node(d), c)
-                for d, c in zip(unique_dst.tolist(), recv_counts.tolist())
-            ]
-            self._recv_dst = self._recv_counts = None
+        # Per-receiver bumps as (ascending dst, count) arrays — the
+        # one-shot path's bump list. Keeping ids rather than node
+        # objects hydrates no lazy receiver.
+        self._recv_dst, self._recv_counts = np.unique(
+            self.dst, return_counts=True
+        )
         # Unique (src, dst) pairs in first-occurrence frame order — the
         # slot creation order record_batch_arrays uses — as int64 table
         # keys and counts, plus each frame's entry index (for drop=).
@@ -328,15 +275,11 @@ class DeliveryPlan:
         metrics.record_totals(round_index, count, count * self.size_bytes)
         if metrics.pair_accounting and count:
             self._bump_pairs(metrics, drop)
-        if self._recv is None:
-            cluster.lazy_nodes.bump(self._recv_dst, self._recv_counts)
-            if drop is not None:
-                cluster.lazy_nodes.received_count[int(self.dst[drop])] -= 1
-        else:
-            for node, bump in self._recv:
-                node.received_count += bump
-            if drop is not None:
-                cluster.node(int(self.dst[drop])).received_count -= 1
+        recv_counts = self._recv_counts
+        if drop is not None:
+            recv_counts = recv_counts.copy()
+            recv_counts[np.searchsorted(self._recv_dst, self.dst[drop])] -= 1
+        cluster.bump_received(self._recv_dst, recv_counts)
         return arrivals
 
     def _bump_pairs(self, metrics, drop: int | None) -> None:

@@ -134,15 +134,22 @@ class Cluster:
     def bump_received(self, unique_dst: np.ndarray, counts: np.ndarray) -> None:
         """Credit batched deliveries to many receivers at once.
 
-        In lazy mode this is one array op on the shared counter column;
-        in eager mode it applies the same bumps node by node (ascending
-        destination, matching the historical per-receiver loop)."""
-        if self._lazy is not None:
-            self._lazy.bump(unique_dst, counts)
+        A failed receiver discards its frames uncounted, as
+        :meth:`Node.deliver` does. In lazy mode this is one array op on
+        the shared counter column; in eager mode it applies the same
+        bumps node by node, ascending destination."""
+        lazy = self._lazy
+        if lazy is not None:
+            if lazy.failed.any():  # steady rounds skip the O(N) gather
+                live = ~lazy.failed[unique_dst]
+                unique_dst, counts = unique_dst[live], counts[live]
+            lazy.bump(unique_dst, counts)
             return
         node = self.node
         for dst, bump in zip(unique_dst.tolist(), counts.tolist()):
-            node(dst).received_count += bump
+            receiver = node(dst)
+            if not receiver.failed:
+                receiver.received_count += bump
 
     def set_link(self, src: int, dst: int, link: Link) -> None:
         """Override the link used for ``src -> dst`` messages."""

@@ -27,7 +27,7 @@ from repro.backend import ArrayBackend, get_backend
 from repro.backend import kernels
 from repro.core.interface import identify_straggler
 from repro.core.ledger import LedgerEntry, RoundLedger
-from repro.core.loop import RunResult
+from repro.core.loop import RunResult, run_protocol
 from repro.core.membership import add_worker_allocation
 from repro.core.peerstore import (
     Column,
@@ -495,20 +495,14 @@ class _TreeRound:
       fields), E (member decisions, 1 field), F (per-level partial sums,
       1 field). Payload values are never materialized; the plans carry
       only the accounting a materialized frame batch would produce.
-    - **Mirrors and buffers**: copies of every peer's ``x`` (float64) and
-      ``alpha_bar`` (backend dtype, the precision the consensus reduces
-      in), and the per-shard reduction outputs. The mirrors are fresh
-      only while every round since the last :meth:`resync` was a tree
-      round on this object: ``synced`` holds the round sequence number
-      (the sum of the protocol's route counts) of the last round that
-      wrote them.
+    - **Buffers**: the per-shard reduction outputs. Peer state is read
+      from the live store every round, never mirrored.
     """
 
     def __init__(
         self, protocol: "FullyDistributedDolbie", membership: _Membership
     ) -> None:
         self.key = membership.roster
-        self.synced = -1
         tree = AggregationTree.build(
             membership.ids, protocol.shard_size, protocol.branching
         )
@@ -570,13 +564,6 @@ class _TreeRound:
         self.out_arg = np.empty(m, dtype=np.int64)
         self.out_alpha = np.empty(m, dtype=dtype)
         self.acc_sum = np.empty(m, dtype=dtype)
-        self.x_arr = np.empty(n, dtype=float)
-        self.alpha_arr = np.empty(n, dtype=dtype)
-
-    def resync(self, store: PeerStore) -> None:
-        """Refresh the x/alpha mirrors from live peer state."""
-        self.x_arr[:] = store.x
-        self.alpha_arr[:] = store.alpha_bar
 
 
 class FullyDistributedDolbie:
@@ -805,8 +792,8 @@ class FullyDistributedDolbie:
         """Empty the membership cache and drop the tree round's.
 
         Called on every mutation no round performs itself:
-        crash/rejoin/checkpoint restore change the roster; ``_readmit``
-        rewrites allocations and step sizes behind the tree mirrors."""
+        crash/rejoin/checkpoint restore change the roster, and
+        ``_readmit`` rebinds every participant's roster."""
         self._membership = None
         self._tree_round = None
 
@@ -914,6 +901,14 @@ class FullyDistributedDolbie:
     def metrics(self):
         return self.cluster.metrics
 
+    @property
+    def header_context(self) -> dict:
+        """The engine identity a trace header carries."""
+        return {
+            "fast_path": self.use_fast_path,
+            "topology": "complete" if self.topology is None else "custom",
+        }
+
     # -- route counters (views over route_counts) ---------------------------
     @property
     def fast_rounds(self) -> int:
@@ -1005,9 +1000,7 @@ class FullyDistributedDolbie:
         is what re-agrees the rosters)."""
         if self.aggregation != "tree":
             return "aggregation is flat"
-        if blocked is not None:
-            return blocked
-        return None if members.agree else "rosters disagree"
+        return self._check_flat(members, blocked)
 
     def _check_flat(self, members: _Membership, blocked: str | None) -> str | None:
         """The flat batched round on an agreed roster — a healthy round,
@@ -1118,15 +1111,13 @@ class FullyDistributedDolbie:
             cc = self._tree_round = _TreeRound(self, members)
         cc.key = members.roster  # later rounds compare by identity
         tree = cc.tree
-        seq = sum(self.route_counts.values())  # this round's number
-        if cc.synced != seq - 1:  # another route ran since, or rebuilt
-            cc.resync(store)
-        x_played = cc.x_arr.copy()
+        x_played = store.x.copy()
         m = cc.m
         parts = tree.ids
         t0 = self.cluster.engine.now
         x = backend.asarray(x_played)
-        alphas = cc.alpha_arr
+        # The store column itself on numpy64; phase A indexes a copy.
+        alphas = backend.asarray(store.alpha_bar)
         vector = as_cost_vector(costs, backend.dtype)
         local = vector.values(x)
         backend.ensure(local, "local costs")
@@ -1278,17 +1269,13 @@ class FullyDistributedDolbie:
         store.global_cost[parts] = global_cost
         store.straggler_id[parts] = straggler
         store.x[:] = x_new
-        straggler_alpha = min(
+        store.alpha_bar[straggler] = min(
             float(store.alpha_bar[straggler]),
             feasibility_cap(x_close, parts.size),
         )  # line 13 / Eq. (8)
-        store.alpha_bar[straggler] = straggler_alpha
-        cc.x_arr = x_new  # owned: the column writes copied values out
-        cc.alpha_arr[straggler] = straggler_alpha
 
         cc.batched.finish_round(final_now, events)
         self.last_tree = tree
-        cc.synced = seq
         return x_played, local64, global_cost, straggler
 
     def _run_round_fast(
@@ -1578,32 +1565,6 @@ class FullyDistributedDolbie:
         return result
 
     def run(self, process: CostProcess, horizon: int) -> RunResult:
-        n = self.num_workers
-        if self.tracer is not None:
-            # Engine identity lives in the header only: payload records
-            # diff empty between the fast path and the event engine.
-            self.tracer.header(
-                self.name, n, horizon,
-                fast_path=self.use_fast_path,
-                topology="complete" if self.topology is None else "custom",
-            )
-        allocations = np.empty((horizon, n))
-        local = np.empty((horizon, n))
-        global_costs = np.empty(horizon)
-        stragglers = np.empty(horizon, dtype=int)
-        for t in range(1, horizon + 1):
-            x, l, l_t, s_t = self.run_round(t, process.costs_at(t))
-            allocations[t - 1] = x
-            local[t - 1] = l
-            global_costs[t - 1] = l_t
-            stragglers[t - 1] = s_t
-        return RunResult(
-            algorithm=self.name,
-            num_workers=n,
-            horizon=horizon,
-            allocations=allocations,
-            local_costs=local,
-            global_costs=global_costs,
-            stragglers=stragglers,
-            decision_seconds=np.zeros(horizon),
-        )
+        """Drive the protocol for ``horizon`` rounds (see
+        :func:`repro.core.loop.run_protocol`)."""
+        return run_protocol(self, process, horizon)

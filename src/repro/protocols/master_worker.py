@@ -29,8 +29,9 @@ import numpy as np
 
 from repro.core.interface import identify_straggler
 from repro.core.ledger import LedgerEntry, RoundLedger
-from repro.core.loop import RunResult
+from repro.core.loop import RunResult, run_protocol
 from repro.core.membership import add_worker_allocation
+from repro.core.peerstore import LedgerBook
 from repro.core.step_size import feasibility_cap, initial_step_size
 from repro.costs.base import CostFunction
 from repro.costs.timevarying import CostProcess
@@ -317,13 +318,11 @@ class MasterWorkerDolbie:
         self.profiler = profiler
         self.cluster.tracer = tracer
         #: Authoritative round ledger (one entry per completed round) and
-        #: each worker's replica of it. A crash wipes the worker's
-        #: replica — process memory is gone — while a checkpointed
-        #: *restart* restores it (see :mod:`repro.core.ledger`).
+        #: each worker's replica of it, span-compressed. A crash wipes
+        #: the worker's replica — process memory is gone — while a
+        #: checkpointed *restart* restores it (see :mod:`repro.core.ledger`).
         self.ledger = RoundLedger()
-        self._worker_ledgers: dict[int, RoundLedger] = {
-            i: RoundLedger() for i in range(num_workers)
-        }
+        self._ledger_book = LedgerBook(num_workers, self.ledger)
 
     def crash_worker(self, worker: int) -> None:
         """Silence ``worker`` from the next round on (it stops reporting).
@@ -337,7 +336,7 @@ class MasterWorkerDolbie:
         self._alive[worker] = False
         self.workers[worker].failed = True
         # Process memory is gone: the worker's ledger replica dies with it.
-        self._worker_ledgers[worker] = RoundLedger()
+        self._ledger_book.wipe(worker)
         emit_membership(
             self.tracer, self.cluster.trace_round, "crash", [worker],
             self.roster,
@@ -386,14 +385,14 @@ class MasterWorkerDolbie:
 
     def worker_ledger(self, worker: int) -> RoundLedger:
         """``worker``'s replica of the round ledger."""
-        return self._worker_ledgers[worker]
+        return self._ledger_book.worker_ledger(worker)
 
     def restore_worker_ledger(
         self, worker: int, entries: Sequence[LedgerEntry]
     ) -> None:
         """Reload ``worker``'s ledger replica from a checkpoint (the
         restart fault's recovery path; a plain rejoin starts empty)."""
-        self._worker_ledgers[worker] = RoundLedger(entries)
+        self._ledger_book.restore_replica(worker, entries)
 
     @property
     def alive_workers(self) -> list[int]:
@@ -422,6 +421,14 @@ class MasterWorkerDolbie:
     def metrics(self):
         """Network metrics (message/byte counts) for §IV-C."""
         return self.cluster.metrics
+
+    @property
+    def header_context(self) -> dict:
+        """The engine identity a trace header carries."""
+        return {
+            "fast_path": self.use_fast_path,
+            "embedded_master": self.embedded_master,
+        }
 
     @property
     def fast_rounds(self) -> int:
@@ -589,8 +596,7 @@ class MasterWorkerDolbie:
             roster=tuple(self.roster),
         )
         self.ledger.append(entry)
-        for worker in entry.roster:
-            self._worker_ledgers[worker].append(entry)
+        self._ledger_book.fanout(np.array(entry.roster, dtype=np.int64), entry)
         if tracer is not None:
             roster_after = self.roster
             if roster_after != roster_before:
@@ -660,34 +666,6 @@ class MasterWorkerDolbie:
     )
 
     def run(self, process: CostProcess, horizon: int) -> RunResult:
-        """Drive the protocol for ``horizon`` rounds; mirrors ``run_online``."""
-        n = self.num_workers
-        if self.tracer is not None:
-            # Engine identity lives in the header only: the payload
-            # records must diff empty between the fast path and the
-            # event engine (headers are excluded by default).
-            self.tracer.header(
-                self.name, n, horizon,
-                fast_path=self.use_fast_path,
-                embedded_master=self.embedded_master,
-            )
-        allocations = np.empty((horizon, n))
-        local = np.empty((horizon, n))
-        global_costs = np.empty(horizon)
-        stragglers = np.empty(horizon, dtype=int)
-        for t in range(1, horizon + 1):
-            x, l, l_t, s_t = self.run_round(t, process.costs_at(t))
-            allocations[t - 1] = x
-            local[t - 1] = l
-            global_costs[t - 1] = l_t
-            stragglers[t - 1] = s_t
-        return RunResult(
-            algorithm=self.name,
-            num_workers=n,
-            horizon=horizon,
-            allocations=allocations,
-            local_costs=local,
-            global_costs=global_costs,
-            stragglers=stragglers,
-            decision_seconds=np.zeros(horizon),
-        )
+        """Drive the protocol for ``horizon`` rounds (see
+        :func:`repro.core.loop.run_protocol`)."""
+        return run_protocol(self, process, horizon)

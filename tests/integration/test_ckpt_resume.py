@@ -8,6 +8,7 @@ drives the CLI through a real SIGKILL and asserts the resumed trace
 file is byte-equivalent.
 """
 
+import json
 import os
 import signal
 import subprocess
@@ -19,10 +20,17 @@ import pytest
 
 from repro.ckpt import CheckpointStore, resume_run, run_with_checkpoints
 from repro.ckpt.runner import run_result_to_csv
+from repro.ckpt.snapshot import Snapshot
+from repro.ckpt.state import restore_protocol
+from repro.core.ledger import RoundLedger
+from repro.costs.timevarying import DriftingAffineProcess
 from repro.exceptions import CheckpointError
+from repro.net.links import ConstantLatency, Link
 from repro.obs.diff import diff_traces
+from repro.protocols.master_worker import MasterWorkerDolbie
 
 WORKERS, ROUNDS, CHECKPOINT_AT, SEED = 30, 100, 50, 5
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
 
 @pytest.mark.parametrize("architecture", ["mw", "fd"])
@@ -142,3 +150,49 @@ def test_cli_kill_resume_trace_is_byte_identical(tmp_path):
         include_header=True,
     )
     assert diff.empty, diff.summary()
+
+
+def test_master_worker_replica_list_snapshot_restores():
+    """MW snapshots written before the span arrays still load.
+
+    ``tests/golden/mw_replica_snapshot.json`` holds per-replica ledger
+    lists and no ``worker_ledger_spans`` (N=8, ``ConstantLatency(0.001)``,
+    worker 2 restarted — crashed before round 3, rejoined with its
+    rounds 1-2 restored before round 5 — and worker 5 crashed before
+    round 6; snapshot after round 6). ``mw_replica_continuation.json``
+    records what that protocol then produced in rounds 7-9."""
+    snap = Snapshot.from_bytes(
+        (GOLDEN_DIR / "mw_replica_snapshot.json").read_bytes()
+    )
+    assert "worker_ledger_spans" not in snap.state
+    n = int(snap.config["num_workers"])
+    protocol = MasterWorkerDolbie(n, link=Link(ConstantLatency(0.001)))
+    restore_protocol(protocol, snap.state)
+    expected = json.loads(
+        (GOLDEN_DIR / "mw_replica_continuation.json").read_text()
+    )
+    for w, records in enumerate(expected["worker_ledgers_at_snapshot"]):
+        assert protocol.worker_ledger(w) == RoundLedger.from_records(
+            records
+        ), f"worker {w} replica restored wrong"
+    assert [e.round_index for e in protocol.worker_ledger(2)] == [1, 2, 5, 6]
+    assert len(protocol.worker_ledger(5)) == 0
+    speeds = [1.0 + 3.0 * (i / max(n - 1, 1)) for i in range(n)]
+    process = DriftingAffineProcess(
+        speeds, amplitude=0.25, period=40.0, seed=int(snap.config["seed"])
+    )
+    for record in expected["rounds"]:
+        t = record["round"]
+        x, _, cost, straggler = protocol.run_round(t, process.costs_at(t))
+        assert x.tolist() == record["allocation"]
+        assert cost == record["global_cost"]
+        assert straggler == record["straggler"]
+    assert protocol.allocation.tolist() == expected["allocation_after"]
+    assert protocol.alpha == expected["alpha_after"]
+    assert protocol.metrics.messages_total == expected["messages_total"]
+    assert protocol.cluster.engine.now == expected["now"]
+    assert protocol.ledger == RoundLedger.from_records(expected["ledger"])
+    for w, records in enumerate(expected["worker_ledgers"]):
+        assert protocol.worker_ledger(w) == RoundLedger.from_records(
+            records
+        ), f"worker {w} replica diverged"

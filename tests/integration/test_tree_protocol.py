@@ -226,6 +226,44 @@ class TestCrashReshard:
         assert any("aggregation tree" in v for v in violations)
 
 
+class TestPeerWrites:
+    @staticmethod
+    def _run(aggregation, write):
+        """Three rounds at N=12; ``write`` runs between rounds 2 and 3."""
+        n = 12
+        kwargs = {"aggregation": aggregation}
+        if aggregation == "tree":
+            kwargs["shard_size"] = 3
+        protocol = _protocol(n, **kwargs)
+        process = _process(n)
+        for t in (1, 2):
+            protocol.run_round(t, process.costs_at(t))
+        write(protocol)
+        protocol.run_round(3, process.costs_at(3))
+        return protocol
+
+    @pytest.mark.parametrize("aggregation", ["flat", "tree"])
+    def test_round_reads_a_step_size_written_through_a_view(self, aggregation):
+        """A write through ``protocol.peers[k]`` between two rounds is
+        what the next round reads, on every route."""
+
+        def write(protocol):
+            protocol.peers[5].alpha_bar = 1e-6
+            assert protocol.alpha == 1e-6
+
+        protocol = self._run(aggregation, write)
+        assert protocol.route_counts[aggregation] == 3
+        reference = self._run("flat", write)
+        untouched = self._run("flat", lambda protocol: None)
+        np.testing.assert_allclose(
+            protocol.allocation, reference.allocation, rtol=1e-12
+        )
+        # The write moves the allocation well beyond that tolerance.
+        assert np.abs(
+            reference.allocation - untouched.allocation
+        ).max() > 1e-3
+
+
 class TestCheckpointRoundTrip:
     def _advance(self, protocol, process, start, stop):
         for t in range(start, stop):

@@ -17,7 +17,7 @@ from repro.net.events import EventEngine
 from repro.net.links import ConstantLatency, Link, LogNormalLatency, UniformLatency
 from repro.net.message import FrameBatch, Message, scalar_payload_size
 from repro.net.metrics import NetworkMetrics
-from repro.net.node import Node
+from repro.net.node import LazyNodeTable, Node
 
 
 class TestSampleBatchStreamIdentity:
@@ -171,32 +171,6 @@ class TestRecordBatchArrays:
         assert metrics.per_pair_messages == {}
 
 
-class TestGroupByDestination:
-    def test_matches_python_grouping(self):
-        from repro.net.batch import group_by_destination
-
-        rng = np.random.default_rng(4)
-        dst = rng.integers(0, 12, size=200)
-        values = rng.uniform(size=200)
-        unique, groups = group_by_destination(dst, values)
-        reference: dict[int, list[float]] = {}
-        for d, v in zip(dst.tolist(), values.tolist()):
-            reference.setdefault(d, []).append(v)
-        assert unique.tolist() == sorted(reference)
-        for d, group in zip(unique.tolist(), groups):
-            # stable: each destination's values keep frame order
-            assert group.tolist() == reference[d]
-
-    def test_empty_input(self):
-        from repro.net.batch import group_by_destination
-
-        unique, groups = group_by_destination(
-            np.array([], dtype=int), np.array([])
-        )
-        assert unique.size == 0
-        assert groups == []
-
-
 class TestEventEngineExtensions:
     def test_pending_tracks_queue_depth(self):
         engine = EventEngine()
@@ -328,11 +302,20 @@ class TestBatchedDelivery:
         for node_id in range(3):
             assert cluster.node(node_id).received_count == 1
 
-    def test_failed_receivers_are_counted_but_not_bumped(self):
+    @pytest.mark.parametrize("lazy", [False, True], ids=["object", "lazy"])
+    def test_failed_receivers_are_counted_but_not_bumped(self, lazy):
         """Frames to a failed node cross the wire and draw a delay, and
         the node discards them uncounted — as ``Node.deliver`` does."""
-        cluster = _cluster(default_link=Link(ConstantLatency(0.01)))
-        cluster.node(2).failed = True
+        link = Link(ConstantLatency(0.01))
+        if lazy:
+            table = LazyNodeTable(
+                3, Node, np.zeros(3, dtype=np.int64), np.zeros(3, dtype=bool)
+            )
+            cluster = Cluster(table, default_link=link)
+            table.failed[2] = True
+        else:
+            cluster = _cluster(default_link=link)
+            cluster.node(2).failed = True
         batch = FrameBatch(
             tag="cost", src=np.array([0, 1, 0]), dst=np.array([2, 2, 1]),
             payload={"l": np.zeros(3)},
@@ -341,8 +324,12 @@ class TestBatchedDelivery:
         assert arrivals.size == 3
         assert cluster.metrics.messages_total == 3
         assert cluster.metrics.per_pair_messages[(1, 2)] == 1
-        assert cluster.node(2).received_count == 0
-        assert cluster.node(1).received_count == 1
+        received = (
+            cluster.lazy_nodes.received_count.tolist()
+            if lazy
+            else [cluster.node(i).received_count for i in range(3)]
+        )
+        assert received == [0, 1, 0]
 
     def test_finish_round_advances_clock_and_credits(self):
         cluster = _cluster()
