@@ -302,7 +302,7 @@ class TestBatchedDelivery:
         for node_id in range(3):
             assert cluster.node(node_id).received_count == 1
 
-    @pytest.mark.parametrize("lazy", [False, True], ids=["object", "lazy"])
+    @pytest.mark.parametrize("lazy", [False, True], ids=["obj", "lazy"])
     def test_failed_receivers_are_counted_but_not_bumped(self, lazy):
         """Frames to a failed node cross the wire and draw a delay, and
         the node discards them uncounted — as ``Node.deliver`` does."""
