@@ -12,9 +12,9 @@ What is deliberately **not** captured (each skip has a proof):
 - per-round transient protocol dicts *are* captured — they are cheap
   and make ``capture(restore(capture(x)))`` exactly idempotent — but
   the caches derived from configuration and membership (the FD
-  protocol's ``_membership``/``_flat_round``/``_tree_round``, MW's
-  ``_batched``) are not: they are pure functions of the rebuilt
-  objects;
+  protocol's ``_membership``/``_flat_round``/``_tree_round``, the
+  cluster's batched view) are not: they are pure functions of the
+  rebuilt objects;
 - cost processes: pure functions of ``(seed, t)``, no internal state;
 - :class:`~repro.utils.rng.RngFactory`: seeds only, no stream state;
 - the event engine's tie-break counter: checkpoints are only legal at

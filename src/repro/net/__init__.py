@@ -10,7 +10,7 @@ from repro.net.links import (
     LogNormalLatency,
     UniformLatency,
 )
-from repro.net.message import FrameBatch, Message, scalar_payload_size
+from repro.net.message import Message, scalar_payload_size
 from repro.net.metrics import NetworkMetrics
 from repro.net.node import Node
 from repro.net.topology import Topology, connected_components
@@ -22,7 +22,6 @@ __all__ = [
     "Node",
     "Topology",
     "connected_components",
-    "FrameBatch",
     "Message",
     "scalar_payload_size",
     "NetworkMetrics",

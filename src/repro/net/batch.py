@@ -5,21 +5,24 @@ time through a heapq and per-frame Python callbacks. For the protocols'
 *healthy* rounds that generality is wasted: every round is a fixed
 sequence of broadcast/gather phases whose frames are all sent over the
 same default link. :class:`BatchedCluster` delivers such a phase in one
-step — all link delays sampled as a single numpy draw, frames carried as
-struct-of-arrays (:class:`~repro.net.message.FrameBatch`), metrics and
-receive counts bumped in bulk — and lets the caller advance virtual time
-to the phase maximum afterwards.
+step — all link delays sampled as a single numpy draw, frames given as
+bare ``src``/``dst`` id arrays plus a payload field count (delivery never
+reads payload values; only their number enters the wire size), metrics
+and receive counts bumped in bulk. The cluster's one view keeps the
+round's tally (last arrival, frames delivered), and
+:meth:`BatchedCluster.finish_round` advances virtual time and credits
+events from it once the round's last phase is in.
 
 Two refinements ride on the same contract:
 
-- **Streaming chunks.** ``deliver(..., chunk_frames=K)`` processes the
-  batch as zero-copy slices of at most ``K`` frames, so an N=100,000
-  phase never holds more than one chunk of per-frame intermediates.
-  Chunked delivery is bit-identical to one-shot delivery: per-chunk
-  delay draws are stream-identical to a single draw (``sample_batch``
-  splits are stable — pinned by the mixed-interleaving test), chunk
-  accounting sums to the phase totals, and pairs still enter the
-  metrics' pair table in frame order.
+- **Streaming chunks.** A phase above ``chunk_frames`` frames is
+  processed as index slices of ``src``/``dst``/``send_times`` of at most
+  that many frames, so an N=100,000 phase never holds more than one
+  chunk of per-frame intermediates. Chunked delivery is bit-identical
+  to one-shot delivery: per-chunk delay draws are stream-identical to a
+  single draw (``sample_batch`` splits are stable — pinned by the
+  mixed-interleaving test), chunk accounting sums to the phase totals,
+  and pairs still enter the metrics' pair table in frame order.
 - **Delivery plans.** A :class:`DeliveryPlan` precomputes everything a
   repeating ``(src, dst)`` frame layout implies — counts, bytes, the
   per-receiver bump list, the pair-table slots — so the FD tree round
@@ -52,7 +55,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.net.cluster import Cluster
-from repro.net.message import FrameBatch, SCALAR_BYTES
+from repro.net.message import SCALAR_BYTES
 
 __all__ = [
     "BatchedCluster",
@@ -67,10 +70,20 @@ DEFAULT_CHUNK_FRAMES = 65536
 
 
 class BatchedCluster:
-    """Phase-level batched delivery over a cluster's default link."""
+    """Phase-level batched delivery over a cluster's default link.
+
+    A cluster has one view (:meth:`Cluster.batched`). Between
+    :meth:`begin_round` and :meth:`finish_round` it keeps the round's
+    index and its tally — the last arrival and the number of frames
+    delivered — so a round runner only lists each phase's layout and
+    send times.
+    """
 
     def __init__(self, cluster: Cluster) -> None:
         self._cluster = cluster
+        #: Most frames :meth:`deliver` processes in one slice.
+        self.chunk_frames = DEFAULT_CHUNK_FRAMES
+        self.begin_round(0)
 
     @property
     def cluster(self) -> Cluster:
@@ -80,84 +93,110 @@ class BatchedCluster:
     def now(self) -> float:
         return self._cluster.engine.now
 
-    def eligible(self) -> bool:
-        """True when batched delivery is observably identical to the
+    def _require_eligible(self) -> None:
+        """Refuse delivery unless it is observably identical to the
         event engine (see :meth:`Cluster.batch_eligible`)."""
-        return self._cluster.batch_eligible()
+        if not self._cluster.batch_eligible():
+            raise SimulationError(
+                "batched delivery requested while the cluster is not "
+                "batch-eligible (chaos hooks active or frames in flight)"
+            )
+
+    def begin_round(self, round_index: int) -> None:
+        """Start a round: later deliveries are accounted to
+        ``round_index``, and the tally restarts at the current clock
+        (discarding whatever a raised round left behind)."""
+        self.round_index = round_index
+        #: The round's last arrival so far (the clock when it began).
+        self.last_arrival = self._cluster.engine.now
+        #: Frames delivered since :meth:`begin_round`.
+        self.frames = 0
+
+    def _tally(self, arrivals: np.ndarray) -> np.ndarray:
+        if arrivals.size:
+            self.last_arrival = max(self.last_arrival, float(arrivals.max()))
+            self.frames += arrivals.size
+        return arrivals
 
     def deliver(
         self,
-        batch: FrameBatch,
+        src: np.ndarray,
+        dst: np.ndarray,
+        fields: int,
         send_times: float | np.ndarray,
-        chunk_frames: int | None = None,
     ) -> np.ndarray:
-        """Deliver one phase; returns each frame's arrival time.
+        """Deliver one phase — frame ``k`` from ``src[k]`` to ``dst[k]``,
+        ``fields`` scalars each — and return each frame's arrival time.
 
         ``send_times`` is a scalar (all frames sent together) or a
         per-frame array. The link delays for the whole phase are sampled
         in frame order — the caller must list frames in event-engine
         send order so the generator consumes the stream identically to
         per-frame sends. Metrics and the receivers' ``received_count``
-        are updated in bulk; the caller advances the clock via
-        :meth:`finish_round` once the round's last phase is in.
+        are updated in bulk; the arrivals join the round's tally, which
+        :meth:`finish_round` turns into clock and event statistics.
 
-        ``chunk_frames`` streams the batch as zero-copy slices of at
-        most that many frames (see the module docstring; ``None`` keeps
-        the historical one-shot delivery). Chunking changes peak memory
-        only — arrivals, metrics, and RNG stream position are
-        bit-identical.
+        A phase above :attr:`chunk_frames` streams as index slices of
+        at most that many frames (see the module docstring). Chunking
+        changes peak memory only — arrivals, metrics, and RNG stream
+        position are bit-identical.
         """
-        if not self.eligible():
-            raise SimulationError(
-                "batched delivery requested while the cluster is not "
-                "batch-eligible (chaos hooks active or frames in flight)"
+        self._require_eligible()
+        size_bytes = SCALAR_BYTES * int(fields)
+        send_times = np.asarray(send_times, dtype=float)
+        count, chunk = len(src), self.chunk_frames
+        if count <= chunk:
+            return self._tally(
+                self._deliver_frames(src, dst, size_bytes, send_times)
             )
-        if chunk_frames is None or batch.count <= chunk_frames:
-            return self._deliver_frames(batch, send_times)
-        scalar_send = np.ndim(send_times) == 0
-        if not scalar_send:
-            send_times = np.asarray(send_times, dtype=float)
-        arrivals = np.empty(batch.count, dtype=float)
-        for lo, sub in batch.chunks(chunk_frames):
-            hi = lo + sub.count
+        arrivals = np.empty(count, dtype=float)
+        for lo in range(0, count, chunk):
+            hi = min(lo + chunk, count)
             arrivals[lo:hi] = self._deliver_frames(
-                sub, send_times if scalar_send else send_times[lo:hi]
+                src[lo:hi], dst[lo:hi], size_bytes,
+                send_times if send_times.ndim == 0 else send_times[lo:hi],
             )
-        return arrivals
+        return self._tally(arrivals)
 
     def _deliver_frames(
-        self, batch: FrameBatch, send_times: float | np.ndarray
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        size_bytes: int,
+        send_times: np.ndarray,
     ) -> np.ndarray:
-        """One-shot delivery of ``batch`` (the eligibility check already
-        ran)."""
-        delays = self._cluster._default_link.delay_batch(
-            batch.count, batch.size_bytes
+        """One-shot delivery of frames ``src -> dst`` (the eligibility
+        check already ran)."""
+        cluster = self._cluster
+        count = len(src)
+        arrivals = send_times + cluster._default_link.delay_batch(
+            count, size_bytes
         )
-        arrivals = np.asarray(send_times, dtype=float) + delays
-        self._cluster.metrics.record_batch_arrays(
-            batch.round_index, batch.count, batch.total_bytes, batch.src, batch.dst
+        cluster.metrics.record_batch_arrays(
+            self.round_index, count, count * size_bytes, src, dst
         )
         # A failed receiver discards its frames uncounted (see
         # :meth:`Cluster.bump_received`): the frames still crossed the
         # wire (metrics above) and drew a delay.
-        unique_dst, counts = np.unique(batch.dst, return_counts=True)
-        self._cluster.bump_received(unique_dst, counts)
+        unique_dst, counts = np.unique(dst, return_counts=True)
+        cluster.bump_received(unique_dst, counts)
         return arrivals
 
     def plan(
-        self, src: np.ndarray, dst: np.ndarray, payload_fields: int
+        self, src: np.ndarray, dst: np.ndarray, fields: int
     ) -> "DeliveryPlan":
         """Precompute a :class:`DeliveryPlan` for a repeating phase
         layout (same ``src``/``dst`` arrays every round)."""
-        return DeliveryPlan(self, src, dst, payload_fields)
+        return DeliveryPlan(self, src, dst, fields)
 
-    def finish_round(self, now: float, events: int) -> None:
+    def finish_round(self, extra_events: int = 0) -> None:
         """Advance virtual time to the round's last arrival and credit
-        the delivered frames as processed events, so batched rounds and
+        the delivered frames, plus ``extra_events`` (timeouts that fired
+        outside the queue), as processed events, so batched rounds and
         event-engine rounds report identical clock/event statistics."""
         engine = self._cluster.engine
-        engine.advance_to(now)
-        engine.credit_events(events)
+        engine.advance_to(self.last_arrival)
+        engine.credit_events(self.frames + extra_events)
 
 
 class DeliveryPlan:
@@ -170,10 +209,9 @@ class DeliveryPlan:
     order, the per-receiver bump list — is computed once here. A plan
     delivery then costs one delay draw, one scatter-add of the unique
     pairs' counts into their cached pair-table slots and the receiver
-    bumps, with accounting **identical** to ``deliver`` on an
-    equivalent :class:`FrameBatch`: same totals, same per-pair values,
-    same pair creation order, same ``received_count`` advances, same
-    RNG stream consumption.
+    bumps, with accounting **identical** to ``deliver`` on the same
+    layout: same totals, same per-pair values, same pair creation order,
+    same ``received_count`` advances, same RNG stream consumption.
 
     Building a plan is array-native: two ``np.unique`` passes (receiver
     counts; unique pairs in first-occurrence order, kept as int64 table
@@ -181,13 +219,8 @@ class DeliveryPlan:
     looked up on the first pair bump, so with pair accounting off
     (``REPRO_PAIR_METRICS=0``) they never are: at N=10⁶ the 18 plans of
     a tree round then build in ~0.23 s (``perfbench`` ``fd_tree_1m``,
-    traced).
-
-    Payload *values* are never materialized: batched delivery is
-    payload-oblivious (only the field count enters the wire size), so a
-    plan carries ``payload_fields`` instead of arrays — this is what
-    "streaming FrameBatch construction" means for the tree round,
-    where ~3N frames per round exist only as this plan's columns.
+    traced). Like ``deliver``, a plan carries a payload field count,
+    never payload values.
 
     ``deliver(..., drop=k)`` delivers the layout minus frame ``k`` (the
     straggler's suppressed decision in phase E): ``count - 1`` delay
@@ -196,7 +229,8 @@ class DeliveryPlan:
     unique within the batch (true for member->head layouts, where every
     member is a distinct pair) so pair creation order still matches
     the eager masked path, and no slot is created for a pair whose bump
-    is zero.
+    is zero. The per-frame entry index this needs is built by the first
+    ``drop=`` delivery, so a plan that never drops keeps none.
 
     Plans hold cached pair slots; they die with the protocol's overlay
     cache on any membership change, and re-resolve their slots when the
@@ -211,7 +245,7 @@ class DeliveryPlan:
         batched: BatchedCluster,
         src: np.ndarray,
         dst: np.ndarray,
-        payload_fields: int,
+        fields: int,
     ) -> None:
         self._batched = batched
         self.src = np.asarray(src, dtype=np.int64)
@@ -221,7 +255,7 @@ class DeliveryPlan:
                 f"src/dst shape mismatch: {self.src.shape} vs {self.dst.shape}"
             )
         self.count = int(self.src.size)
-        self.size_bytes = SCALAR_BYTES * int(payload_fields)
+        self.size_bytes = SCALAR_BYTES * int(fields)
         # Per-receiver bumps as (ascending dst, count) arrays — the
         # one-shot path's bump list. Keeping ids rather than node
         # objects hydrates no lazy receiver.
@@ -230,17 +264,14 @@ class DeliveryPlan:
         )
         # Unique (src, dst) pairs in first-occurrence frame order — the
         # slot creation order record_batch_arrays uses — as int64 table
-        # keys and counts, plus each frame's entry index (for drop=).
-        keys = (self.src << 32) | self.dst
-        _, first, inverse, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
-        )
+        # keys and counts.
+        keys = self._keys()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
         order = np.argsort(first, kind="stable")
-        rank = np.empty(order.size, dtype=np.int64)
-        rank[order] = np.arange(order.size)
-        self._frame_entry = rank[inverse]
         self._pair_keys = keys[first[order]]
         self._pair_count = counts[order]
+        # Each frame's entry index, built by the first drop= delivery.
+        self._frame_entry: np.ndarray | None = None
         # Each entry's pair-table slot (-1: not created yet), resolved
         # on the first pair bump, so never with pair accounting off.
         self._slots = np.full(order.size, -1, dtype=np.int64)
@@ -249,30 +280,29 @@ class DeliveryPlan:
         self._slot_index: slice | np.ndarray | None = None
         self._pair_epoch = -1
 
+    def _keys(self) -> np.ndarray:
+        return (self.src << 32) | self.dst
+
     def deliver(
-        self,
-        round_index: int,
-        send_times: float | np.ndarray,
-        drop: int | None = None,
+        self, send_times: float | np.ndarray, drop: int | None = None
     ) -> np.ndarray:
-        """Deliver the planned phase; returns per-frame arrival times.
+        """Deliver the planned phase in the view's current round; returns
+        per-frame arrival times, which join the round's tally.
 
         With ``drop=k``, ``send_times`` must already exclude frame ``k``
         (length ``count - 1`` or scalar) and the returned arrivals are
         for the remaining frames in order.
         """
         batched = self._batched
-        if not batched.eligible():
-            raise SimulationError(
-                "batched delivery requested while the cluster is not "
-                "batch-eligible (chaos hooks active or frames in flight)"
-            )
+        batched._require_eligible()
         cluster = batched.cluster
         count = self.count if drop is None else self.count - 1
         delays = cluster._default_link.delay_batch(count, self.size_bytes)
         arrivals = np.asarray(send_times, dtype=float) + delays
         metrics = cluster.metrics
-        metrics.record_totals(round_index, count, count * self.size_bytes)
+        metrics.record_totals(
+            batched.round_index, count, count * self.size_bytes
+        )
         if metrics.pair_accounting and count:
             self._bump_pairs(metrics, drop)
         recv_counts = self._recv_counts
@@ -280,7 +310,7 @@ class DeliveryPlan:
             recv_counts = recv_counts.copy()
             recv_counts[np.searchsorted(self._recv_dst, self.dst[drop])] -= 1
         cluster.bump_received(self._recv_dst, recv_counts)
-        return arrivals
+        return batched._tally(arrivals)
 
     def _bump_pairs(self, metrics, drop: int | None) -> None:
         if self._pair_epoch != metrics.pair_epoch:
@@ -292,6 +322,11 @@ class DeliveryPlan:
             self._pair_epoch = metrics.pair_epoch
         bumps = self._pair_count
         if drop is not None:
+            if self._frame_entry is None:
+                sorter = np.argsort(self._pair_keys)
+                self._frame_entry = sorter[
+                    np.searchsorted(self._pair_keys, self._keys(), sorter=sorter)
+                ]
             bumps = bumps.copy()
             bumps[self._frame_entry[drop]] -= 1
         if self._slot_index is None:

@@ -99,6 +99,7 @@ class Cluster:
         self._lazy: LazyNodeTable | None = None
         self._links: dict[tuple[int, int], Link] = {}
         self._default_link = default_link if default_link is not None else Link()
+        self._batched: "BatchedCluster | None" = None
         if isinstance(nodes, LazyNodeTable):
             self._lazy = nodes
         else:
@@ -301,10 +302,12 @@ class Cluster:
         )
 
     def batched(self) -> "BatchedCluster":
-        """A phase-level batched view of this cluster (the fast path)."""
-        from repro.net.batch import BatchedCluster
+        """This cluster's one phase-level batched view (the fast path)."""
+        if self._batched is None:
+            from repro.net.batch import BatchedCluster
 
-        return BatchedCluster(self)
+            self._batched = BatchedCluster(self)
+        return self._batched
 
     def _frame_dropped(self, link: Link) -> bool:
         """Sample one transmission attempt under the active loss regime."""

@@ -8,12 +8,10 @@ unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
-import numpy as np
-
-__all__ = ["Message", "FrameBatch", "scalar_payload_size", "SCALAR_BYTES"]
+__all__ = ["Message", "scalar_payload_size", "SCALAR_BYTES"]
 
 #: Wire size charged per scalar payload field.
 SCALAR_BYTES = 8
@@ -39,73 +37,3 @@ class Message:
     def __post_init__(self) -> None:
         if self.size_bytes < 0:
             raise ValueError(f"size_bytes must be >= 0, got {self.size_bytes}")
-
-
-@dataclass(frozen=True)
-class FrameBatch:
-    """One protocol phase's frames as struct-of-arrays.
-
-    Instead of materializing per-frame :class:`Message` objects, a phase
-    carries its ``M`` same-tag frames as parallel columns: ``src``/``dst``
-    id arrays and one float array per scalar payload field. Frame order
-    is significant — it is the event-engine send order, which fixes both
-    the link-delay draw order and same-time delivery tie-breaking in the
-    batched fast path (:class:`repro.net.batch.BatchedCluster`).
-    """
-
-    tag: str
-    src: np.ndarray  #: (M,) sender ids, in send order
-    dst: np.ndarray  #: (M,) receiver ids, in send order
-    payload: Mapping[str, np.ndarray] = field(default_factory=dict)
-    round_index: int = 0
-
-    @property
-    def count(self) -> int:
-        return int(len(self.src))
-
-    @property
-    def size_bytes(self) -> int:
-        """Wire size of each frame (all frames of a phase are equal-sized)."""
-        return SCALAR_BYTES * len(self.payload)
-
-    @property
-    def total_bytes(self) -> int:
-        return self.size_bytes * self.count
-
-    def pairs(self) -> list[tuple[int, int]]:
-        """Per-frame ``(src, dst)`` tuples, for per-pair metrics accounting."""
-        return [(int(s), int(d)) for s, d in zip(self.src, self.dst)]
-
-    def slice(self, lo: int, hi: int) -> "FrameBatch":
-        """Frames ``[lo, hi)`` as a zero-copy view batch.
-
-        Column arrays are numpy views into this batch's arrays — no
-        frame data is duplicated — and frame order (hence delay-draw
-        order and tie-breaking) is preserved.
-        """
-        return FrameBatch(
-            tag=self.tag,
-            src=self.src[lo:hi],
-            dst=self.dst[lo:hi],
-            payload={name: column[lo:hi] for name, column in self.payload.items()},
-            round_index=self.round_index,
-        )
-
-    def chunks(self, chunk_frames: int):
-        """Iterate the batch as contiguous view slices of at most
-        ``chunk_frames`` frames each (the streaming-delivery unit: at
-        N=100,000 a phase is processed without ever holding more than
-        one chunk's worth of per-frame intermediates).
-
-        Yields ``(lo, sub_batch)`` with ``lo`` the chunk's first frame
-        index. A batch no larger than ``chunk_frames`` yields itself.
-        """
-        if chunk_frames < 1:
-            raise ValueError(f"chunk_frames must be >= 1, got {chunk_frames}")
-        count = self.count
-        if count <= chunk_frames:
-            if count:
-                yield 0, self
-            return
-        for lo in range(0, count, chunk_frames):
-            yield lo, self.slice(lo, min(lo + chunk_frames, count))

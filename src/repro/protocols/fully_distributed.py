@@ -42,10 +42,10 @@ from repro.costs.timevarying import CostProcess
 from repro.costs.vector import as_cost_vector
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.net.aggtree import AggregationTree, segment_reduce
-from repro.net.batch import DEFAULT_CHUNK_FRAMES, DeliveryPlan
+from repro.net.batch import DeliveryPlan
 from repro.net.cluster import Cluster
 from repro.net.links import Link
-from repro.net.message import SCALAR_BYTES, FrameBatch, Message
+from repro.net.message import SCALAR_BYTES, Message
 from repro.net.node import LazyNodeTable, Node
 from repro.net.topology import Topology, connected_components
 from repro.obs.profiler import Profiler
@@ -433,15 +433,14 @@ class _FlatRound:
     broadcast (``plan``), so steady rounds skip the per-phase pair
     lookup and receiver grouping. Degraded and detection sets are
     one-off and keep the one-shot delivery, which also leaves the dead
-    receivers' counts alone; so does a broadcast above
-    ``chunk_frames``, which streams in chunks.
+    receivers' counts alone; so does a broadcast above the batched
+    view's ``chunk_frames``, which streams in chunks.
     """
 
     def __init__(
         self, protocol: "FullyDistributedDolbie", membership: _Membership
     ) -> None:
         n = protocol.num_workers
-        self.batched = protocol.cluster.batched()
         parts = membership.ids
         m = parts.size
         self.parts = parts
@@ -465,9 +464,10 @@ class _FlatRound:
         taking_part = np.zeros(n, dtype=bool)
         taking_part[parts] = True
         self.nonparticipants = np.flatnonzero(~taking_part)
+        batched = protocol.cluster.batched()
         self.plan = (  # payload (l, alpha_bar)
-            self.batched.plan(self.src, self.dst, 2)
-            if self.full and self.src.size <= protocol._chunk_frames
+            batched.plan(self.src, self.dst, 2)
+            if self.full and self.src.size <= batched.chunk_frames
             else None
         )
 
@@ -521,7 +521,6 @@ class _TreeRound:
         self.root_arr = np.array([tree.root])
         heads, parent = tree.heads, tree.parent
         batched = protocol.cluster.batched()
-        self.batched = batched
         if tree.member_ids.size:
             self.plan_a: DeliveryPlan | None = batched.plan(
                 tree.member_ids, tree.member_head, 2
@@ -659,7 +658,6 @@ class FullyDistributedDolbie:
                 f"branching must be >= 2, got {self.branching}"
             )
         self.backend = get_backend(backend)
-        self._chunk_frames = DEFAULT_CHUNK_FRAMES
         self.num_workers = int(num_workers)
         self.topology = topology
         if topology is not None and topology.num_nodes != num_workers:
@@ -1085,10 +1083,9 @@ class FullyDistributedDolbie:
         The shard reductions and the documented-order decision sums run
         as fused kernels (:mod:`repro.backend.kernels`) over preallocated
         flat buffers; deliveries go through cached
-        :class:`~repro.net.batch.DeliveryPlan` objects, so no frame batch
-        — and none of the ~3N per-round payload columns — is ever
-        materialized (pinned by the ``fd-tree`` golden traces and the
-        kernel property suite).
+        :class:`~repro.net.batch.DeliveryPlan` objects, and the batched
+        view keeps the round's clock and event tally (pinned by the
+        ``fd-tree`` golden traces and the kernel property suite).
 
         Peer writes are limited to the store columns any later code path
         can observe before the next round rewrites them
@@ -1114,7 +1111,9 @@ class FullyDistributedDolbie:
         x_played = store.x.copy()
         m = cc.m
         parts = tree.ids
-        t0 = self.cluster.engine.now
+        batched = self.cluster.batched()
+        batched.begin_round(round_index)
+        t0 = batched.now
         x = backend.asarray(x_played)
         # The store column itself on numpy64; phase A indexes a copy.
         alphas = backend.asarray(store.alpha_bar)
@@ -1134,12 +1133,8 @@ class FullyDistributedDolbie:
         alpha = float(ordered_alpha.min())
 
         # Phase A: member cost reports to their shard head.
-        events = 0
-        final_now = t0
         if cc.plan_a is not None:
-            report_arrivals = cc.plan_a.deliver(round_index, t0)
-            events += report_arrivals.size
-            final_now = max(final_now, float(report_arrivals.max()))
+            report_arrivals = cc.plan_a.deliver(t0)
             head_ready = np.maximum(
                 segment_reduce(
                     np.maximum, report_arrivals, tree.member_offsets, -np.inf
@@ -1168,28 +1163,18 @@ class FullyDistributedDolbie:
         # Phase B: aggregates climb the head tree, deepest level first.
         up_ready = head_ready.copy()
         for level, parent_lv, plan_b, _plan_f in cc.up_levels:
-            arrivals = plan_b.deliver(round_index, up_ready[level])
-            events += arrivals.size
-            final_now = max(final_now, float(arrivals.max()))
+            arrivals = plan_b.deliver(up_ready[level])
             np.maximum.at(up_ready, parent_lv, arrivals)
 
         # Phase C: the global triple descends the head tree.
         down_ready = np.full(m, np.inf)
         down_ready[0] = up_ready[0]
         for level, parent_lv, plan_c in cc.down_levels:
-            arrivals = plan_c.deliver(round_index, down_ready[parent_lv])
-            events += arrivals.size
-            final_now = max(final_now, float(arrivals.max()))
-            down_ready[level] = arrivals
+            down_ready[level] = plan_c.deliver(down_ready[parent_lv])
 
         # Phase D: heads fan the triple out to their members.
         if cc.plan_d is not None:
-            member_know = cc.plan_d.deliver(
-                round_index,
-                down_ready[cc.member_shard],
-            )
-            events += member_know.size
-            final_now = max(final_now, float(member_know.max()))
+            member_know = cc.plan_d.deliver(down_ready[cc.member_shard])
         else:
             member_know = np.empty(0)
 
@@ -1215,14 +1200,12 @@ class FullyDistributedDolbie:
             if member_ids.size - (1 if drop >= 0 else 0) > 0:
                 if drop >= 0:
                     arrivals = cc.plan_e.deliver(
-                        round_index, np.delete(member_know, drop), drop=drop
+                        np.delete(member_know, drop), drop=drop
                     )
                     shard_idx = np.delete(cc.member_shard, drop)
                 else:
-                    arrivals = cc.plan_e.deliver(round_index, member_know)
+                    arrivals = cc.plan_e.deliver(member_know)
                     shard_idx = cc.member_shard
-                events += arrivals.size
-                final_now = max(final_now, float(arrivals.max()))
                 np.maximum.at(sum_ready, shard_idx, arrivals)
 
         # Phase F: documented-order decision sums + up-tree frames.
@@ -1234,21 +1217,15 @@ class FullyDistributedDolbie:
         kernels.combine_up_sums(acc_sum, cc.order, tree.parent)
         backend.ensure(acc_sum, "decision partial sums")
         for level, parent_lv, _plan_b, plan_f in cc.up_levels:
-            arrivals = plan_f.deliver(round_index, sum_ready[level])
-            events += arrivals.size
-            final_now = max(final_now, float(arrivals.max()))
+            arrivals = plan_f.deliver(sum_ready[level])
             np.maximum.at(sum_ready, parent_lv, arrivals)
 
         # Phase G + line 12: the grand total reaches the straggler.
         total = acc_sum[0]
         if straggler != tree.root:
-            batch = FrameBatch(
-                TAG_DECISION, cc.root_arr, np.array([straggler]),
-                {"x": np.array([total])}, round_index,
+            batched.deliver(
+                cc.root_arr, np.array([straggler]), 1, float(sum_ready[0])
             )
-            arrivals = cc.batched.deliver(batch, float(sum_ready[0]))
-            events += 1
-            final_now = max(final_now, float(arrivals.max()))
         raw, x_close = kernels.phase_g_close(total)
         if raw < -1e-9:
             raise ProtocolError(
@@ -1274,7 +1251,7 @@ class FullyDistributedDolbie:
             feasibility_cap(x_close, parts.size),
         )  # line 13 / Eq. (8)
 
-        cc.batched.finish_round(final_now, events)
+        batched.finish_round()
         self.last_tree = tree
         return x_played, local64, global_cost, straggler
 
@@ -1283,7 +1260,6 @@ class FullyDistributedDolbie:
         round_index: int,
         costs: Sequence[CostFunction],
         members: _Membership,
-        timeout: float | None = None,
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         """One flat round as two batched phases (Algorithm 2 verbatim).
 
@@ -1296,11 +1272,12 @@ class FullyDistributedDolbie:
         The participants are the live peers. Their broadcasts also go to
         the dead peers' node ids: those frames are counted and drawn,
         and their receivers discard them uncounted. In a failure
-        detection (``timeout`` given, see :meth:`_check_detect`) no
-        participant completes on arrival; at ``T = t0 + timeout`` each
-        one drops the silent set and coordinates, so the decisions leave
-        at ``T`` in ascending id order and the participants' timeouts
-        count as processed events.
+        detection (the rosters disagree: the ``detect`` route, see
+        :meth:`_check_detect`) no participant completes on arrival; at
+        ``T = t0 + cost_timeout`` (class-wide: the check refuses a round
+        where a view has its own) each one drops the silent set and
+        coordinates, so the decisions leave at ``T`` in ascending id
+        order and the participants' timeouts count as processed events.
 
         A full-roster round computes in the backend dtype; a degraded or
         detection round computes in float64 whatever the backend, as the
@@ -1318,8 +1295,9 @@ class FullyDistributedDolbie:
         # float64 otherwise; virtual time and link delays stay float64.
         sel = slice(None) if fr.full else parts
         backend = self.backend if fr.full else get_backend("numpy64")
-        batched = fr.batched
-        t0 = self.cluster.engine.now
+        batched = self.cluster.batched()
+        batched.begin_round(round_index)
+        t0 = batched.now
         x = backend.asarray(x_played)
         alphas = backend.asarray(store.alpha_bar)
         vector = as_cost_vector(costs, backend.dtype, among=parts)
@@ -1328,16 +1306,9 @@ class FullyDistributedDolbie:
 
         # Phase 1 (line 4): (l_i, alpha-bar_i) broadcast to every node id.
         if fr.plan is not None:
-            arrivals = fr.plan.deliver(round_index, t0)
+            arrivals = fr.plan.deliver(t0)
         else:
-            cost_batch = FrameBatch(
-                TAG_COST, fr.src, fr.dst,
-                {"l": local[fr.src], "alpha_bar": alphas[fr.src]},
-                round_index,
-            )
-            arrivals = batched.deliver(
-                cost_batch, t0, chunk_frames=self._chunk_frames
-            )
+            arrivals = batched.deliver(fr.src, fr.dst, 2, t0)
 
         # Lines 5-7: identical consensus at every participant.
         local_p = local[sel]
@@ -1353,8 +1324,7 @@ class FullyDistributedDolbie:
 
         # Phase 2 (line 9): decisions to the straggler.
         keep = parts != straggler
-        events = arrivals.size
-        if timeout is None:
+        if members.agree:
             # Each non-straggler sends the moment its completing event
             # fires — frame order is completion order (time, then
             # completing-event sequence).
@@ -1374,14 +1344,9 @@ class FullyDistributedDolbie:
             # Every participant's timeout fires at T, in id order, and
             # each non-straggler sends from it.
             senders = parts[keep]
-            send_times = t0 + timeout
-            events += m
-        decision_batch = FrameBatch(
-            TAG_DECISION, senders, np.full(m - 1, straggler),
-            {"x": x_new[senders]}, round_index,
-        )
+            send_times = t0 + _Peer.cost_timeout
         decision_arrivals = batched.deliver(
-            decision_batch, send_times, chunk_frames=self._chunk_frames
+            senders, np.full(m - 1, straggler), 1, send_times
         )
 
         # Lines 11-12: the straggler closes the simplex, accumulating the
@@ -1411,17 +1376,16 @@ class FullyDistributedDolbie:
         store.global_cost[sel] = global_cost
         store.straggler_id[sel] = straggler
         store.x[sel] = x_new[sel]
-        if timeout is not None:
+        if not members.agree:
             # Each participant's ``roster -= missing``: an override of
             # its own holding the survivors.
             survivors = frozenset(parts.tolist())
             store.roster_overrides.update(
                 dict.fromkeys(parts.tolist(), survivors)
             )
-        final_now = max(float(arrivals.max()), float(decision_arrivals.max()))
         if not closed:
             store.x[straggler] = straggler_x
-            self.cluster.engine.advance_to(final_now)
+            self.cluster.engine.advance_to(batched.last_arrival)
             raise ProtocolError(
                 f"straggler workload went negative ({x_close:.3e}); the verbatim "
                 "Eq. (8) cap was insufficient this round"
@@ -1432,25 +1396,12 @@ class FullyDistributedDolbie:
             float(store.alpha_bar[straggler]),
             feasibility_cap(x_close, m),
         )  # line 13 / Eq. (8)
-        batched.finish_round(final_now, events + decision_arrivals.size)
+        batched.finish_round(0 if members.agree else m)
         # Results/traces are reporting infrastructure: always float64,
         # NaN for the dead peers, who report no cost.
         local = np.asarray(local, dtype=float)
         local[fr.nonparticipants] = np.nan
         return x_played, local, global_cost, straggler
-
-    def _run_round_detect(
-        self,
-        round_index: int,
-        costs: Sequence[CostFunction],
-        members: _Membership,
-    ) -> tuple[np.ndarray, np.ndarray, float, int]:
-        """The failure detection on the flat batched round. Every
-        participant times out at the class-wide ``cost_timeout``:
-        :meth:`_check_detect` refuses the round when a view has its own."""
-        return self._run_round_fast(
-            round_index, costs, members, timeout=_Peer.cost_timeout
-        )
 
     def _run_round_event(
         self,
@@ -1503,7 +1454,7 @@ class FullyDistributedDolbie:
     ROUTES = (
         Route("tree", _check_tree, _run_round_tree),
         Route("flat", _check_flat, _run_round_fast),
-        Route("detect", _check_detect, _run_round_detect),
+        Route("detect", _check_detect, _run_round_fast),
         Route("event", always, _run_round_event),
     )
 

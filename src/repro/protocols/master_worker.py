@@ -39,7 +39,7 @@ from repro.costs.vector import as_cost_vector
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.net.cluster import Cluster
 from repro.net.links import Link
-from repro.net.message import FrameBatch, Message
+from repro.net.message import Message
 from repro.net.node import Node
 from repro.obs.profiler import Profiler
 from repro.obs.tracer import Tracer
@@ -313,7 +313,6 @@ class MasterWorkerDolbie:
         #: The route the latest round took and the flat route's refusal
         #: reason (``None`` before the first round).
         self.last_route: RouteChoice | None = None
-        self._batched = None
         self.tracer = tracer
         self.profiler = profiler
         self.cluster.tracer = tracer
@@ -470,19 +469,17 @@ class MasterWorkerDolbie:
         n = self.num_workers
         workers = self.workers
         master = self.master
-        if self._batched is None:
-            self._batched = self.cluster.batched()
-        batched = self._batched
+        batched = self.cluster.batched()
+        batched.begin_round(round_index)
         ids = np.arange(n)
         master_col = np.full(n, self.master_id)
-        t0 = self.cluster.engine.now
+        t0 = batched.now
         x = x_played = self.allocation
         vector = as_cost_vector(costs)
         local = vector.values(x)
 
         # Phase 1 (line 4): every worker reports its cost to the master.
-        cost_batch = FrameBatch(TAG_COST, ids, master_col, {"l": local}, round_index)
-        cost_arrivals = batched.deliver(cost_batch, t0)
+        cost_arrivals = batched.deliver(ids, master_col, 1, t0)
         coordinate_time = float(cost_arrivals.max())
 
         # Lines 9-11: the master coordinates at the last cost arrival.
@@ -490,17 +487,9 @@ class MasterWorkerDolbie:
         global_cost = float(local[straggler])
         alpha = master.alpha
 
-        # Phase 2 (line 12): coord fan-out in worker_ids order.
-        coord_batch = FrameBatch(
-            TAG_COORD, master_col, ids,
-            {
-                "l": np.full(n, global_cost),
-                "alpha": np.full(n, alpha),
-                "is_straggler": (ids == straggler).astype(float),
-            },
-            round_index,
-        )
-        coord_arrivals = batched.deliver(coord_batch, coordinate_time)
+        # Phase 2 (line 12): coord fan-out ``(l_t, alpha_t, is_straggler)``
+        # in worker_ids order.
+        coord_arrivals = batched.deliver(master_col, ids, 3, coordinate_time)
 
         # Lines 5-6: risk-averse update at the non-stragglers.
         x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
@@ -514,12 +503,8 @@ class MasterWorkerDolbie:
             (non_stragglers, coord_arrivals[non_stragglers])
         )
         senders = non_stragglers[send_order]
-        decision_batch = FrameBatch(
-            TAG_DECISION, senders, np.full(n - 1, self.master_id),
-            {"x": x_new[senders]}, round_index,
-        )
         decision_arrivals = batched.deliver(
-            decision_batch, coord_arrivals[senders]
+            senders, np.full(n - 1, self.master_id), 1, coord_arrivals[senders]
         )
 
         # Lines 14-15: Eq. (6) closes the simplex in worker_ids order.
@@ -537,12 +522,9 @@ class MasterWorkerDolbie:
         x_straggler = float(x_straggler) if x_straggler >= 1e-12 else 0.0
 
         # Phase 4: the assignment, sent at the last decision arrival.
-        assign_batch = FrameBatch(
-            TAG_ASSIGN, np.array([self.master_id]), np.array([straggler]),
-            {"x": np.array([x_straggler])}, round_index,
-        )
-        assign_arrival = batched.deliver(
-            assign_batch, float(decision_arrivals.max())
+        batched.deliver(
+            np.array([self.master_id]), np.array([straggler]), 1,
+            float(decision_arrivals.max()),
         )
         master.alpha = min(master.alpha, feasibility_cap(x_straggler, n))  # Eq. (7)
         x_new[straggler] = x_straggler
@@ -564,10 +546,7 @@ class MasterWorkerDolbie:
             worker.local_cost = float(local[i])
             worker.x = float(x_new[i])
 
-        final_now = max(
-            float(assign_arrival[0]), float(coord_arrivals[straggler])
-        )
-        batched.finish_round(final_now, 3 * n)
+        batched.finish_round()
         return x_played, local, global_cost, straggler
 
     def run_round(

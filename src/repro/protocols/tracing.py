@@ -5,10 +5,13 @@ the emission logic lives here once. Everything recorded is **path
 independent**: allocations and costs are bit-identical between the
 event engine and the batched fast path by the protocols' equivalence
 contract, and the phase record uses virtual time and processed-event
-counts (which :meth:`repro.net.batch.BatchedCluster.finish_round`
-keeps aligned), never wall-clock time. A golden trace therefore diffs
-empty across engines — which is precisely what makes it a regression
-oracle for the fast path.
+counts, never wall-clock time. A batched round keeps both aligned with
+the event engine through its view's round tally (the last arrival and
+the frames delivered between
+:meth:`~repro.net.batch.BatchedCluster.begin_round` and
+:meth:`~repro.net.batch.BatchedCluster.finish_round`). A golden trace
+therefore diffs empty across engines — which is precisely what makes it
+a regression oracle for the fast path.
 """
 
 from __future__ import annotations

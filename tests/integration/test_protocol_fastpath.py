@@ -230,3 +230,47 @@ class TestMidRunSwitchBitIdentity:
         )
         assert ref_protocol.metrics.bytes_total == fast_protocol.metrics.bytes_total
         assert ref_protocol.cluster.engine.now == fast_protocol.cluster.engine.now
+
+
+class TestNegativeClosure:
+    """A batched round whose straggler closure goes negative raises
+    before it finishes; what it leaves of the clock and the event count
+    is pinned per route."""
+
+    def _overshoot(self, aggregation, fast=True):
+        protocol = FullyDistributedDolbie(
+            N, link=_link(), aggregation=aggregation, shard_size=3,
+            use_fast_path=fast,
+        )
+        process = _process()
+        _run_rounds(protocol, process, 1, 1)
+        for k in range(N):
+            # Every non-straggler then moves all the way to its x'.
+            protocol.peers[k].alpha_bar = 1.0
+        engine = protocol.cluster.engine
+        before = (
+            engine.now, engine.processed_events, protocol.metrics.messages_total
+        )
+        with pytest.raises(ProtocolError, match="went negative"):
+            _run_rounds(protocol, process, 2, 2)
+        return protocol, before
+
+    def test_tree_round_leaves_clock_and_events_untouched(self):
+        protocol, (now, events, messages) = self._overshoot("tree")
+        assert protocol.last_route.name == "tree"
+        engine = protocol.cluster.engine
+        assert (engine.now, engine.processed_events) == (now, events)
+        # Its frames still crossed the wire.
+        assert protocol.metrics.messages_total > messages
+
+    def test_flat_round_moves_clock_to_last_arrival_and_credits_nothing(self):
+        protocol, (now, events, messages) = self._overshoot("flat")
+        assert protocol.last_route.name == "flat"
+        engine = protocol.cluster.engine
+        assert engine.processed_events == events
+        # The broadcast and every decision were delivered and counted.
+        assert protocol.metrics.messages_total == messages + N * (N - 1) + N - 1
+        # The event engine raises at the straggler's last decision
+        # arrival, the round's last arrival.
+        reference, _ = self._overshoot("flat", fast=False)
+        assert engine.now == reference.cluster.engine.now > now

@@ -44,14 +44,14 @@ def configurations(draw):
     return n, seed, horizon, kind, speeds
 
 
-def _run(protocol_cls, config, fast, chunk_frames=None):
+def _run(protocol_cls, config, fast, chunk=None):
     n, seed, horizon, kind, speeds = config
     process = RandomAffineProcess(speeds, sigma=0.2, comm_scale=0.05, seed=seed)
     protocol = protocol_cls(n, link=_make_link(kind, seed), use_fast_path=fast)
-    if chunk_frames is not None:
+    if chunk is not None:
         # Above the chunk size the flat broadcast streams through the
         # one-shot delivery instead of its delivery plan.
-        protocol._chunk_frames = chunk_frames
+        protocol.cluster.batched().chunk_frames = chunk
     return protocol, protocol.run(process, horizon)
 
 
@@ -89,7 +89,7 @@ def test_fully_distributed_fast_path_bit_identical(config):
     runs = _run_pair(FullyDistributedDolbie, config)
     _assert_identical(runs, horizon=config[2])
     assert runs[True][0]._flat_round.plan is not None
-    one_shot = _run(FullyDistributedDolbie, config, True, chunk_frames=1)
+    one_shot = _run(FullyDistributedDolbie, config, True, chunk=1)
     assert one_shot[0]._flat_round.plan is None
     _assert_identical({False: runs[False], True: one_shot}, horizon=config[2])
 

@@ -4,12 +4,12 @@ A plan precomputes a repeating ``(src, dst)`` layout's accounting once
 (receiver counts, unique pairs in first-occurrence order, lazily built
 pair handles) and replays it every round. Its observable contract is
 that ``plan.deliver`` is indistinguishable from eager
-:meth:`BatchedCluster.deliver` on the equivalent
-:class:`~repro.net.message.FrameBatch`: same arrivals, same totals and
-per-round counts, same per-pair values *and* counter creation order,
-same ``received_count`` advances, same RNG stream position — over an
-object-node cluster and a lazy-node cluster, with pair accounting on or
-off, and across a ``metrics.reset()`` between rounds. The table-backed
+:meth:`BatchedCluster.deliver` of the same layout (minus a dropped
+frame): same arrivals, same totals and per-round counts, same per-pair
+values *and* counter creation order, same ``received_count`` advances,
+same RNG stream position — over an object-node cluster and a lazy-node
+cluster, with pair accounting on or off, and across a
+``metrics.reset()`` between rounds. The table-backed
 registry then round-trips through a cluster checkpoint and through
 :func:`~repro.io.save_metrics` byte for byte.
 """
@@ -27,7 +27,6 @@ from repro.ckpt.state import capture_cluster, restore_cluster
 from repro.io import load_metrics, save_metrics
 from repro.net.cluster import Cluster
 from repro.net.links import Link, UniformLatency
-from repro.net.message import FrameBatch
 from repro.net.node import LazyNodeTable, Node
 
 
@@ -100,20 +99,17 @@ def test_plan_delivery_matches_eager_delivery(layout, lazy, pair_accounting):
             eager.metrics.reset()
             planned.metrics.reset()
         round_index = 10 + r
+        eager.batched().begin_round(round_index)
+        planned.batched().begin_round(round_index)
         send = (
             send_rng.uniform(0.0, 1.0, count)
             if layout["per_frame_send"]
             else float(r)
         )
-        batch = FrameBatch(
-            "phase",
-            src[keep],
-            dst[keep],
-            {f"f{k}": np.zeros(count) for k in range(fields)},
-            round_index,
+        eager_arrivals = eager.batched().deliver(
+            src[keep], dst[keep], fields, send
         )
-        eager_arrivals = eager.batched().deliver(batch, send)
-        plan_arrivals = plan.deliver(round_index, send, drop=drop)
+        plan_arrivals = plan.deliver(send, drop=drop)
         assert np.array_equal(plan_arrivals, eager_arrivals)
 
     em, pm = eager.metrics, planned.metrics

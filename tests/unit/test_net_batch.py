@@ -15,7 +15,7 @@ from repro.net.batch import BatchedCluster
 from repro.net.cluster import Cluster
 from repro.net.events import EventEngine
 from repro.net.links import ConstantLatency, Link, LogNormalLatency, UniformLatency
-from repro.net.message import FrameBatch, Message, scalar_payload_size
+from repro.net.message import Message, scalar_payload_size
 from repro.net.metrics import NetworkMetrics
 from repro.net.node import LazyNodeTable, Node
 
@@ -272,31 +272,27 @@ class TestBatchEligibility:
 
 
 class TestBatchedDelivery:
+    def test_cluster_has_one_view(self):
+        cluster = _cluster()
+        assert cluster.batched() is cluster.batched()
+
     def test_deliver_refuses_when_ineligible(self):
         cluster = _cluster()
         batched = cluster.batched()
         cluster.set_extra_delay(0, 1.0)
-        batch = FrameBatch(
-            tag="cost", src=np.array([0]), dst=np.array([1]),
-            payload={"l": np.array([1.0])},
-        )
         with pytest.raises(SimulationError):
-            batched.deliver(batch, send_times=np.array([0.0]))
+            batched.deliver(np.array([0]), np.array([1]), 1, np.array([0.0]))
 
     def test_deliver_accounts_metrics_and_receipts(self):
         cluster = _cluster(default_link=Link(ConstantLatency(0.01)))
         batched = cluster.batched()
-        batch = FrameBatch(
-            tag="cost",
-            src=np.array([0, 1, 2]),
-            dst=np.array([1, 2, 0]),
-            payload={"l": np.array([1.0, 2.0, 3.0])},
-            round_index=4,
+        batched.begin_round(4)
+        arrivals = batched.deliver(
+            np.array([0, 1, 2]), np.array([1, 2, 0]), 1, np.zeros(3)
         )
-        arrivals = batched.deliver(batch, send_times=np.zeros(3))
         assert np.array_equal(arrivals, np.full(3, 0.01))
         assert cluster.metrics.messages_total == 3
-        assert cluster.metrics.bytes_total == batch.total_bytes
+        assert cluster.metrics.bytes_total == 3 * 8  # one scalar field each
         assert cluster.metrics.per_round_messages[4] == 3
         assert cluster.metrics.per_pair_messages[(0, 1)] == 1
         for node_id in range(3):
@@ -316,11 +312,9 @@ class TestBatchedDelivery:
         else:
             cluster = _cluster(default_link=link)
             cluster.node(2).failed = True
-        batch = FrameBatch(
-            tag="cost", src=np.array([0, 1, 0]), dst=np.array([2, 2, 1]),
-            payload={"l": np.zeros(3)},
+        arrivals = cluster.batched().deliver(
+            np.array([0, 1, 0]), np.array([2, 2, 1]), 1, 0.0
         )
-        arrivals = cluster.batched().deliver(batch, send_times=0.0)
         assert arrivals.size == 3
         assert cluster.metrics.messages_total == 3
         assert cluster.metrics.per_pair_messages[(1, 2)] == 1
@@ -332,26 +326,34 @@ class TestBatchedDelivery:
         assert received == [0, 1, 0]
 
     def test_finish_round_advances_clock_and_credits(self):
-        cluster = _cluster()
+        """Both delivery forms join the round's tally; finish_round
+        moves the clock to its last arrival and credits its frames plus
+        the extra events."""
+        cluster = _cluster(default_link=Link(ConstantLatency(0.5)))
         batched = cluster.batched()
         events_before = cluster.engine.processed_events
-        batched.finish_round(now=2.5, events=9)
+        batched.begin_round(1)
+        batched.deliver(np.array([0, 1]), np.array([1, 2]), 1, np.array([1.0, 2.0]))
+        batched.plan(np.array([2]), np.array([0]), 1).deliver(0.25)
+        assert (batched.last_arrival, batched.frames) == (2.5, 3)
+        batched.finish_round(extra_events=6)
         assert cluster.engine.now == 2.5
         assert cluster.engine.processed_events == events_before + 9
 
-
-class TestFrameBatch:
-    def test_sizes_and_pairs(self):
-        batch = FrameBatch(
-            tag="coord",
-            src=np.array([3, 3]),
-            dst=np.array([0, 1]),
-            payload={"l": np.zeros(2), "alpha": np.zeros(2), "flag": np.zeros(2)},
-        )
-        assert batch.count == 2
-        assert batch.size_bytes == 24  # 3 scalar fields x 8 bytes
-        assert batch.total_bytes == 48
-        assert batch.pairs() == [(3, 0), (3, 1)]
+    def test_begin_round_discards_a_raised_rounds_tally(self):
+        """A round that raised never calls finish_round; the next
+        begin_round restarts the tally at the current clock."""
+        cluster = _cluster(default_link=Link(ConstantLatency(0.5)))
+        batched = cluster.batched()
+        batched.begin_round(1)
+        batched.deliver(np.array([0, 1]), np.array([1, 2]), 1, 3.0)
+        assert (batched.last_arrival, batched.frames) == (3.5, 2)
+        batched.begin_round(2)  # round 1 raised before finish_round
+        assert batched.round_index == 2
+        assert (batched.last_arrival, batched.frames) == (0.0, 0)
+        batched.finish_round()
+        assert cluster.engine.now == 0.0
+        assert cluster.engine.processed_events == 0
 
 
 def _phase_cluster(n=6, seed=7):
@@ -360,66 +362,32 @@ def _phase_cluster(n=6, seed=7):
     return Cluster(nodes, default_link=Link(UniformLatency(0.001, 0.01, rng)))
 
 
-def _phase_batch(round_index=3):
-    # 7 frames, repeated pairs, out-of-order destinations — enough
-    # structure to distinguish per-frame from per-pair accounting.
-    return FrameBatch(
-        tag="cost",
-        src=np.array([1, 2, 3, 1, 4, 2, 5]),
-        dst=np.array([0, 0, 1, 0, 1, 0, 2]),
-        payload={
-            "l": np.arange(7, dtype=float),
-            "alpha": np.arange(7, dtype=float) / 8,
-        },
-        round_index=round_index,
-    )
+#: 7 frames, repeated pairs, out-of-order destinations — enough
+#: structure to distinguish per-frame from per-pair accounting.
+SRC = np.array([1, 2, 3, 1, 4, 2, 5])
+DST = np.array([0, 0, 1, 0, 1, 0, 2])
+FIELDS = 2
 
 
-class TestFrameBatchChunks:
-    def test_chunk_boundary_frames_reassemble_exactly(self):
-        batch = _phase_batch()
-        chunks = list(batch.chunks(3))
-        assert [(lo, sub.count) for lo, sub in chunks] == [(0, 3), (3, 3), (6, 1)]
-        assert np.array_equal(
-            np.concatenate([sub.src for _, sub in chunks]), batch.src
-        )
-        assert np.array_equal(
-            np.concatenate([sub.payload["l"] for _, sub in chunks]),
-            batch.payload["l"],
-        )
-        for _, sub in chunks:
-            assert sub.tag == batch.tag and sub.round_index == batch.round_index
-            assert sub.size_bytes == batch.size_bytes
-            # zero-copy: chunk columns are views of the parent arrays
-            assert sub.src.base is batch.src
-
-    def test_single_frame_chunks(self):
-        batch = _phase_batch()
-        chunks = list(batch.chunks(1))
-        assert len(chunks) == batch.count
-        assert all(sub.count == 1 for _, sub in chunks)
-        assert [lo for lo, _ in chunks] == list(range(batch.count))
-
-    def test_chunk_size_larger_than_batch_yields_batch_itself(self):
-        batch = _phase_batch()
-        chunks = list(batch.chunks(batch.count * 10))
-        assert len(chunks) == 1
-        lo, sub = chunks[0]
-        assert lo == 0 and sub is batch
-
-    def test_invalid_chunk_size_raises(self):
-        with pytest.raises(ValueError):
-            list(_phase_batch().chunks(0))
+def _eager(src, dst, send_times, round_index=3, fields=FIELDS):
+    cluster = _phase_cluster()
+    batched = cluster.batched()
+    batched.begin_round(round_index)
+    arrivals = batched.deliver(src, dst, fields, send_times)
+    return cluster, arrivals
 
 
 class TestChunkedDelivery:
-    """deliver(chunk_frames=K) is bit-identical to one-shot delivery."""
+    """Delivery above ``chunk_frames`` streams in index slices,
+    bit-identical to one-shot delivery."""
 
     def _deliver(self, chunk_frames, send_times):
         cluster = _phase_cluster()
         batched = cluster.batched()
-        batch = _phase_batch()
-        arrivals = batched.deliver(batch, send_times, chunk_frames=chunk_frames)
+        if chunk_frames is not None:
+            batched.chunk_frames = chunk_frames
+        batched.begin_round(3)
+        arrivals = batched.deliver(SRC, DST, FIELDS, send_times)
         next_draw = cluster._default_link.delay_batch(1, 8)[0]
         return cluster, arrivals, next_draw
 
@@ -446,22 +414,22 @@ class TestChunkedDelivery:
                 cluster.node(i).received_count
                 == ref_cluster.node(i).received_count
             )
+        view, ref_view = cluster.batched(), ref_cluster.batched()
+        assert (view.last_arrival, view.frames) == (
+            ref_view.last_arrival, ref_view.frames
+        )
 
 
 class TestDeliveryPlan:
-    """Plan delivery matches eager FrameBatch delivery bit for bit."""
+    """Plan delivery matches one-shot delivery of the same layout bit
+    for bit."""
 
-    def _eager(self, batch, send_times):
+    def _planned(self, src, dst, send_times, drop=None, round_index=3):
         cluster = _phase_cluster()
         batched = cluster.batched()
-        arrivals = batched.deliver(batch, send_times)
-        return cluster, arrivals
-
-    def _planned(self, batch, send_times, drop=None):
-        cluster = _phase_cluster()
-        batched = cluster.batched()
-        plan = batched.plan(batch.src, batch.dst, len(batch.payload))
-        arrivals = plan.deliver(batch.round_index, send_times, drop=drop)
+        plan = batched.plan(src, dst, FIELDS)
+        batched.begin_round(round_index)
+        arrivals = plan.deliver(send_times, drop=drop)
         return cluster, arrivals, plan
 
     def _assert_parity(self, eager_cluster, plan_cluster):
@@ -484,10 +452,9 @@ class TestDeliveryPlan:
             )
 
     def test_accounting_parity_with_eager_delivery(self):
-        batch = _phase_batch()
-        send_times = np.linspace(0.0, 0.6, batch.count)
-        eager_cluster, eager_arrivals = self._eager(batch, send_times)
-        plan_cluster, plan_arrivals, _ = self._planned(batch, send_times)
+        send_times = np.linspace(0.0, 0.6, SRC.size)
+        eager_cluster, eager_arrivals = _eager(SRC, DST, send_times)
+        plan_cluster, plan_arrivals, _ = self._planned(SRC, DST, send_times)
         assert np.array_equal(plan_arrivals, eager_arrivals)
         self._assert_parity(eager_cluster, plan_cluster)
         # Same RNG stream consumption: next draw agrees
@@ -497,13 +464,12 @@ class TestDeliveryPlan:
         )
 
     def test_repeat_rounds_accumulate_like_eager(self):
-        batch = _phase_batch()
-        eager_cluster, _ = self._eager(batch, 0.0)
-        eager_cluster.batched().deliver(
-            FrameBatch(batch.tag, batch.src, batch.dst, batch.payload, 4), 1.0
-        )
-        plan_cluster, _, plan = self._planned(batch, 0.0)
-        plan.deliver(4, 1.0)
+        eager_cluster, _ = _eager(SRC, DST, 0.0)
+        eager_cluster.batched().begin_round(4)
+        eager_cluster.batched().deliver(SRC, DST, FIELDS, 1.0)
+        plan_cluster, _, plan = self._planned(SRC, DST, 0.0)
+        plan_cluster.batched().begin_round(4)
+        plan.deliver(1.0)
         self._assert_parity(eager_cluster, plan_cluster)
 
     def test_drop_matches_eager_masked_delivery(self):
@@ -511,26 +477,34 @@ class TestDeliveryPlan:
         # the precondition for drop=.
         src = np.array([1, 2, 3, 4, 5])
         dst = np.array([0, 0, 0, 3, 3])
-        payload = {"x": np.arange(5, dtype=float)}
         send = np.linspace(0.0, 1.0, 5)
         drop = 2
-        masked = FrameBatch(
-            "decision", np.delete(src, drop), np.delete(dst, drop),
-            {"x": np.delete(payload["x"], drop)}, 6,
+        eager_cluster, eager_arrivals = _eager(
+            np.delete(src, drop), np.delete(dst, drop), np.delete(send, drop),
+            round_index=6,
         )
-        eager_cluster, eager_arrivals = self._eager(masked, np.delete(send, drop))
-        plan_cluster = _phase_cluster()
-        plan = plan_cluster.batched().plan(src, dst, 1)
-        plan_arrivals = plan.deliver(6, np.delete(send, drop), drop=drop)
+        plan_cluster, plan_arrivals, _ = self._planned(
+            src, dst, np.delete(send, drop), drop=drop, round_index=6
+        )
         assert np.array_equal(plan_arrivals, eager_arrivals)
         self._assert_parity(eager_cluster, plan_cluster)
 
+    def test_frame_index_is_built_by_the_first_drop_only(self):
+        """Only ``drop=`` reads a frame's pair entry: a plan delivered
+        without it keeps no per-frame index."""
+        src = np.array([1, 2, 3, 4, 5])
+        dst = np.array([0, 0, 0, 3, 3])
+        _, _, plan = self._planned(src, dst, 0.0)
+        plan.deliver(0.5)
+        assert plan._frame_entry is None
+        plan.deliver(0.5, drop=3)
+        assert plan._frame_entry.tolist() == [0, 1, 2, 3, 4]
+
     def test_metrics_reset_revalidates_pair_handles(self):
-        batch = _phase_batch()
-        plan_cluster, _, plan = self._planned(batch, 0.0)
+        plan_cluster, _, plan = self._planned(SRC, DST, 0.0)
         plan_cluster.metrics.reset()
-        plan.deliver(5, 0.0)
-        eager_cluster, _ = self._eager(batch, 0.0)
+        plan.deliver(0.0)
+        eager_cluster, _ = _eager(SRC, DST, 0.0)
         assert list(plan_cluster.metrics.per_pair_messages.items()) == list(
             eager_cluster.metrics.per_pair_messages.items()
         )
@@ -539,20 +513,19 @@ class TestDeliveryPlan:
         cluster = _phase_cluster()
         cluster.metrics.pair_accounting = False
         plan = cluster.batched().plan(np.array([1]), np.array([0]), 1)
-        plan.deliver(1, 0.0)
+        plan.deliver(0.0)
         assert cluster.metrics.per_pair_messages == {}
         assert cluster.metrics.messages_total == 1
 
     def test_pair_slots_resolve_on_first_pair_bump_only(self):
-        batch = _phase_batch()
         cluster = _phase_cluster()
-        plan = cluster.batched().plan(batch.src, batch.dst, 2)
+        plan = cluster.batched().plan(SRC, DST, 2)
         cluster.metrics.pair_accounting = False
-        plan.deliver(1, 0.0)
+        plan.deliver(0.0)
         assert (plan._slots == -1).all()
         assert cluster.metrics.per_pair_messages == {}
         cluster.metrics.pair_accounting = True
-        plan.deliver(2, 0.0)
+        plan.deliver(0.0)
         assert plan._slots.tolist() == [0, 1, 2, 3, 4]
         assert cluster.metrics.per_pair_messages == {
             (1, 0): 2, (2, 0): 2, (3, 1): 1, (4, 1): 1, (5, 2): 1
@@ -568,4 +541,4 @@ class TestDeliveryPlan:
         plan = cluster.batched().plan(np.array([1]), np.array([0]), 1)
         cluster.set_extra_delay(0, 1.0)
         with pytest.raises(SimulationError):
-            plan.deliver(1, 0.0)
+            plan.deliver(0.0)
