@@ -34,7 +34,9 @@ tooling). A clean tree or flat fast round hydrates **zero** views.
 Rosters follow a shared-frozenset contract (one frozenset for
 everyone, rebound never mutated): :attr:`PeerStore.shared_roster` plus
 a sparse override dict for the transiently divergent peers around a
-membership event.
+membership event. A fresh store's shared roster is the full range, and
+its set is built only when some code path needs the object; rounds ask
+its size and membership, which the store answers without it.
 
 Per-peer RNG state does not exist in this codebase (all randomness
 lives in the link/latency models, captured by :mod:`repro.ckpt.state`);
@@ -98,26 +100,57 @@ class PeerStore:
         self.straggler_id = np.full(n, -1, dtype=np.int64)
         self.failed = np.zeros(n, dtype=bool)
         self.received_count = np.zeros(n, dtype=np.int64)
-        #: The one frozenset shared by every peer without an override —
-        #: O(1) roster construction however large N is.
-        self.shared_roster: frozenset[int] = (
-            roster if roster is not None else frozenset(range(n))
-        )
+        # The shared roster, or None while it is the unbuilt full range
+        # 0..N-1 (see shared_roster).
+        self._shared_roster: frozenset[int] | None = roster
         #: Sparse per-peer roster divergence (crash survivors holding a
         #: stale roster, mid-detection shrinks). Empty on every healthy
         #: round — the eligibility checks exploit that.
         self.roster_overrides: dict[int, frozenset[int]] = {}
 
     # -- rosters ----------------------------------------------------------
+    @property
+    def shared_roster(self) -> "frozenset[int]":
+        """The one frozenset shared by every peer without an override.
+
+        A fresh store's roster is every worker, and its set (62.5 MiB of
+        hash table and int objects at N=10⁶) is built on the first read:
+        by a peer view, :meth:`rebind_roster` or a failure-detection
+        check. Tree and flat rounds ask only :meth:`shared_size` and
+        :meth:`in_shared_roster`, which answer without it."""
+        roster = self._shared_roster
+        if roster is None:
+            roster = self._shared_roster = frozenset(range(self.num_workers))
+        return roster
+
+    @shared_roster.setter
+    def shared_roster(self, roster: "frozenset[int]") -> None:
+        self._shared_roster = roster
+
+    def shared_size(self) -> int:
+        """``len(shared_roster)``, without building the set."""
+        roster = self._shared_roster
+        return self.num_workers if roster is None else len(roster)
+
+    def in_shared_roster(self, worker: int) -> bool:
+        """``worker in shared_roster``, without building the set."""
+        roster = self._shared_roster
+        if roster is None:
+            return 0 <= worker < self.num_workers
+        return worker in roster
+
     def roster_of(self, worker: int) -> "frozenset[int]":
-        return self.roster_overrides.get(worker, self.shared_roster)
+        roster = self.roster_overrides.get(worker)
+        return self.shared_roster if roster is None else roster
 
     def set_roster(self, worker: int, roster) -> None:
         """Bind ``worker``'s roster view.
 
         Binding the shared object (identity, not equality — O(1)) drops
-        the override; anything else records a sparse override."""
-        if roster is self.shared_roster:
+        the override; anything else records a sparse override. An
+        unbuilt shared set has not been handed out, so no ``roster`` can
+        be it."""
+        if roster is self._shared_roster:
             self.roster_overrides.pop(worker, None)
         else:
             self.roster_overrides[worker] = roster
@@ -129,11 +162,14 @@ class PeerStore:
 
         Members of ``new_roster`` share the new frozenset, while
         ``stale_ids`` (dead/stalled peers — the caller knows them, so
-        this never scans all N) keep whatever roster they last saw."""
-        old = self.shared_roster
-        for worker in stale_ids:
-            self.roster_overrides.setdefault(int(worker), old)
-        self.shared_roster = new_roster
+        this never scans all N) keep whatever roster they last saw; only
+        they need the old shared set as an object."""
+        stale = [int(w) for w in stale_ids]
+        if stale:
+            old = self.shared_roster
+            for worker in stale:
+                self.roster_overrides.setdefault(worker, old)
+        self._shared_roster = new_roster
         for worker in [w for w in self.roster_overrides if w in new_roster]:
             del self.roster_overrides[worker]
 
@@ -150,7 +186,11 @@ class PeerStore:
             "straggler_id": self.straggler_id.copy(),
             "failed": self.failed.copy(),
             "received_count": self.received_count.copy(),
-            "shared_roster": np.array(sorted(self.shared_roster), dtype=np.int64),
+            "shared_roster": (
+                np.arange(self.num_workers, dtype=np.int64)
+                if self._shared_roster is None
+                else np.array(sorted(self._shared_roster), dtype=np.int64)
+            ),
             "roster_overrides": {
                 int(w): np.array(sorted(r), dtype=np.int64)
                 for w, r in sorted(self.roster_overrides.items())
@@ -170,9 +210,11 @@ class PeerStore:
                     f"expected ({n},)"
                 )
             getattr(self, field)[:] = arr
-        self.shared_roster = frozenset(
-            int(w) for w in np.asarray(state["shared_roster"]).tolist()
-        )
+        shared = np.asarray(state["shared_roster"])
+        if shared.shape == (n,) and np.array_equal(shared, np.arange(n)):
+            self._shared_roster = None  # the full range, left unbuilt
+        else:
+            self._shared_roster = frozenset(int(w) for w in shared.tolist())
         self.roster_overrides = {
             int(w): frozenset(int(i) for i in np.asarray(ids).tolist())
             for w, ids in state["roster_overrides"].items()

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.backend import as_float
 from repro.costs.affine_vector import AffineCostVector
-from repro.costs.base import CostFunction
+from repro.costs.base import CostFunction, CostVector
 from repro.costs.vector import as_cost_vector
 from repro.exceptions import ConfigurationError
 
@@ -24,6 +24,7 @@ __all__ = [
     "acceptable_workloads_rows",
     "assistance_vector",
     "assistance_vector_rows",
+    "risk_averse_update",
 ]
 
 
@@ -115,6 +116,27 @@ def acceptable_workloads_rows(
     x_prime = np.clip(tilde, x, 1.0)
     x_prime[rows, stragglers] = x[rows, stragglers]
     return x_prime
+
+
+def risk_averse_update(
+    vector: CostVector, level: float, x: np.ndarray, alpha: float
+) -> np.ndarray:
+    """Every worker's risk-averse update ``x - alpha (x - x')`` with
+    ``x' = max(min(x-tilde, 1), x)`` (Line 8 of Algorithm 2; lines 5-6
+    of Algorithm 1). The straggler's entry is the caller's to overwrite.
+
+    The steps run in place on :meth:`CostVector.max_acceptable`'s
+    output, a fresh array in the vector's dtype, which ``x`` must share:
+    the same operations in the same order as the expression, allocating
+    one N-length array where the expression allocated five.
+    """
+    out = vector.max_acceptable(level)
+    np.minimum(out, 1.0, out=out)
+    np.maximum(out, x, out=out)
+    np.subtract(x, out, out=out)
+    np.multiply(alpha, out, out=out)
+    np.subtract(x, out, out=out)
+    return out
 
 
 def assistance_vector(

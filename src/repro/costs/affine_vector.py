@@ -9,8 +9,8 @@ attribute-by-attribute each round. :class:`AffineCostVector` stores the
 slopes and intercepts as two contiguous arrays instead, so those consumers
 read them in O(1) while everything written against the generic
 :class:`~repro.costs.base.CostFunction` sequence API keeps working:
-indexing returns a real (cached) :class:`AffineLatencyCost`, iteration and
-``len`` behave like the list did.
+indexing returns a real :class:`AffineLatencyCost` (made on first access,
+then cached), iteration and ``len`` behave like the list did.
 
 Bit-exactness contract: every vectorized helper here performs the same
 IEEE-754 double operations, in the same order, as the scalar methods of
@@ -61,7 +61,8 @@ class AffineCostVector(CostVector):
                 raise CostFunctionError("intercepts must be finite and >= 0")
         self.slopes = slopes
         self.intercepts = intercepts
-        self._items: list[AffineLatencyCost | None] = [None] * slopes.size
+        # Indexed items, made on first access (a round reads none).
+        self._items: dict[int, AffineLatencyCost] = {}
         # Hoisted invariants for max_acceptable: a division-safe slope
         # vector (zero-slope entries are fully resolved by the two where
         # branches, so their quotient never contributes) and f_i(1). Both
@@ -108,12 +109,13 @@ class AffineCostVector(CostVector):
         i = int(index)
         if i < 0:
             i += len(self)
-        item = self._items[i]
+        if not 0 <= i < len(self):
+            raise IndexError(index)
+        item = self._items.get(i)
         if item is None:
-            item = AffineLatencyCost(
+            item = self._items[i] = AffineLatencyCost(
                 slope=float(self.slopes[i]), intercept=float(self.intercepts[i])
             )
-            self._items[i] = item
         return item
 
     def __iter__(self) -> Iterator[AffineLatencyCost]:

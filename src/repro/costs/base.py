@@ -148,7 +148,7 @@ class CostVector(Sequence[CostFunction]):
     @abc.abstractmethod
     def max_acceptable(self, level: float):
         """``[f_i.max_acceptable(level)]`` (x-tilde of Eq. (4)) in the
-        vector's dtype."""
+        vector's dtype, as a fresh array the caller may overwrite."""
 
     @abc.abstractmethod
     def astype(self, dtype) -> "CostVector":

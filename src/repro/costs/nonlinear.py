@@ -323,7 +323,8 @@ class SaturatingQueueingCostVector(CostVector):
             # value(0.0) and value(x_max): the first two branches of
             # max_acceptable, and __call__ at a clamped input.
             self._f0, self._f1 = self._value(np.array([[0.0], [1.0]]), self._p64)
-        self._items: list[CostFunction | None] = [None] * n
+        # Indexed items, made on first access (a round reads none).
+        self._items: dict[int, CostFunction] = {}
 
     @staticmethod
     def _value(x, params) -> np.ndarray:
@@ -342,7 +343,7 @@ class SaturatingQueueingCostVector(CostVector):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError(index)
-        item = self._items[i]
+        item = self._items.get(i)
         if item is None:
             if self.dead[i]:
                 item = ConstantCost(DEAD_WORKER_COST)

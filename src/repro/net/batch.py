@@ -25,10 +25,10 @@ Two refinements ride on the same contract:
   and pairs still enter the metrics' pair table in frame order.
 - **Delivery plans.** A :class:`DeliveryPlan` precomputes everything a
   repeating ``(src, dst)`` frame layout implies — counts, bytes, the
-  per-receiver bump list, the pair-table slots — so the FD tree round
-  and the steady flat round pay one scatter-add of cached slots per
-  phase instead of a slot lookup, with identical observable
-  accounting.
+  per-receiver bump list, and on the first pair bump the pair-table
+  slots — so the FD tree round and the steady flat round pay one
+  scatter-add of cached slots per phase instead of a slot lookup, with
+  identical observable accounting.
 
 Bit-identity contract (same discipline as ``docs/performance.md``):
 
@@ -213,14 +213,14 @@ class DeliveryPlan:
     layout: same totals, same per-pair values, same pair creation order,
     same ``received_count`` advances, same RNG stream consumption.
 
-    Building a plan is array-native: two ``np.unique`` passes (receiver
-    counts; unique pairs in first-occurrence order, kept as int64 table
-    keys and counts) and one ``argsort``. The pairs' table slots are
-    looked up on the first pair bump, so with pair accounting off
-    (``REPRO_PAIR_METRICS=0``) they never are: at N=10⁶ the 18 plans of
-    a tree round then build in ~0.23 s (``perfbench`` ``fd_tree_1m``,
-    traced). Like ``deliver``, a plan carries a payload field count,
-    never payload values.
+    Building a plan is one ``np.unique`` pass (the receiver counts). The
+    pair tables — the unique pairs in first-occurrence order as int64
+    table keys and counts (a second ``np.unique`` and an ``argsort``)
+    and their table slots — are built on the first pair bump, so with
+    pair accounting off (``REPRO_PAIR_METRICS=0``) a plan holds none:
+    at N=10⁶ that is 3 × 8 B per frame less for each of phases A, D and
+    E. Like ``deliver``, a plan carries a payload field count, never
+    payload values.
 
     ``deliver(..., drop=k)`` delivers the layout minus frame ``k`` (the
     straggler's suppressed decision in phase E): ``count - 1`` delay
@@ -230,7 +230,7 @@ class DeliveryPlan:
     member is a distinct pair) so pair creation order still matches
     the eager masked path, and no slot is created for a pair whose bump
     is zero. The per-frame entry index this needs is built by the first
-    ``drop=`` delivery, so a plan that never drops keeps none.
+    ``drop=`` pair bump, so a plan that never drops keeps none.
 
     Plans hold cached pair slots; they die with the protocol's overlay
     cache on any membership change, and re-resolve their slots when the
@@ -262,19 +262,16 @@ class DeliveryPlan:
         self._recv_dst, self._recv_counts = np.unique(
             self.dst, return_counts=True
         )
-        # Unique (src, dst) pairs in first-occurrence frame order — the
-        # slot creation order record_batch_arrays uses — as int64 table
-        # keys and counts.
-        keys = self._keys()
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        order = np.argsort(first, kind="stable")
-        self._pair_keys = keys[first[order]]
-        self._pair_count = counts[order]
-        # Each frame's entry index, built by the first drop= delivery.
+        # The pair tables, built by the first pair bump (so never with
+        # pair accounting off): unique (src, dst) pairs in
+        # first-occurrence frame order — the slot creation order
+        # record_batch_arrays uses — as int64 table keys and counts, and
+        # each entry's pair-table slot (-1: not created yet).
+        self._pair_keys: np.ndarray | None = None
+        self._pair_count: np.ndarray | None = None
+        self._slots: np.ndarray | None = None
+        # Each frame's entry index, built by the first drop= bump.
         self._frame_entry: np.ndarray | None = None
-        # Each entry's pair-table slot (-1: not created yet), resolved
-        # on the first pair bump, so never with pair accounting off.
-        self._slots = np.full(order.size, -1, dtype=np.int64)
         # What _bump_pairs indexes the table with once every slot exists
         # (a slice when they are consecutive), else None.
         self._slot_index: slice | np.ndarray | None = None
@@ -312,7 +309,17 @@ class DeliveryPlan:
         cluster.bump_received(self._recv_dst, recv_counts)
         return batched._tally(arrivals)
 
+    def _build_pair_tables(self) -> None:
+        keys = self._keys()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(first, kind="stable")
+        self._pair_keys = keys[first[order]]
+        self._pair_count = counts[order]
+        self._slots = np.full(order.size, -1, dtype=np.int64)
+
     def _bump_pairs(self, metrics, drop: int | None) -> None:
+        if self._slots is None:
+            self._build_pair_tables()
         if self._pair_epoch != metrics.pair_epoch:
             # Metrics were reset or restored: the cached slots are
             # stale; re-resolve them (creation order = first bump

@@ -36,6 +36,7 @@ from repro.core.peerstore import (
     NegativeNoneColumn,
     PeerStore,
 )
+from repro.core.quantities import risk_averse_update
 from repro.core.step_size import feasibility_cap, initial_step_size
 from repro.costs.base import CostFunction
 from repro.costs.timevarying import CostProcess
@@ -148,7 +149,8 @@ class _Peer(Node):
         roster changes always *rebind* (``-=`` makes a new frozenset),
         never mutate in place, so sharing is safe."""
         store = self._store  # PeerStore.roster_of, inlined (hot path)
-        return store.roster_overrides.get(self.node_id, store.shared_roster)
+        roster = store.roster_overrides.get(self.node_id, store._shared_roster)
+        return store.shared_roster if roster is None else roster
 
     @roster.setter
     def roster(self, value) -> None:
@@ -821,7 +823,7 @@ class FullyDistributedDolbie:
         if not store.roster_overrides:
             # Every incumbent shares the one roster: the membership scan
             # collapses to a single lookup.
-            if worker in store.shared_roster:
+            if store.in_shared_roster(worker):
                 return  # never dropped from the live rosters; shares intact
         elif all(worker in store.roster_of(i) for i in incumbents):
             return
@@ -970,7 +972,7 @@ class FullyDistributedDolbie:
         if not store.roster_overrides:
             # One shared roster for everyone — a single length check
             # replaces the N-peer scan (and hydrates no views).
-            return len(store.shared_roster) == len(participants)
+            return store.shared_size() == len(participants)
         want = len(participants)
         return all(len(store.roster_of(i)) == want for i in participants)
 
@@ -1134,10 +1136,10 @@ class FullyDistributedDolbie:
 
         # Phase A: member cost reports to their shard head.
         if cc.plan_a is not None:
-            report_arrivals = cc.plan_a.deliver(t0)
             head_ready = np.maximum(
                 segment_reduce(
-                    np.maximum, report_arrivals, tree.member_offsets, -np.inf
+                    np.maximum, cc.plan_a.deliver(t0), tree.member_offsets,
+                    -np.inf,
                 ),
                 t0,
             )
@@ -1151,6 +1153,7 @@ class FullyDistributedDolbie:
             ordered_local, ordered_alpha, parts, tree.offsets,
             cc.ends, out_max, out_arg, out_alpha,
         )
+        del ordered_alpha
         kernels.combine_up_consensus(
             out_max, out_arg, out_alpha, cc.order, tree.parent
         )
@@ -1180,9 +1183,7 @@ class FullyDistributedDolbie:
 
         # Line 8 at every non-straggler (vectorized; the straggler's slot
         # is overwritten by the closure below).
-        x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
-        x_prime = np.maximum(x_prime, x)
-        x_new = x - alpha * (x - x_prime)
+        x_new = risk_averse_update(vector, global_cost, x, alpha)
         backend.ensure(x_new, "updated allocation")
 
         # Phase E: member decisions to their heads (straggler excluded;
@@ -1207,6 +1208,8 @@ class FullyDistributedDolbie:
                     arrivals = cc.plan_e.deliver(member_know)
                     shard_idx = cc.member_shard
                 np.maximum.at(sum_ready, shard_idx, arrivals)
+                del arrivals, shard_idx  # phase E's masked copies
+        del member_know
 
         # Phase F: documented-order decision sums + up-tree frames.
         exclude_pos = int(np.searchsorted(parts, straggler))
@@ -1317,9 +1320,7 @@ class FullyDistributedDolbie:
         alpha = float(alphas[sel].min())
 
         # Line 8: risk-averse update at the non-stragglers.
-        x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
-        x_prime = np.maximum(x_prime, x)
-        x_new = x - alpha * (x - x_prime)
+        x_new = risk_averse_update(vector, global_cost, x, alpha)
         backend.ensure(x_new, "updated allocation")
 
         # Phase 2 (line 9): decisions to the straggler.

@@ -32,6 +32,7 @@ from repro.core.ledger import LedgerEntry, RoundLedger
 from repro.core.loop import RunResult, run_protocol
 from repro.core.membership import add_worker_allocation
 from repro.core.peerstore import LedgerBook
+from repro.core.quantities import risk_averse_update
 from repro.core.step_size import feasibility_cap, initial_step_size
 from repro.costs.base import CostFunction
 from repro.costs.timevarying import CostProcess
@@ -492,9 +493,7 @@ class MasterWorkerDolbie:
         coord_arrivals = batched.deliver(master_col, ids, 3, coordinate_time)
 
         # Lines 5-6: risk-averse update at the non-stragglers.
-        x_prime = np.minimum(vector.max_acceptable(global_cost), 1.0)
-        x_prime = np.maximum(x_prime, x)
-        x_new = x - alpha * (x - x_prime)
+        x_new = risk_averse_update(vector, global_cost, x, alpha)
 
         # Phase 3 (lines 7, 13): decisions return in coord-arrival order
         # (ties by the coord frames' send sequence = worker order).

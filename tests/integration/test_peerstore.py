@@ -9,7 +9,9 @@ neighbor lists; and snapshots of the retired object-peer representation
 still restore, bit-for-bit.
 """
 
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,8 @@ import pytest
 from repro.ckpt.snapshot import Snapshot
 from repro.ckpt.state import capture_protocol, restore_protocol
 from repro.core.ledger import RoundLedger
+from repro.core.peerstore import PeerStore
+from repro.costs.affine_vector import AffineCostVector
 from repro.costs.timevarying import DriftingAffineProcess
 from repro.net.links import ConstantLatency, Link
 from repro.net.topology import Topology
@@ -104,6 +108,132 @@ class TestConstructionAndHydration:
         process = _process(n)
         protocol.run_round(1, process.costs_at(1))
         assert protocol.tree_rounds == 1
+
+
+def _affine_vector(rng, n):
+    """One round of affine costs, built with numpy (no per-worker objects)."""
+    speeds = 1.0 + (np.arange(n) % 23)
+    return AffineCostVector(
+        1.0 / (speeds * rng.lognormal(0.0, 0.1, n)), rng.uniform(0.0, 0.01, n)
+    )
+
+
+def _traced() -> int:
+    gc.collect()
+    return tracemalloc.get_traced_memory()[0]
+
+
+class TestFootprint:
+    """Bytes per peer at N=10^5, from tracemalloc (tree aggregation, pair
+    metrics off): a healthy round builds no pair table, no roster set and
+    no per-worker cost object, and frees its temporaries phase by phase."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def footprint(self):
+        n = self.N
+        rng = np.random.default_rng(7)
+        costs = [_affine_vector(rng, n) for _ in range(3)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("REPRO_PAIR_METRICS", "0")
+            tracemalloc.start()
+            try:
+                base = _traced()
+                vector = _affine_vector(rng, n)
+                vector_bytes = _traced() - base
+                del vector
+                base = _traced()
+                protocol = _protocol(n, aggregation="tree")
+                built = _traced()
+                protocol.run_round(1, costs[0])
+                first = _traced()
+                protocol.run_round(2, costs[1])
+                steady = _traced()
+                tracemalloc.reset_peak()
+                protocol.run_round(3, costs[2])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert protocol.tree_rounds == 3
+        return {
+            "vector": vector_bytes / n,
+            "construct": (built - base) / n,
+            "first_round": (first - built) / n,
+            "steady_peak": (peak - steady) / n,
+            "store": protocol._store,
+        }
+
+    def test_construction_holds_at_most_100_bytes_per_peer(self, footprint):
+        # The nine store columns are 58 B; the shared roster set is not
+        # built.
+        assert footprint["construct"] <= 100
+        assert footprint["store"]._shared_roster is None
+
+    def test_first_tree_round_retains_at_most_120_bytes_per_peer(
+        self, footprint
+    ):
+        assert footprint["first_round"] <= 120
+
+    def test_steady_round_peaks_at_most_80_bytes_per_peer(self, footprint):
+        assert footprint["steady_peak"] <= 80
+
+    def test_cost_vector_holds_at_most_33_bytes_per_worker(self, footprint):
+        assert footprint["vector"] <= 33
+
+
+class TestLazySharedRoster:
+    """A fresh store's roster is the full range, and its frozenset is
+    built only when some code path reads the object."""
+
+    def test_state_builds_no_set(self):
+        n = 100_000
+        store = PeerStore(n, np.full(n, 1.0 / n), 0.5)
+        state = store.state()
+        assert store._shared_roster is None
+        assert state["shared_roster"].dtype == np.int64
+        assert np.array_equal(state["shared_roster"], np.arange(n))
+
+    def test_restore_of_the_full_range_leaves_the_set_unbuilt(self):
+        n = 16
+        source = PeerStore(n, np.full(n, 1.0 / n), 0.5)
+        assert source.shared_roster == frozenset(range(n))  # built here
+        target = PeerStore(n, np.full(n, 1.0 / n), 0.5)
+        target.shared_roster = frozenset({1, 2})
+        target.restore(source.state())
+        assert target._shared_roster is None
+        assert target.state()["shared_roster"].tolist() == list(range(n))
+        partial = source.state()
+        partial["shared_roster"] = np.arange(1, n)
+        target.restore(partial)
+        assert target.shared_roster == frozenset(range(1, n))
+
+    def test_size_and_membership_answer_without_the_set(self):
+        n = 16
+        store = PeerStore(n, np.full(n, 1.0 / n), 0.5)
+        assert store.shared_size() == n
+        assert store.in_shared_roster(0) and store.in_shared_roster(n - 1)
+        assert not store.in_shared_roster(n) and not store.in_shared_roster(-1)
+        assert store._shared_roster is None
+        store.rebind_roster(frozenset(range(1, n)))
+        assert store.shared_size() == n - 1 and not store.in_shared_roster(0)
+
+    def test_a_view_reads_the_shared_set(self):
+        protocol = _protocol(8)
+        peer = protocol.peers[3]
+        assert protocol._store._shared_roster is None
+        roster = peer.roster
+        assert roster == frozenset(range(8))
+        assert protocol.peers[5].roster is roster  # one shared object
+        peer.roster = roster  # rebinding the shared object: no override
+        assert protocol._store.roster_overrides == {}
+
+    def test_rebind_gives_stale_peers_the_old_set(self):
+        n = 8
+        store = PeerStore(n, np.full(n, 1.0 / n), 0.5)
+        store.rebind_roster(frozenset(range(1, n)), stale_ids=[0])
+        assert store.roster_of(0) == frozenset(range(n))
+        assert store.roster_of(1) == frozenset(range(1, n))
 
 
 class TestTopologyViews:

@@ -158,6 +158,17 @@ def test_saturating_vector_items_are_the_scalar_costs(fleet):
     assert vector.astype(np.float64) is vector
 
 
+def test_affine_vector_items_stay_in_range():
+    vector = AffineCostVector(np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.2, 0.3]))
+    for i in range(-3, 3):
+        item = vector[i]
+        assert item is vector[i % 3]  # built once, then cached
+        assert item.slope == 1.0 + i % 3
+    for index in (3, 4, -4, -5):
+        with pytest.raises(IndexError):
+            vector[index]
+
+
 def test_saturating_vector_rejects_what_the_scalar_rejects():
     mu = np.array([1.0, 2.0])
     with pytest.raises(CostFunctionError):

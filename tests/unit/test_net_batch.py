@@ -522,7 +522,10 @@ class TestDeliveryPlan:
         plan = cluster.batched().plan(SRC, DST, 2)
         cluster.metrics.pair_accounting = False
         plan.deliver(0.0)
-        assert (plan._slots == -1).all()
+        # No pair table exists before the first pair bump.
+        assert plan._pair_keys is None
+        assert plan._pair_count is None
+        assert plan._slots is None
         assert cluster.metrics.per_pair_messages == {}
         cluster.metrics.pair_accounting = True
         plan.deliver(0.0)
