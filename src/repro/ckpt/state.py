@@ -243,7 +243,7 @@ def capture_cluster(cluster) -> dict:
             [int(src), int(dst), capture_link(link)]
             for (src, dst), link in sorted(cluster._links.items())
         ],
-        "metrics": cluster.metrics.registry.to_records(),
+        "metrics": cluster.metrics.state(),
     }
 
 
@@ -277,7 +277,11 @@ def restore_cluster(cluster, state: Mapping) -> None:
         )
     for key, link_state in stored_links.items():
         restore_link(cluster._links[key], link_state)
-    cluster.metrics.load_records(state["metrics"])
+    metrics = state["metrics"]
+    if isinstance(metrics, list):  # older snapshots: registry records
+        cluster.metrics.load_records(metrics)
+    else:
+        cluster.metrics.load_state(metrics)
     lazy = getattr(cluster, "lazy_nodes", None)
     node_arrays = state.get("node_arrays")
     if node_arrays is not None:  # only lazy (FD) clusters capture these

@@ -19,7 +19,6 @@ baseline after intentional performance changes.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import platform
@@ -82,7 +81,8 @@ SCHEMA = 1
 #: longer run "for free" and ``docs/checkpointing.md`` is lying.
 #: ``proto_fd_flat_pairs_n32`` is per-pair message accounting's cost
 #: on steady N=32 flat FD rounds (the serving control plane's size):
-#: rounds with pair metrics on over the same rounds with them off.
+#: rounds whose pair counts are folded every round over the same rounds
+#: never read.
 OVERHEAD_GATES = {
     "obs_overhead": 1.03,
     "ckpt_overhead": 1.05,
@@ -124,22 +124,6 @@ def _peak_rss_bytes() -> int:
     if sys.platform == "darwin":  # pragma: no cover - platform-specific
         return int(peak)
     return int(peak) * 1024
-
-
-@contextlib.contextmanager
-def _pair_metrics_off():
-    """Run the block with ``REPRO_PAIR_METRICS=0`` (read when a protocol
-    builds its metrics: no per-pair counters, which at large N are pure
-    overhead with no consumer), restoring the caller's value after."""
-    saved = os.environ.get("REPRO_PAIR_METRICS")
-    os.environ["REPRO_PAIR_METRICS"] = "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_PAIR_METRICS", None)
-        else:
-            os.environ["REPRO_PAIR_METRICS"] = saved
 
 
 def _time_once(fn: Callable[[], object]) -> float:
@@ -502,12 +486,11 @@ def _bench_protocol_tree_smoke(repetitions: int) -> BenchmarkResult:
     Records the round's wall-clock in both columns (speedup 1.0), so the
     baseline comparison can never flag it — the gates are that the round
     completes at all and does so within :data:`TREE_SMOKE_BUDGET_S`
-    seconds. Per-pair message accounting is disabled for the run
-    (``REPRO_PAIR_METRICS=0``): at this N the per-pair counter dict is
-    pure overhead with no consumer, and the smoke pins the protocol's
-    memory story, which ``peak_rss_bytes`` records. Protocol
-    construction (100k peers, the aggregation tree, the frame plans)
-    happens outside the timed window; the timing is the round itself.
+    seconds. Nothing reads the per-pair counts, so the round builds no
+    pair table, and the smoke pins the protocol's memory story, which
+    ``peak_rss_bytes`` records. Protocol construction (100k peers, the
+    aggregation tree, the frame plans) happens outside the timed window;
+    the timing is the round itself.
     """
     from repro.costs.affine_vector import AffineCostVector
     from repro.costs.timevarying import RandomAffineProcess
@@ -515,25 +498,24 @@ def _bench_protocol_tree_smoke(repetitions: int) -> BenchmarkResult:
     from repro.protocols.fully_distributed import FullyDistributedDolbie
 
     n, rounds = TREE_SMOKE_N, 1
-    with _pair_metrics_off():
-        speeds = [1.0 + (i % 23) for i in range(n)]
-        process = RandomAffineProcess(speeds, sigma=0.1, comm_scale=0.01, seed=n)
-        vector = AffineCostVector.coerce(process.costs_at(1))
-        link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(n)))
-        protocol = FullyDistributedDolbie(n, link=link, aggregation="tree")
-        state = {"t": 0}
+    speeds = [1.0 + (i % 23) for i in range(n)]
+    process = RandomAffineProcess(speeds, sigma=0.1, comm_scale=0.01, seed=n)
+    vector = AffineCostVector.coerce(process.costs_at(1))
+    link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(n)))
+    protocol = FullyDistributedDolbie(n, link=link, aggregation="tree")
+    state = {"t": 0}
 
-        def one_round() -> None:
-            state["t"] += 1
-            protocol.run_round(state["t"], vector)
+    def one_round() -> None:
+        state["t"] += 1
+        protocol.run_round(state["t"], vector)
 
-        one_round()  # untimed: builds the tree-round structures + plans
-        times = [_time_once(one_round) for _ in range(max(1, min(repetitions, 2)))]
-        if protocol.tree_rounds != state["t"]:
-            raise RuntimeError(
-                f"n{n} smoke fell off the tree path "
-                f"({protocol.tree_rounds}/{state['t']} tree rounds)"
-            )
+    one_round()  # untimed: builds the tree-round structures + plans
+    times = [_time_once(one_round) for _ in range(max(1, min(repetitions, 2)))]
+    if protocol.tree_rounds != state["t"]:
+        raise RuntimeError(
+            f"n{n} smoke fell off the tree path "
+            f"({protocol.tree_rounds}/{state['t']} tree rounds)"
+        )
     best = min(times)
     if best > TREE_SMOKE_BUDGET_S:
         raise RuntimeError(
@@ -561,7 +543,7 @@ def _bench_protocol_churn(repetitions: int) -> BenchmarkResult:
     """The crash round of an N=128 tree protocol: event engine vs the
     production route (the batched failure detection).
 
-    Each leg builds a fresh protocol (pair metrics off), runs warm-up
+    Each leg builds a fresh protocol, runs warm-up
     tree rounds, times steady tree rounds, crashes one worker and times
     the round after the crash — with ``use_fast_path=False`` for that
     round in the incremental leg (the event-engine round the detection
@@ -605,13 +587,12 @@ def _bench_protocol_churn(repetitions: int) -> BenchmarkResult:
             )
         return steady, crash
 
-    with _pair_metrics_off():
-        event_s, production_s, steady_s = [], [], []
-        for _ in range(max(3, repetitions)):
-            event_s.append(leg(False)[1])
-            steady, crash = leg(True)
-            steady_s.append(steady)
-            production_s.append(crash)
+    event_s, production_s, steady_s = [], [], []
+    for _ in range(max(3, repetitions)):
+        event_s.append(leg(False)[1])
+        steady, crash = leg(True)
+        steady_s.append(steady)
+        production_s.append(crash)
     best_event, best_crash = min(event_s), min(production_s)
     best_steady = min(steady_s)
     if best_crash > CHURN_MAX_RATIO * best_steady:
@@ -630,14 +611,17 @@ def _bench_protocol_churn(repetitions: int) -> BenchmarkResult:
 
 
 def _bench_flat_pairs(repetitions: int) -> BenchmarkResult:
-    """Steady N=32 flat FD rounds: pair metrics on vs. off.
+    """Steady N=32 flat FD rounds: pair counts folded every round vs.
+    never read.
 
-    Two protocols replay the same seeded costs and link delays, one
-    built with pair accounting on and one under
-    :func:`_pair_metrics_off`; after warm-up each timed leg runs the
-    next ``rounds`` rounds of its protocol, interleaved, best of at
-    least five. ``speedup`` is the on/off ratio, gated by
-    :data:`OVERHEAD_GATES`: the per-pair breakdown of the complexity
+    Two protocols replay the same seeded costs and link delays; one
+    folds its metrics' delivery log into the pair table after every
+    round (:meth:`NetworkMetrics.fold
+    <repro.net.metrics.NetworkMetrics.fold>`, what every pair read runs
+    first), the other never reads its pairs. After warm-up each timed
+    leg runs the next ``rounds`` rounds of its protocol, interleaved,
+    best of at least five. ``speedup`` is the folded/unread ratio, gated
+    by :data:`OVERHEAD_GATES`: the per-pair breakdown of the complexity
     reproduction must not cost more than the round it measures.
     """
     from repro.costs.affine_vector import AffineCostVector
@@ -654,26 +638,27 @@ def _bench_flat_pairs(repetitions: int) -> BenchmarkResult:
         link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(n)))
         return FullyDistributedDolbie(n, link=link)
 
-    pairs_on = build()
-    with _pair_metrics_off():
-        pairs_off = build()
+    folded, unread = build(), build()
 
     def leg(protocol: FullyDistributedDolbie, count: int) -> None:
+        fold = protocol.metrics.fold if protocol is folded else None
         start = len(protocol.ledger) + 1  # one entry per round run
         for t in range(start, start + count):
             protocol.run_round(t, costs[t % len(costs)])
+            if fold is not None:
+                fold()
         if protocol.fast_rounds != len(protocol.ledger):
             raise RuntimeError(
                 f"n{n} flat leg left the batched route ({protocol.fast_rounds}"
                 f"/{len(protocol.ledger)} batched rounds)"
             )
 
-    leg(pairs_on, warmup)
-    leg(pairs_off, warmup)
+    leg(folded, warmup)
+    leg(unread, warmup)
     return _paired(
         f"proto_fd_flat_pairs_n{n}",
-        lambda: leg(pairs_on, rounds),
-        lambda: leg(pairs_off, rounds),
+        lambda: leg(folded, rounds),
+        lambda: leg(unread, rounds),
         max(5, repetitions),
         rounds,
     )

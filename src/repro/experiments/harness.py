@@ -284,21 +284,13 @@ def sweep_realizations(
     jobs = jobs if jobs is not None else scale.jobs
     available = os.cpu_count() or 1
     if jobs > available:
-        # REPRO_JOBS_NO_CLAMP=1 keeps the requested degree: containers
-        # and cgroup-limited CI runners can report a cpu_count far below
-        # the usable parallelism (see docs/performance.md). The warning
-        # stays either way so oversubscription is never silent.
-        no_clamp = os.environ.get("REPRO_JOBS_NO_CLAMP", "") == "1"
         logger.warning(
-            "requested jobs=%d exceeds cpu_count=%d; %s",
+            "requested jobs=%d exceeds cpu_count=%d; clamping to %d",
             jobs,
             available,
-            "keeping it (REPRO_JOBS_NO_CLAMP=1)"
-            if no_clamp
-            else f"clamping to {available}",
+            available,
         )
-        if not no_clamp:
-            jobs = available
+        jobs = available
     specs = [
         RealizationSpec.from_scale(
             model, scale, rounds, scale.base_seed + r, algorithms

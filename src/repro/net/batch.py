@@ -25,10 +25,9 @@ Two refinements ride on the same contract:
   and pairs still enter the metrics' pair table in frame order.
 - **Delivery plans.** A :class:`DeliveryPlan` precomputes everything a
   repeating ``(src, dst)`` frame layout implies — counts, bytes, the
-  per-receiver bump list, and on the first pair bump the pair-table
-  slots — so the FD tree round and the steady flat round pay one
-  scatter-add of cached slots per phase instead of a slot lookup, with
-  identical observable accounting.
+  per-receiver bump list — so the FD tree round and the steady flat
+  round log one plan reference per phase in the metrics instead of the
+  phase's pair keys, with identical observable accounting.
 
 Bit-identity contract (same discipline as ``docs/performance.md``):
 
@@ -205,37 +204,30 @@ class DeliveryPlan:
     The FD tree round delivers the same ``(src, dst)`` arrays every
     round (the overlay is fixed until membership changes), so everything
     :meth:`BatchedCluster.deliver` derives from them per call — frame
-    count, wire bytes, the unique-pair histogram in first-occurrence
-    order, the per-receiver bump list — is computed once here. A plan
-    delivery then costs one delay draw, one scatter-add of the unique
-    pairs' counts into their cached pair-table slots and the receiver
-    bumps, with accounting **identical** to ``deliver`` on the same
-    layout: same totals, same per-pair values, same pair creation order,
-    same ``received_count`` advances, same RNG stream consumption.
+    count, wire bytes, the per-receiver bump list — is computed once
+    here. A plan delivery then costs one delay draw, the receiver bumps
+    and a reference to the plan in the metrics' delivery log
+    (:meth:`NetworkMetrics.record_plan
+    <repro.net.metrics.NetworkMetrics.record_plan>`), with accounting
+    **identical** to ``deliver`` on the same layout: same totals, same
+    per-pair values, same pair creation order, same ``received_count``
+    advances, same RNG stream consumption.
 
-    Building a plan is one ``np.unique`` pass (the receiver counts). The
-    pair tables — the unique pairs in first-occurrence order as int64
-    table keys and counts (a second ``np.unique`` and an ``argsort``)
-    and their table slots — are built on the first pair bump, so with
-    pair accounting off (``REPRO_PAIR_METRICS=0``) a plan holds none:
-    at N=10⁶ that is 3 × 8 B per frame less for each of phases A, D and
-    E. Like ``deliver``, a plan carries a payload field count, never
-    payload values.
+    Building a plan is one ``np.unique`` pass (the receiver counts) and
+    a fold of the metrics' delivery log. A plan holds no pair table: the
+    metrics fold its frames' pair keys (:meth:`keys`) into theirs when
+    the pair counts are read or the next plan is built. Like
+    ``deliver``, a plan carries a payload field count, never payload
+    values.
 
     ``deliver(..., drop=k)`` delivers the layout minus frame ``k`` (the
     straggler's suppressed decision in phase E): ``count - 1`` delay
     draws against the caller's masked send times, the dropped frame's
-    pair and receiver bumps withheld. The dropped frame's pair must be
-    unique within the batch (true for member->head layouts, where every
-    member is a distinct pair) so pair creation order still matches
-    the eager masked path, and no slot is created for a pair whose bump
-    is zero. The per-frame entry index this needs is built by the first
-    ``drop=`` pair bump, so a plan that never drops keeps none.
+    pair and receiver bumps withheld — the same accounting, pair
+    creation order included, as the eager masked path, so no pair is
+    created whose every frame was dropped.
 
-    Plans hold cached pair slots; they die with the protocol's overlay
-    cache on any membership change, and re-resolve their slots when the
-    metrics object is reset or restored
-    (:attr:`NetworkMetrics.pair_epoch`). Receiver counts go through
+    Receiver counts go through
     :meth:`~repro.net.cluster.Cluster.bump_received`, as in
     :meth:`BatchedCluster.deliver`.
     """
@@ -256,28 +248,19 @@ class DeliveryPlan:
             )
         self.count = int(self.src.size)
         self.size_bytes = SCALAR_BYTES * int(fields)
+        # A new plan means the previous epoch's are being let go: fold
+        # the log that still references them.
+        batched.cluster.metrics.fold()
         # Per-receiver bumps as (ascending dst, count) arrays — the
         # one-shot path's bump list. Keeping ids rather than node
         # objects hydrates no lazy receiver.
         self._recv_dst, self._recv_counts = np.unique(
             self.dst, return_counts=True
         )
-        # The pair tables, built by the first pair bump (so never with
-        # pair accounting off): unique (src, dst) pairs in
-        # first-occurrence frame order — the slot creation order
-        # record_batch_arrays uses — as int64 table keys and counts, and
-        # each entry's pair-table slot (-1: not created yet).
-        self._pair_keys: np.ndarray | None = None
-        self._pair_count: np.ndarray | None = None
-        self._slots: np.ndarray | None = None
-        # Each frame's entry index, built by the first drop= bump.
-        self._frame_entry: np.ndarray | None = None
-        # What _bump_pairs indexes the table with once every slot exists
-        # (a slice when they are consecutive), else None.
-        self._slot_index: slice | np.ndarray | None = None
-        self._pair_epoch = -1
 
-    def _keys(self) -> np.ndarray:
+    def keys(self) -> np.ndarray:
+        """Each frame's int64 ``src << 32 | dst`` pair key, in frame
+        order (what the metrics fold a logged delivery into)."""
         return (self.src << 32) | self.dst
 
     def deliver(
@@ -300,55 +283,11 @@ class DeliveryPlan:
         metrics.record_totals(
             batched.round_index, count, count * self.size_bytes
         )
-        if metrics.pair_accounting and count:
-            self._bump_pairs(metrics, drop)
+        if count:
+            metrics.record_plan(self, drop)
         recv_counts = self._recv_counts
         if drop is not None:
             recv_counts = recv_counts.copy()
             recv_counts[np.searchsorted(self._recv_dst, self.dst[drop])] -= 1
         cluster.bump_received(self._recv_dst, recv_counts)
         return batched._tally(arrivals)
-
-    def _build_pair_tables(self) -> None:
-        keys = self._keys()
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        order = np.argsort(first, kind="stable")
-        self._pair_keys = keys[first[order]]
-        self._pair_count = counts[order]
-        self._slots = np.full(order.size, -1, dtype=np.int64)
-
-    def _bump_pairs(self, metrics, drop: int | None) -> None:
-        if self._slots is None:
-            self._build_pair_tables()
-        if self._pair_epoch != metrics.pair_epoch:
-            # Metrics were reset or restored: the cached slots are
-            # stale; re-resolve them (creation order = first bump
-            # order, like the eager path rebuilding its table).
-            self._slots.fill(-1)
-            self._slot_index = None
-            self._pair_epoch = metrics.pair_epoch
-        bumps = self._pair_count
-        if drop is not None:
-            if self._frame_entry is None:
-                sorter = np.argsort(self._pair_keys)
-                self._frame_entry = sorter[
-                    np.searchsorted(self._pair_keys, self._keys(), sorter=sorter)
-                ]
-            bumps = bumps.copy()
-            bumps[self._frame_entry[drop]] -= 1
-        if self._slot_index is None:
-            slots = self._slots
-            # Never create a slot the eager path wouldn't: a pair whose
-            # only frame is dropped stays unresolved.
-            missing = (slots < 0) & (bumps > 0)
-            if missing.any():
-                slots[missing] = metrics.pair_slots(self._pair_keys[missing])
-            if (slots < 0).any():
-                live = slots >= 0
-                metrics.bump_pair_slots(slots[live], bumps[live])
-                return
-            # Pairs created together hold consecutive slots: bump a slice.
-            lo = int(slots[0])
-            consecutive = np.array_equal(slots, np.arange(lo, lo + slots.size))
-            self._slot_index = slice(lo, lo + slots.size) if consecutive else slots
-        metrics.bump_pair_slots(self._slot_index, bumps)

@@ -390,9 +390,10 @@ class _PeerSeq(Sequence):
     def __getitem__(self, index: int):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        if index < 0:
-            index += len(self)
-        return self._protocol.cluster.node(index)
+        i = index + len(self) if index < 0 else index
+        if not 0 <= i < len(self):
+            raise IndexError(index)
+        return self._protocol.cluster.node(i)
 
     def __iter__(self):
         cluster = self._protocol.cluster

@@ -97,6 +97,16 @@ class TestConstructionAndHydration:
         else:
             assert type(got) is type(view_value) and got == view_value
 
+    def test_peers_index_out_of_range_raises_index_error(self):
+        protocol = _protocol(4)
+        peers = protocol.peers
+        assert peers[-4] is peers[0] and peers[3] is peers[-1]
+        for index in (4, 5, -5, -6):
+            with pytest.raises(IndexError):
+                peers[index]
+        # A Sequence: iteration protocols that stop on IndexError work.
+        assert len(list(peers)) == 4 and peers.index(peers[2]) == 2
+
     def test_store_arrays_are_packed_o_n(self):
         n = 50_000
         protocol = _protocol(n, aggregation="tree", backend="compiled")
@@ -124,9 +134,10 @@ def _traced() -> int:
 
 
 class TestFootprint:
-    """Bytes per peer at N=10^5, from tracemalloc (tree aggregation, pair
-    metrics off): a healthy round builds no pair table, no roster set and
-    no per-worker cost object, and frees its temporaries phase by phase."""
+    """Bytes per peer at N=10^5, from tracemalloc (tree aggregation,
+    pair counts never read): a healthy round builds no pair table, no
+    roster set and no per-worker cost object, and frees its temporaries
+    phase by phase."""
 
     N = 100_000
 
@@ -135,26 +146,24 @@ class TestFootprint:
         n = self.N
         rng = np.random.default_rng(7)
         costs = [_affine_vector(rng, n) for _ in range(3)]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("REPRO_PAIR_METRICS", "0")
-            tracemalloc.start()
-            try:
-                base = _traced()
-                vector = _affine_vector(rng, n)
-                vector_bytes = _traced() - base
-                del vector
-                base = _traced()
-                protocol = _protocol(n, aggregation="tree")
-                built = _traced()
-                protocol.run_round(1, costs[0])
-                first = _traced()
-                protocol.run_round(2, costs[1])
-                steady = _traced()
-                tracemalloc.reset_peak()
-                protocol.run_round(3, costs[2])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            base = _traced()
+            vector = _affine_vector(rng, n)
+            vector_bytes = _traced() - base
+            del vector
+            base = _traced()
+            protocol = _protocol(n, aggregation="tree")
+            built = _traced()
+            protocol.run_round(1, costs[0])
+            first = _traced()
+            protocol.run_round(2, costs[1])
+            steady = _traced()
+            tracemalloc.reset_peak()
+            protocol.run_round(3, costs[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert protocol.tree_rounds == 3
         return {
             "vector": vector_bytes / n,

@@ -1,14 +1,15 @@
 """Property-based parity of :class:`~repro.net.batch.DeliveryPlan`.
 
 A plan precomputes a repeating ``(src, dst)`` layout's accounting once
-(receiver counts, unique pairs in first-occurrence order, lazily built
-pair handles) and replays it every round. Its observable contract is
+(its receiver counts) and replays it every round; the metrics count its
+pairs when they are read. Its observable contract is
 that ``plan.deliver`` is indistinguishable from eager
 :meth:`BatchedCluster.deliver` of the same layout (minus a dropped
 frame): same arrivals, same totals and per-round counts, same per-pair
 values *and* counter creation order, same ``received_count`` advances,
 same RNG stream position — over an object-node cluster and a lazy-node
-cluster, with pair accounting on or off, and across a
+cluster, with the pairs folded every round or first read at the end
+(no pair table exists before that read), and across a
 ``metrics.reset()`` between rounds. The table-backed
 registry then round-trips through a cluster checkpoint and through
 :func:`~repro.io.save_metrics` byte for byte.
@@ -62,7 +63,7 @@ def layouts(draw):
     }
 
 
-def _cluster(n, seed, lazy, pair_accounting):
+def _cluster(n, seed, lazy):
     link = Link(UniformLatency(0.001, 0.01, np.random.default_rng(seed)))
     if lazy:
         nodes = LazyNodeTable(
@@ -70,9 +71,7 @@ def _cluster(n, seed, lazy, pair_accounting):
         )
     else:
         nodes = [Node(i) for i in range(n)]
-    cluster = Cluster(nodes, default_link=link)
-    cluster.metrics.pair_accounting = pair_accounting
-    return cluster
+    return Cluster(nodes, default_link=link)
 
 
 def _received(cluster, n):
@@ -83,11 +82,11 @@ def _received(cluster, n):
 
 @settings(max_examples=80, deadline=None)
 @given(layouts(), st.booleans(), st.booleans())
-def test_plan_delivery_matches_eager_delivery(layout, lazy, pair_accounting):
+def test_plan_delivery_matches_eager_delivery(layout, lazy, read_each_round):
     n, src, dst, drop = layout["n"], layout["src"], layout["dst"], layout["drop"]
     fields = layout["payload_fields"]
-    eager = _cluster(n, layout["seed"], lazy, pair_accounting)
-    planned = _cluster(n, layout["seed"], lazy, pair_accounting)
+    eager = _cluster(n, layout["seed"], lazy)
+    planned = _cluster(n, layout["seed"], lazy)
     plan = planned.batched().plan(src, dst, fields)
     keep = np.ones(src.size, dtype=bool)
     if drop is not None:
@@ -111,6 +110,10 @@ def test_plan_delivery_matches_eager_delivery(layout, lazy, pair_accounting):
         )
         plan_arrivals = plan.deliver(send, drop=drop)
         assert np.array_equal(plan_arrivals, eager_arrivals)
+        if read_each_round:
+            planned.metrics.fold()
+        else:  # no pair table until read
+            assert planned.metrics._pairs == 0
 
     em, pm = eager.metrics, planned.metrics
     assert pm.messages_total == em.messages_total
@@ -130,7 +133,7 @@ def test_plan_delivery_matches_eager_delivery(layout, lazy, pair_accounting):
     # the same bytes, and restoring that capture reproduces them.
     snapshot = canonical_dumps(to_jsonable(capture_cluster(planned)))
     assert snapshot == canonical_dumps(to_jsonable(capture_cluster(eager)))
-    restored = _cluster(n, layout["seed"], lazy, pair_accounting)
+    restored = _cluster(n, layout["seed"], lazy)
     restore_cluster(restored, from_jsonable(json.loads(snapshot)))
     assert canonical_dumps(to_jsonable(capture_cluster(restored))) == snapshot
     rm = restored.metrics

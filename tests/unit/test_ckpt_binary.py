@@ -6,7 +6,8 @@ JSON head by ``__ndarray_blob__`` tags (see :mod:`repro.ckpt.codec`).
 Pinned here: the codec round-trips exactly across dtypes, blob offsets
 are canonical, the threshold knob works, the version-2 container
 verifies its whole file, version-1 files (old snapshots) still load,
-and snapshot identity is independent of the container.
+snapshot identity is independent of the container, and a large
+protocol's network metrics travel as blobbed columns.
 """
 
 import json
@@ -143,3 +144,47 @@ class TestSnapshotContainer:
         back = Snapshot.from_bytes(legacy)
         assert back.fingerprint == snap.fingerprint
         assert np.array_equal(back.state["x"], BIG)
+
+
+class TestNetworkMetricsColumns:
+    """The cluster's message counts are int64 columns, not one registry
+    record per pair and per round."""
+
+    def test_n100000_tree_snapshot_stays_small(self):
+        from repro.ckpt.state import capture_protocol, restore_protocol
+        from repro.costs.affine_vector import AffineCostVector
+        from repro.net.links import Link, UniformLatency
+        from repro.protocols.fully_distributed import FullyDistributedDolbie
+
+        n = 100_000
+        rng = np.random.default_rng(7)
+        speeds = 1.0 + (np.arange(n) % 23)
+
+        def build():
+            link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(n)))
+            return FullyDistributedDolbie(n, link=link, aggregation="tree")
+
+        protocol = build()
+        for t in range(1, 4):
+            protocol.run_round(t, AffineCostVector(
+                1.0 / (speeds * rng.lognormal(0.0, 0.1, n)),
+                rng.uniform(0.0, 0.01, n),
+            ))
+        assert protocol.tree_rounds == 3
+        raw = Snapshot(
+            kind="run", round_index=3, config={"n": n},
+            state=capture_protocol(protocol),
+        ).to_bytes()
+        # 200,010 pair counts as 16 B of columns each; a record per pair
+        # made this 28.7 MiB.
+        assert len(raw) <= 16 * 2**20
+        head = raw.partition(b"\n")[0]
+        assert b"net.pair_messages" not in head
+        assert b"net.round_" not in head
+        restored = build()
+        restore_protocol(restored, Snapshot.from_bytes(raw).state)
+        source, target = protocol.metrics, restored.metrics
+        assert target.per_round_messages == source.per_round_messages
+        assert list(target.per_pair_messages.items()) == list(
+            source.per_pair_messages.items()
+        )

@@ -7,6 +7,8 @@ accounting matches N scalar records, and eligibility goes False under
 every hook that would change observable behaviour.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -489,17 +491,6 @@ class TestDeliveryPlan:
         assert np.array_equal(plan_arrivals, eager_arrivals)
         self._assert_parity(eager_cluster, plan_cluster)
 
-    def test_frame_index_is_built_by_the_first_drop_only(self):
-        """Only ``drop=`` reads a frame's pair entry: a plan delivered
-        without it keeps no per-frame index."""
-        src = np.array([1, 2, 3, 4, 5])
-        dst = np.array([0, 0, 0, 3, 3])
-        _, _, plan = self._planned(src, dst, 0.0)
-        plan.deliver(0.5)
-        assert plan._frame_entry is None
-        plan.deliver(0.5, drop=3)
-        assert plan._frame_entry.tolist() == [0, 1, 2, 3, 4]
-
     def test_metrics_reset_revalidates_pair_handles(self):
         plan_cluster, _, plan = self._planned(SRC, DST, 0.0)
         plan_cluster.metrics.reset()
@@ -509,29 +500,65 @@ class TestDeliveryPlan:
             eager_cluster.metrics.per_pair_messages.items()
         )
 
-    def test_pair_accounting_disabled_skips_pair_dict(self):
+    def test_unread_deliveries_build_no_pair_table(self):
+        """Deliveries count totals at once and pairs only when read."""
         cluster = _phase_cluster()
-        cluster.metrics.pair_accounting = False
-        plan = cluster.batched().plan(np.array([1]), np.array([0]), 1)
+        batched = cluster.batched()
+        plan = batched.plan(np.array([1]), np.array([0]), 1)
         plan.deliver(0.0)
-        assert cluster.metrics.per_pair_messages == {}
-        assert cluster.metrics.messages_total == 1
+        batched.deliver(SRC, DST, FIELDS, 0.0)
+        metrics = cluster.metrics
+        assert metrics.messages_total == 1 + SRC.size
+        assert metrics._pairs == 0 and metrics._pair_keys.size == 0
+        assert metrics.per_pair_messages == {
+            (1, 0): 3, (2, 0): 2, (3, 1): 1, (4, 1): 1, (5, 2): 1
+        }
 
-    def test_pair_slots_resolve_on_first_pair_bump_only(self):
+    def test_plan_pairs_are_counted_by_the_first_read_only(self):
         cluster = _phase_cluster()
         plan = cluster.batched().plan(SRC, DST, 2)
-        cluster.metrics.pair_accounting = False
+        metrics = cluster.metrics
         plan.deliver(0.0)
-        # No pair table exists before the first pair bump.
-        assert plan._pair_keys is None
-        assert plan._pair_count is None
-        assert plan._slots is None
-        assert cluster.metrics.per_pair_messages == {}
-        cluster.metrics.pair_accounting = True
         plan.deliver(0.0)
-        assert plan._slots.tolist() == [0, 1, 2, 3, 4]
+        # No pair exists before the first read ...
+        assert metrics._pairs == 0
+        assert metrics.per_pair_messages == {
+            (1, 0): 4, (2, 0): 4, (3, 1): 2, (4, 1): 2, (5, 2): 2
+        }
+        # ... and later deliveries fold onto the table on the next read.
+        plan.deliver(0.0)
+        assert metrics._pairs == 5
+        assert metrics.per_pair_messages[(1, 0)] == 6
+
+    def test_unread_live_plans_never_fold_however_many(self):
+        """The log holds any number of live plans without folding: an
+        epoch's plan count does not bound it."""
+        cluster = _phase_cluster()
+        batched = cluster.batched()
+        plans = [
+            batched.plan(np.array([k % 5 + 1]), np.array([0]), 1) for k in range(40)
+        ]
+        for _ in range(5):
+            for plan in plans:
+                plan.deliver(0.0)
+        metrics = cluster.metrics
+        assert metrics._pairs == 0 and len(metrics._log) <= len(plans)
+        assert metrics.per_pair_messages == {(k, 0): 40 for k in range(1, 6)}
+
+    def test_building_a_plan_lets_the_evicted_ones_go(self):
+        """Building a plan folds the log, so an evicted plan it still
+        references is freed, and its counts are kept."""
+        cluster = _phase_cluster()
+        batched = cluster.batched()
+        plan = batched.plan(SRC, DST, 2)
+        plan.deliver(0.0)
+        evicted = weakref.ref(plan)
+        del plan
+        assert evicted() is not None  # the unread log still holds it
+        batched.plan(np.array([1]), np.array([0]), 1).deliver(0.0)
+        assert evicted() is None
         assert cluster.metrics.per_pair_messages == {
-            (1, 0): 2, (2, 0): 2, (3, 1): 1, (4, 1): 1, (5, 2): 1
+            (1, 0): 3, (2, 0): 2, (3, 1): 1, (4, 1): 1, (5, 2): 1
         }
 
     def test_shape_mismatch_raises(self):
