@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.chaos.faults import FaultEvent, FaultSchedule
+from repro.core.ledger import RoundLedger
 from repro.exceptions import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
 
@@ -59,7 +60,7 @@ class ChaosInjector:
         #: worker id -> the ledger prefix it checkpointed before dying.
         #: Entries live from the restart fault until the worker is back
         #: (or until a plain crash/rejoin invalidates the restart).
-        self.restart_prefixes: dict[int, tuple] = {}
+        self.restart_prefixes: dict[int, RoundLedger] = {}
 
     @property
     def events_applied(self) -> int:
@@ -157,8 +158,8 @@ class ChaosInjector:
             for worker in targets:
                 # Checkpoint the worker's ledger replica *before* the
                 # process dies, then crash it like any other failure.
-                self.restart_prefixes[worker] = tuple(
-                    self.protocol.worker_ledger(worker).entries
+                self.restart_prefixes[worker] = self.protocol.worker_ledger(
+                    worker
                 )
                 self.protocol.crash_worker(worker)
                 self._pending_restarts.setdefault(

@@ -55,6 +55,8 @@ property-based testing oracle.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.exceptions import InvariantViolation
@@ -86,13 +88,15 @@ def check_round_invariants(
     local: np.ndarray,
     global_cost: float,
     straggler: int,
-    restart_prefixes: dict[int, tuple] | None = None,
+    restart_prefixes: dict[int, Sequence] | None = None,
 ) -> list[str]:
     """Check every invariant after ``run_round``; return violations."""
     violations: list[str] = []
     roster = list(protocol.roster)
     allocation = np.asarray(protocol.allocation, dtype=float)
     num_workers = allocation.size
+    on_roster = np.zeros(num_workers, dtype=bool)
+    on_roster[roster] = True
 
     def violated(message: str) -> None:
         violations.append(f"round {round_index}: {message}")
@@ -107,26 +111,27 @@ def check_round_invariants(
     if (allocation < -1e-12).any():
         worst = int(np.argmin(allocation))
         violated(f"worker {worst} holds negative share {allocation[worst]!r}")
-    for worker in range(num_workers):
-        if worker not in roster and allocation[worker] != 0.0:
-            violated(
-                f"deposed worker {worker} still holds {allocation[worker]!r}"
-            )
+    for worker in np.flatnonzero(~on_roster & (allocation != 0.0)).tolist():
+        violated(f"deposed worker {worker} still holds {allocation[worker]!r}")
 
     # 2. agreement on the round outcome and the roster
-    if straggler not in roster:
+    if not 0 <= straggler < num_workers or not on_roster[straggler]:
         violated(f"straggler {straggler} is not on the roster {roster}")
     if not np.isfinite(global_cost):
         violated(f"global cost is not finite: {global_cost!r}")
     peers = getattr(protocol, "peers", None)
     if peers is not None:  # fully-distributed: per-peer replicated state
-        roster_set = set(roster)
+        roster_set = frozenset(roster)
+        agreed = None  # peers share one roster object; compare it once
         for worker in roster:
             peer = peers[worker]
-            if set(peer.roster) != roster_set:
-                violated(
-                    f"peer {worker} roster {sorted(peer.roster)} != {roster}"
-                )
+            if peer.roster is not agreed:
+                if peer.roster != roster_set:
+                    violated(
+                        f"peer {worker} roster {sorted(peer.roster)} != {roster}"
+                    )
+                else:
+                    agreed = peer.roster
             if peer.straggler_id != straggler:
                 violated(
                     f"peer {worker} disagrees on the straggler "
@@ -206,18 +211,16 @@ def check_round_invariants(
                 )
 
     # 4. every rostered worker produced a cost; nobody else did
-    local = np.asarray(local, dtype=float)
-    for worker in range(num_workers):
-        if worker in roster and not np.isfinite(local[worker]):
+    reported = np.isfinite(np.asarray(local, dtype=float))
+    for worker in np.flatnonzero(on_roster != reported).tolist():
+        if on_roster[worker]:
             violated(f"rostered worker {worker} reported no cost")
-        if worker not in roster and np.isfinite(local[worker]):
+        else:
             violated(f"deposed worker {worker} reported a cost")
 
     # 6. the round ledger agrees and every replica extends it
     ledger = getattr(protocol, "ledger", None)
     if ledger is not None:
-        from repro.core.ledger import prefix_consistency_violations
-
         entry = ledger.entry_for(round_index)
         if entry is None:
             violated("the authoritative ledger has no entry for this round")
@@ -225,25 +228,16 @@ def check_round_invariants(
             if (
                 entry.straggler != int(straggler)
                 or entry.global_cost != float(global_cost)
-                or set(entry.roster) != set(roster)
+                or not np.array_equal(entry.roster, roster)  # both ascending
             ):
                 violated(
                     "the authoritative ledger entry disagrees with the "
                     f"round outcome ({entry})"
                 )
-            prefixes = restart_prefixes or {}
-            for worker in roster:
-                replica = protocol.worker_ledger(worker)
-                problems = prefix_consistency_violations(
-                    replica, ledger, preserved_prefix=prefixes.get(worker),
-                )
-                for problem in problems:
-                    violated(f"worker {worker} ledger replica: {problem}")
-                if replica.entry_for(round_index) is None:
-                    violated(
-                        f"worker {worker} ledger replica is missing this "
-                        "round"
-                    )
+            for problem in protocol._ledger_book.violations(
+                roster, round_index, restart_prefixes
+            ):
+                violated(problem)
     return violations
 
 
@@ -254,7 +248,7 @@ def assert_round_invariants(
     local: np.ndarray,
     global_cost: float,
     straggler: int,
-    restart_prefixes: dict[int, tuple] | None = None,
+    restart_prefixes: dict[int, Sequence] | None = None,
 ) -> None:
     """Raise :class:`InvariantViolation` when any invariant breaks."""
     violations = check_round_invariants(

@@ -34,7 +34,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.backend import ALIASES
-from repro.core.ledger import LedgerEntry, RoundLedger
+from repro.core.ledger import RoundLedger, from_runs, to_runs
 from repro.exceptions import CheckpointError
 from repro.net.links import (
     ConstantLatency,
@@ -306,97 +306,15 @@ def restore_cluster(cluster, state: Mapping) -> None:
 
 
 # -- protocols ------------------------------------------------------------
-def _pack_replica(entries, auth_entries, by_round: dict) -> list:
-    """Encode a replica's entries against the authoritative entry list.
-
-    Healthy replicas are (unions of) contiguous slices of the
-    authoritative ledger, so re-encoding every entry per replica would
-    make snapshots grow as O(workers x rounds). Instead each replica is
-    a list of ``{"span": [start, end]}`` runs into the authoritative
-    list, with any divergent entry kept inline as ``{"entry": ...}`` so
-    a corrupted replica is still captured faithfully. Protocols append
-    the *same* entry object to the authoritative ledger and the
-    replicas, so the match test is usually a pointer comparison.
-    """
-    packed: list = []
-    run_start = run_end = None
-
-    def flush() -> None:
-        nonlocal run_start, run_end
-        if run_start is not None:
-            packed.append({"span": [run_start, run_end]})
-            run_start = run_end = None
-
-    for entry in entries:
-        position = by_round.get(entry.round_index)
-        if position is not None and (
-            auth_entries[position] is entry or auth_entries[position] == entry
-        ):
-            if run_end == position:
-                run_end = position + 1
-            else:
-                flush()
-                run_start, run_end = position, position + 1
-        else:
-            flush()
-            packed.append({"entry": entry.to_dict()})
-    flush()
-    return packed
-
-
-def _unpack_replica(packed: list, authoritative: list) -> list:
-    records: list = []
-    for item in packed:
-        if "span" in item:
-            start, end = item["span"]
-            records.extend(authoritative[int(start):int(end)])
-        else:
-            records.append(item["entry"])
-    return records
-
-
-def _ledgers_state(protocol) -> dict:
-    auth_entries = tuple(protocol.ledger)
-    by_round = {
-        entry.round_index: position
-        for position, entry in enumerate(auth_entries)
-    }
+def _restore_book(protocol, state: Mapping) -> None:
+    """The ledger book's own block, or the per-entry records of a
+    snapshot older than the column layout (the book's legacy reader)."""
     book = protocol._ledger_book
-    # The replicas already *are* spans — two packed arrays capture all N
-    # of them; only the few materialized (gap-holding) replicas need the
-    # per-entry packing.
-    return {
-        "ledger": [entry.to_dict() for entry in auth_entries],
-        "worker_ledger_spans": book.spans_state(),
-        "worker_ledgers": {
-            int(worker): _pack_replica(ledger, auth_entries, by_round)
-            for worker, ledger in sorted(book.materialized.items())
-        },
-    }
-
-
-def _restore_ledgers(protocol, state: Mapping) -> None:
-    authoritative = state["ledger"]
-    ledger = RoundLedger.from_records(authoritative)
-    protocol.ledger = ledger
-    book = protocol._ledger_book
-    book.rebind_authority(ledger)
-    book.materialized = {}
-    spans = state.get("worker_ledger_spans")
-    if spans is not None:
-        book.restore_spans(spans)
-        for worker, packed in state["worker_ledgers"].items():
-            book.materialized[int(worker)] = RoundLedger.from_records(
-                _unpack_replica(packed, authoritative)
-            )
-    else:  # per-replica lists: FD object peers, MW before spans
-        book.start[:] = 0
-        book.stop[:] = 0
-        for worker, packed in state["worker_ledgers"].items():
-            replica = RoundLedger.from_records(
-                _unpack_replica(packed, authoritative)
-            )
-            book.restore_replica(int(worker), replica.entries)
+    if "ledger_book" in state:
+        book.restore(state["ledger_book"])
+    else:
+        book.restore_legacy(state)
+    protocol.ledger = book.authority
 
 
 def capture_protocol(protocol) -> dict:
@@ -464,7 +382,7 @@ def _capture_master_worker(protocol) -> dict:
             }
             for worker in protocol.workers
         ],
-        **_ledgers_state(protocol),
+        "ledger_book": protocol._ledger_book.state(),
         "cluster": capture_cluster(protocol.cluster),
     }
 
@@ -495,7 +413,7 @@ def _restore_master_worker(protocol, state: Mapping) -> None:
         worker.x = float(worker_state["x"])
         worker.local_cost = worker_state["local_cost"]
         worker.current_round = int(worker_state["current_round"])
-    _restore_ledgers(protocol, state)
+    _restore_book(protocol, state)
     restore_cluster(protocol.cluster, state["cluster"])
 
 
@@ -617,7 +535,7 @@ def _capture_fully_distributed(protocol) -> dict:
                 "shards": [list(shard) for shard in last_tree.shards],
             },
         },
-        **_ledgers_state(protocol),
+        "ledger_book": protocol._ledger_book.state(),
         "cluster": capture_cluster(protocol.cluster),
     }
 
@@ -697,7 +615,7 @@ def _restore_fully_distributed(protocol, state: Mapping) -> None:
         _restore_peers_from_store_block(protocol, state)
     else:
         _restore_peers_from_list(protocol, state)
-    _restore_ledgers(protocol, state)
+    _restore_book(protocol, state)
     restore_cluster(protocol.cluster, state["cluster"])
 
 
@@ -756,16 +674,20 @@ def restore_serving(simulator, state: Mapping) -> None:
 def capture_injector(injector) -> dict:
     """The injector's transient-fault bookkeeping and counters.
 
-    ``restart_prefixes`` pin a full ledger prefix per restarted worker,
-    which is almost always a slice of the protocol's authoritative
-    ledger — so they are span-packed against it exactly like the
-    replica ledgers (O(1) per prefix instead of O(rounds)).
+    ``restart_prefixes`` pin the ledger prefix each restarted worker
+    checkpointed; each is stored as runs of the rows of the protocol's
+    authoritative ledger it holds (one run for a contiguous prefix).
     """
-    auth_entries = tuple(injector.protocol.ledger)
-    by_round = {
-        entry.round_index: position
-        for position, entry in enumerate(auth_entries)
-    }
+    authority = injector.protocol.ledger
+    prefix_rows = {}
+    for worker, prefix in injector.restart_prefixes.items():
+        rows, _, agree = authority.match(prefix)
+        if not agree.all():
+            raise CheckpointError(
+                f"worker {worker}'s restart prefix holds a row the "
+                "authoritative ledger lacks"
+            )
+        prefix_rows[int(worker)] = to_runs(rows, 1)
     return {
         "slow_until": {
             int(w): int(r) for w, r in injector._slow_until.items()
@@ -777,17 +699,14 @@ def capture_injector(injector) -> dict:
             int(r): [int(w) for w in workers]
             for r, workers in injector._pending_restarts.items()
         },
-        "restart_prefixes": {
-            int(w): _pack_replica(entries, auth_entries, by_round)
-            for w, entries in injector.restart_prefixes.items()
-        },
+        "restart_prefix_rows": prefix_rows,
     }
 
 
 def restore_injector(injector, state: Mapping) -> None:
     """Inverse of :func:`capture_injector`. Must run *after* the
-    protocol is restored: the span-packed restart prefixes expand
-    against the restored authoritative ledger."""
+    protocol is restored: the restart prefixes are rows of the restored
+    authoritative ledger."""
     from repro.chaos.faults import FaultEvent
 
     injector._slow_until = {
@@ -802,11 +721,14 @@ def restore_injector(injector, state: Mapping) -> None:
         int(r): [int(w) for w in workers]
         for r, workers in state["pending_restarts"].items()
     }
-    authoritative = injector.protocol.ledger.to_records()
-    injector.restart_prefixes = {
-        int(w): tuple(
-            LedgerEntry.from_dict(r)
-            for r in _unpack_replica(packed, authoritative)
-        )
-        for w, packed in state["restart_prefixes"].items()
-    }
+    authority = injector.protocol.ledger
+    if "restart_prefix_rows" in state:
+        injector.restart_prefixes = {
+            int(w): authority.take(from_runs(rows, 1, np.int64))
+            for w, rows in state["restart_prefix_rows"].items()
+        }
+    else:  # packed entry lists, written before the column layout
+        injector.restart_prefixes = {
+            int(w): RoundLedger.from_legacy(packed, authority)
+            for w, packed in state["restart_prefixes"].items()
+        }

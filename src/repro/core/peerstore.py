@@ -43,29 +43,20 @@ lives in the link/latency models, captured by :mod:`repro.ckpt.state`);
 per-peer *decisions* exist only transiently during event-engine rounds
 and live on the hydrated views.
 
-:class:`LedgerBook` is the same idea applied to the per-worker ledger
-replicas: healthy replicas are contiguous suffixes of the authoritative
-ledger, so the book stores one ``[start, stop)`` span pair per worker
-(two int64 arrays) and materializes a real :class:`~repro.core.ledger.
-RoundLedger` only for workers whose replica left the single-span fast
-path (stall-then-rejoin gaps). Appending a round to a million replicas
-becomes two vectorized array updates. The span layout is exactly the
-``{"span": [start, end]}`` packing :mod:`repro.ckpt.state` already uses
-on disk, so checkpoints translate 1:1.
+:class:`LedgerBook` (:mod:`repro.core.ledger`, re-exported here) is the
+same idea applied to the per-worker ledger replicas.
 
-Both classes are pure data + numpy — no protocol or network imports —
-so they sit in ``repro.core`` below everything that uses them.
+The store is pure data + numpy — no protocol or network imports — so
+it sits in ``repro.core`` below everything that uses it.
 """
 
 from __future__ import annotations
 
-import bisect
-from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from repro.core.ledger import LedgerEntry, RoundLedger
+from repro.core.ledger import LedgerBook
 
 __all__ = [
     "PeerStore",
@@ -274,125 +265,3 @@ class NegativeNoneColumn(Column):
             )
 
         property.__init__(self, get, set_)
-
-
-class LedgerBook:
-    """Span-compressed per-worker replicas of one authoritative ledger.
-
-    ``start``/``stop`` are ``(N,)`` int64 arrays: worker ``w``'s replica
-    is ``authority.entries[start[w]:stop[w]]`` (``start == stop`` means
-    empty — a fresh or crash-wiped replica). Workers whose replica is
-    not one contiguous run (a stall gap, a restored restart prefix that
-    diverged) are *materialized* into real :class:`RoundLedger` objects
-    in :attr:`materialized`; everything stays correct, only the O(1)
-    fan-out is lost for those few workers.
-    """
-
-    def __init__(self, num_workers: int, authority: RoundLedger) -> None:
-        self.num_workers = int(num_workers)
-        self._authority = authority
-        self.start = np.zeros(self.num_workers, dtype=np.int64)
-        self.stop = np.zeros(self.num_workers, dtype=np.int64)
-        self.materialized: dict[int, RoundLedger] = {}
-
-    @property
-    def authority(self) -> RoundLedger:
-        return self._authority
-
-    def rebind_authority(self, authority: RoundLedger) -> None:
-        """Point the spans at a restored authoritative ledger (the
-        checkpoint-restore path replaces the ledger object)."""
-        self._authority = authority
-
-    def worker_ledger(self, worker: int) -> RoundLedger:
-        """``worker``'s replica.
-
-        Materialized workers return their live ledger object;
-        span-backed workers return a *fresh* ledger built from the
-        authoritative slice (the entries are the shared, immutable
-        entry objects — building the view is O(span length))."""
-        ledger = self.materialized.get(worker)
-        if ledger is not None:
-            return ledger
-        replica = RoundLedger()
-        lo, hi = int(self.start[worker]), int(self.stop[worker])
-        for entry in self._authority[lo:hi]:
-            replica.replicate(entry)
-        return replica
-
-    def wipe(self, worker: int) -> None:
-        """Crash semantics: the replica's process memory is gone."""
-        self.materialized.pop(worker, None)
-        length = len(self._authority)
-        self.start[worker] = length
-        self.stop[worker] = length
-
-    def restore_replica(
-        self, worker: int, entries: Sequence[LedgerEntry]
-    ) -> None:
-        """Reload a replica (the restart fault's recovery path).
-
-        A replica that is one contiguous run of the authority collapses
-        back onto the span arrays; anything else is materialized."""
-        self.materialized.pop(worker, None)
-        entries = list(entries)
-        auth = self._authority
-        if not entries:
-            self.wipe(worker)
-            return
-        lo = bisect.bisect_left(
-            auth, entries[0].round_index, key=attrgetter("round_index")
-        )
-        hi = lo + len(entries)
-        if hi <= len(auth) and auth[lo:hi] == entries:
-            self.start[worker] = lo
-            self.stop[worker] = hi
-        else:
-            self.materialized[worker] = RoundLedger(entries)
-
-    def _materialize(self, worker: int) -> RoundLedger:
-        ledger = self.worker_ledger(worker)
-        self.materialized[worker] = ledger
-        return ledger
-
-    def fanout(self, ids: np.ndarray, entry: LedgerEntry) -> None:
-        """Replicate ``entry`` — already appended to the authority as
-        its last element — to every worker of the ascending id array
-        ``ids``: O(1) per span-backed worker, vectorized."""
-        length = len(self._authority)
-        assert self._authority[length - 1] is entry
-        if self.materialized:
-            # The handful of materialized workers peel off to their own
-            # ledgers; ids is ascending so membership is a search.
-            mat = np.fromiter(sorted(self.materialized), dtype=np.int64)
-            pos = np.searchsorted(ids, mat)
-            hit = (pos < ids.size) & (ids[np.minimum(pos, ids.size - 1)] == mat)
-            for worker in mat[hit].tolist():
-                self.materialized[worker].replicate(entry)
-            keep = np.ones(ids.size, dtype=bool)
-            keep[pos[hit]] = False
-            ids = ids[keep]
-        empty = self.start[ids] == self.stop[ids]
-        self.start[ids[empty]] = length - 1
-        contiguous = self.stop[ids] == length - 1
-        extend = empty | contiguous
-        self.stop[ids[extend]] = length
-        for worker in ids[~extend].tolist():  # a gap opened (stall)
-            self._materialize(worker).replicate(entry)
-
-    #: The benchmark's layer tracer patches both names of the fan-out.
-    fanout_ids = fanout
-
-    # -- checkpoint payloads ---------------------------------------------
-    def spans_state(self) -> dict:
-        """The span arrays (materialized workers are packed separately
-        by :mod:`repro.ckpt.state`, which owns the replica format)."""
-        return {"start": self.start.copy(), "stop": self.stop.copy()}
-
-    def restore_spans(self, state) -> None:
-        start = np.asarray(state["start"], dtype=np.int64)
-        stop = np.asarray(state["stop"], dtype=np.int64)
-        if start.shape != (self.num_workers,) or stop.shape != start.shape:
-            raise ValueError("ledger span arrays have the wrong shape")
-        self.start[:] = start
-        self.stop[:] = stop

@@ -9,9 +9,10 @@ complexity experiment and every existing assertion keep working, while
 ``repro profile`` / :func:`repro.io.save_metrics` get the registry via
 :attr:`NetworkMetrics.registry`.
 
-Totals and per-round counts are kept eagerly: a round is one slot in two
-Python int lists. Per-(src, dst) counts are kept only when read. A
-delivery appends its pairs to an ordered log — a
+Totals and per-round counts are kept eagerly: a round is one slot of
+three int64 ``array`` columns (round, frames, bytes), found by a search
+while rounds arrive in ascending order. Per-(src, dst) counts are kept
+only when read. A delivery appends its pairs to an ordered log — a
 :class:`~repro.net.batch.DeliveryPlan` delivery as a reference to the
 plan, a phase's frames as their pair keys, a per-frame :meth:`record`
 as one key — and :meth:`NetworkMetrics.fold`, which every pair read
@@ -27,8 +28,9 @@ own counters. Checkpoints write the tables as columns
 
 from __future__ import annotations
 
-import itertools
 import weakref
+from array import array
+from bisect import bisect_left
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -72,13 +74,16 @@ def _sent(plan, deliveries: int, drops: dict[int, int]) -> int | np.ndarray:
 class NetworkMetrics:
     """Counts messages and bytes: totals, per round and per pair.
 
-    The round table maps a round index to a slot (``_round_slot``, in
-    creation order) of two int lists (``_round_messages`` /
-    ``_round_bytes``). The pair table has three parts: ``_pair_keys``
-    (int64 ``src << 32 | dst``, one slot per pair in first-occurrence
-    order), ``_pair_counts`` (int64 frames per slot), and a key -> slot
-    index kept as the keys in ascending order (``_sorted_keys``) beside
-    their slots (``_sorted_slots``), searched with ``np.searchsorted``.
+    The round table holds one slot per round, in creation order, in
+    three int64 columns (``_rounds``, ``_round_messages``,
+    ``_round_bytes``); a round index is found by a search while the
+    rounds ascend, and by ``_round_slot`` (a dict) once a late frame
+    created an older round. The pair table has three parts:
+    ``_pair_keys`` (int64 ``src << 32 | dst``, one slot per pair in
+    first-occurrence order), ``_pair_counts`` (int64 frames per slot),
+    and a key -> slot index kept as the keys in ascending order
+    (``_sorted_keys``) beside their slots (``_sorted_slots``), searched
+    with ``np.searchsorted``.
 
     The pair table lags the deliveries by the log:
 
@@ -112,9 +117,10 @@ class NetworkMetrics:
         self._messages_total = registry.counter("net.messages_total")
         self._bytes_total = registry.counter("net.bytes_total")
         self._blackholed = registry.counter("net.messages_blackholed")
-        self._round_slot: dict[int, int] = {}
-        self._round_messages: list[int] = []
-        self._round_bytes: list[int] = []
+        self._rounds = array("q")
+        self._round_messages = array("q")
+        self._round_bytes = array("q")
+        self._round_slot: dict[int, int] | None = None
         self._pairs = 0  # pair slots in use
         self._pair_keys = np.empty(0, dtype=np.int64)
         self._pair_counts = np.empty(0, dtype=np.int64)
@@ -137,11 +143,27 @@ class NetworkMetrics:
         self._plans: dict[Any, list] = {}
         self._held = 0  # keys and distinct drops the log holds
 
-    def _new_round(self, round_index: int) -> int:
-        slot = self._round_slot[round_index] = len(self._round_messages)
+    def _slot(self, round_index: int) -> int:
+        """The round's slot, created if new."""
+        rounds = self._rounds
+        n = len(rounds)
+        if n and rounds[-1] == round_index:
+            return n - 1
+        index = self._round_slot
+        if index is None:
+            i = bisect_left(rounds, round_index)
+            if i < n and rounds[i] == round_index:
+                return i
+            if i < n:  # an older round: index by dict from now on
+                index = self._round_slot = dict(zip(rounds, range(n)))
+        elif round_index in index:
+            return index[round_index]
+        if index is not None:
+            index[round_index] = n
+        rounds.append(round_index)
         self._round_messages.append(0)
         self._round_bytes.append(0)
-        return slot
+        return n
 
     # -- the pair table ---------------------------------------------------
     def _append_pairs(
@@ -311,9 +333,7 @@ class NetworkMetrics:
         # stores. The pair key joins the log.
         self._messages_total.value += 1
         self._bytes_total.value += message.size_bytes
-        slot = self._round_slot.get(message.round_index)
-        if slot is None:
-            slot = self._new_round(message.round_index)
+        slot = self._slot(message.round_index)
         self._round_messages[slot] += 1
         self._round_bytes[slot] += message.size_bytes
         self._pending.append((message.src << 32) | message.dst)
@@ -358,9 +378,7 @@ class NetworkMetrics:
         logs its pairs with :meth:`record_plan`)."""
         self._messages_total.value += messages
         self._bytes_total.value += bytes_total
-        slot = self._round_slot.get(round_index)
-        if slot is None:
-            slot = self._new_round(round_index)
+        slot = self._slot(round_index)
         self._round_messages[slot] += messages
         self._round_bytes[slot] += bytes_total
 
@@ -387,7 +405,7 @@ class NetworkMetrics:
                 registry.counter("net.round_messages", round=round_index),
                 registry.counter("net.round_bytes", round=round_index),
             )
-            for round_index in itertools.islice(self._round_slot, len(rounds), None)
+            for round_index in self._rounds[len(rounds):]
         )
         for (messages, size), m, b in zip(
             rounds, self._round_messages, self._round_bytes
@@ -420,11 +438,11 @@ class NetworkMetrics:
     @property
     def per_round_messages(self) -> dict[int, int]:
         """Snapshot ``{round -> frames}`` (a plain dict, not a view)."""
-        return dict(zip(self._round_slot, self._round_messages))
+        return dict(zip(self._rounds, self._round_messages))
 
     @property
     def per_round_bytes(self) -> dict[int, int]:
-        return dict(zip(self._round_slot, self._round_bytes))
+        return dict(zip(self._rounds, self._round_bytes))
 
     @property
     def per_pair_messages(self) -> dict[tuple[int, int], int]:
@@ -435,13 +453,12 @@ class NetworkMetrics:
         return dict(zip(pairs, self._pair_counts[: self._pairs].tolist()))
 
     def messages_in_round(self, round_index: int) -> int:
-        slot = self._round_slot.get(round_index)
-        return 0 if slot is None else self._round_messages[slot]
+        return self.per_round_messages.get(round_index, 0)
 
     def mean_messages_per_round(self) -> float:
-        if not self._round_slot:
+        if not self._rounds:
             return 0.0
-        return self.messages_total / len(self._round_slot)
+        return self.messages_total / len(self._rounds)
 
     def reset(self) -> None:
         self._registry.reset()
@@ -458,7 +475,7 @@ class NetworkMetrics:
                 [self.messages_total, self.bytes_total, self.messages_blackholed],
                 dtype=np.int64,
             ),
-            "rounds": np.fromiter(self._round_slot, dtype=np.int64),
+            "rounds": np.array(self._rounds, dtype=np.int64),
             "round_messages": np.array(self._round_messages, dtype=np.int64),
             "round_bytes": np.array(self._round_bytes, dtype=np.int64),
             "pair_keys": self._pair_keys[: self._pairs].copy(),
@@ -473,10 +490,10 @@ class NetworkMetrics:
         self._messages_total.value = float(messages)
         self._bytes_total.value = float(size)
         self._blackholed.value = float(blackholed)
-        rounds = np.asarray(state["rounds"]).tolist()
-        self._round_slot = dict(zip(rounds, range(len(rounds))))
-        self._round_messages = np.asarray(state["round_messages"]).tolist()
-        self._round_bytes = np.asarray(state["round_bytes"]).tolist()
+        table = ("rounds", "round_messages", "round_bytes")
+        for round_index, m, b in zip(*(np.asarray(state[k]).tolist() for k in table)):
+            slot = self._slot(round_index)
+            self._round_messages[slot], self._round_bytes[slot] = m, b
         keys = np.asarray(state["pair_keys"], dtype=np.int64)
         if keys.size:
             self._append_pairs(keys)
@@ -503,7 +520,7 @@ class NetworkMetrics:
                 keys.append(labels["src"] << 32 | labels["dst"])
                 counts.append(int(metric.value))
         for round_index in sorted(rounds):
-            slot = self._new_round(round_index)
+            slot = self._slot(round_index)
             self._round_messages[slot], self._round_bytes[slot] = rounds[round_index]
         if keys:
             self._append_pairs(np.array(keys, dtype=np.int64))

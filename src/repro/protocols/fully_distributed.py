@@ -19,7 +19,7 @@ decisions — the O(N^2) row of §IV-C.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -388,35 +388,26 @@ class _PeerSeq(Sequence):
         return self._protocol.num_workers
 
     def __getitem__(self, index: int):
+        n = len(self)
         if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = index + len(self) if index < 0 else index
-        if not 0 <= i < len(self):
+            return [self[i] for i in range(*index.indices(n))]
+        if not -n <= index < n:
             raise IndexError(index)
-        return self._protocol.cluster.node(i)
-
-    def __iter__(self):
-        cluster = self._protocol.cluster
-        for i in range(len(self)):
-            yield cluster.node(i)
+        return self._protocol.cluster.node(index % n)
 
 
-class _Membership:
+class _Membership(NamedTuple):
     """One membership epoch, resolved once at the round boundary that
     starts it and reused by every round of the epoch.
 
-    ``roster`` is the participant tuple (ascending ids; every ledger
-    entry of the epoch shares it), ``ids`` the same ids as an int64
-    array, and ``agree`` whether every participant's local roster
-    matches the set (:meth:`FullyDistributedDolbie._rosters_agree`).
+    ``ids`` are the participants (ascending), the ledger roster table's
+    interned array that every ledger row of the epoch points to; ``agree``
+    is whether every participant's local roster matches the set
+    (:meth:`FullyDistributedDolbie._rosters_agree`).
     """
 
-    __slots__ = ("ids", "roster", "agree")
-
-    def __init__(self, ids: np.ndarray, roster: tuple, agree: bool) -> None:
-        self.ids = ids
-        self.roster = roster
-        self.agree = agree
+    ids: np.ndarray
+    agree: bool
 
 
 class _FlatRound:
@@ -448,9 +439,6 @@ class _FlatRound:
         m = parts.size
         self.parts = parts
         self.full = m == n
-        #: Identity of a degraded participant set (a full one is
-        #: identified by its size alone).
-        self.key = None if self.full else membership.roster
         ids = np.arange(n)
         grid = np.broadcast_to(ids, (m, n))
         self.src = np.repeat(parts, n - 1)
@@ -475,17 +463,17 @@ class _FlatRound:
         )
 
     def matches(self, membership: _Membership) -> bool:
-        if membership.ids.size != self.parts.size:
-            return False
-        key = membership.roster
-        return self.full or self.key is key or self.key == key
+        """A full set is identified by its size, a degraded one by its
+        interned id array."""
+        ids = membership.ids
+        return ids is self.parts or (self.full and ids.size == self.parts.size)
 
 
 class _TreeRound:
     """Everything the tree round precomputes for one roster.
 
-    Built once per participant set (keyed by the membership's roster
-    tuple) and reused until a roster change or a membership event
+    Built once per participant set (keyed by the membership's interned
+    id array) and reused until a roster change or a membership event
     drops it. Holds three kinds of state:
 
     - **Index arrays** (int64): the overlay's own arrays
@@ -505,7 +493,7 @@ class _TreeRound:
     def __init__(
         self, protocol: "FullyDistributedDolbie", membership: _Membership
     ) -> None:
-        self.key = membership.roster
+        self.key = membership.ids
         tree = AggregationTree.build(
             membership.ids, protocol.shard_size, protocol.branching
         )
@@ -703,8 +691,6 @@ class FullyDistributedDolbie:
         #: boundary resolves one): emptied by crash, rejoin, readmit,
         #: checkpoint restore and every detection or event round.
         self._membership: _Membership | None = None
-        #: The roster tuple the latest epoch's ledger entries share.
-        self._ledger_roster: tuple[int, ...] = ()
         #: Per-participant-set caches of the flat and the tree round.
         self._flat_round: _FlatRound | None = None
         self._tree_round: _TreeRound | None = None
@@ -806,16 +792,13 @@ class FullyDistributedDolbie:
             return np.flatnonzero(active)
         return np.flatnonzero(self._alive)
 
-    def _participants(self) -> list[int]:
-        return self._participant_ids().tolist()
-
     def _readmit(self, worker: int, share: float | None = None) -> None:
         """Reshard the live allocation over ``participants + worker`` and
         re-merge every participant's roster (the heal-side half of the
         failure-detector protocol)."""
         self._invalidate_membership()
         self._stalled.discard(worker)
-        incumbents = [i for i in self._participants() if i != worker]
+        incumbents = [i for i in self._participant_ids().tolist() if i != worker]
         if not incumbents:
             raise ConfigurationError(
                 f"cannot rejoin worker {worker}: no live quorum to join"
@@ -886,7 +869,7 @@ class FullyDistributedDolbie:
         reachable from the primary component. The allocation sums to 1
         over exactly this set, and every listed peer's local roster
         agrees with it after each completed round."""
-        return self._participants()
+        return self._participant_ids().tolist()
 
     @property
     def allocation(self) -> np.ndarray:
@@ -956,12 +939,9 @@ class FullyDistributedDolbie:
             self._readmit(worker)  # heal: re-merge roster and reshard
         for worker in sorted(set(self.alive_workers) - primary):
             self._stalled.add(worker)
-        ids = self._participant_ids()
-        roster = tuple(ids.tolist())
-        if roster != self._ledger_roster:
-            self._ledger_roster = roster
-        roster = self._ledger_roster  # entries share one tuple per roster
-        return _Membership(ids, roster, self._rosters_agree(roster))
+        rosters = self.ledger.rosters  # one id array per distinct roster
+        ids = rosters[rosters.intern(self._participant_ids())]
+        return _Membership(ids, self._rosters_agree(ids))
 
     def _rosters_agree(self, participants: Sequence[int]) -> bool:
         """Every participant's local roster matches the participant set.
@@ -1031,7 +1011,7 @@ class FullyDistributedDolbie:
         if blocked is not None:
             return blocked
         store = self._store
-        participants = members.roster
+        participants = members.ids.tolist()
         roster = store.roster_of(participants[0])
         size = len(roster)
         if size <= len(participants) or not roster.issuperset(participants):
@@ -1103,13 +1083,10 @@ class FullyDistributedDolbie:
         store = self._store
         backend = self.backend
         cc = self._tree_round
-        if cc is None or (
-            cc.key is not members.roster and cc.key != members.roster
-        ):
+        if cc is None or cc.key is not members.ids:
             # Rebuilt deterministically from the sorted roster alone —
             # every peer could do the same locally.
             cc = self._tree_round = _TreeRound(self, members)
-        cc.key = members.roster  # later rounds compare by identity
         tree = cc.tree
         x_played = store.x.copy()
         m = cc.m
@@ -1413,7 +1390,7 @@ class FullyDistributedDolbie:
     ) -> tuple[np.ndarray, np.ndarray, float, int]:
         """One round on the discrete-event engine (the general path)."""
         store = self._store
-        participants = members.roster
+        participants = members.ids.tolist()
         participant_set = set(participants)
         x_played = self.allocation
         rosters_incomplete = any(
@@ -1494,14 +1471,9 @@ class FullyDistributedDolbie:
             self._membership = None
         with round_span(self.profiler, route):
             result = route.run(self, round_index, costs, members)
-        entry = LedgerEntry(
-            round_index=round_index,
-            straggler=int(result[3]),
-            global_cost=float(result[2]),
-            roster=members.roster,
+        self._ledger_book.record(
+            LedgerEntry(round_index, int(result[3]), float(result[2]), members.ids)
         )
-        self.ledger.append(entry)
-        self._ledger_book.fanout(members.ids, entry)
         if tracer is not None:
             roster_after = self.roster
             if roster_after != roster_before:

@@ -567,14 +567,10 @@ class MasterWorkerDolbie:
         self.route_counts[route.name] += 1
         with round_span(self.profiler, route):
             result = route.run(self, round_index, costs)
-        entry = LedgerEntry(
-            round_index=round_index,
-            straggler=int(result[3]),
-            global_cost=float(result[2]),
-            roster=tuple(self.roster),
+        ids = np.array(self.roster, dtype=np.int64)
+        self._ledger_book.record(
+            LedgerEntry(round_index, int(result[3]), float(result[2]), ids)
         )
-        self.ledger.append(entry)
-        self._ledger_book.fanout(np.array(entry.roster, dtype=np.int64), entry)
         if tracer is not None:
             roster_after = self.roster
             if roster_after != roster_before:

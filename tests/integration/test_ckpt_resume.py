@@ -8,6 +8,7 @@ drives the CLI through a real SIGKILL and asserts the resumed trace
 file is byte-equivalent.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -18,15 +19,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.chaos.faults import FaultSchedule
+from repro.chaos.injector import ChaosInjector
+from repro.chaos.invariants import RoundObservation, check_round_invariants
 from repro.ckpt import CheckpointStore, resume_run, run_with_checkpoints
 from repro.ckpt.runner import run_result_to_csv
 from repro.ckpt.snapshot import Snapshot
-from repro.ckpt.state import restore_protocol
+from repro.ckpt.state import restore_injector, restore_protocol
 from repro.core.ledger import RoundLedger
 from repro.costs.timevarying import DriftingAffineProcess
 from repro.exceptions import CheckpointError
 from repro.net.links import ConstantLatency, Link
 from repro.obs.diff import diff_traces
+from repro.protocols.fully_distributed import FullyDistributedDolbie
 from repro.protocols.master_worker import MasterWorkerDolbie
 
 WORKERS, ROUNDS, CHECKPOINT_AT, SEED = 30, 100, 50, 5
@@ -196,3 +201,77 @@ def test_master_worker_replica_list_snapshot_restores():
         assert protocol.worker_ledger(w) == RoundLedger.from_records(
             records
         ), f"worker {w} replica diverged"
+
+
+def _ledger_digest(ledger) -> str:
+    records = json.dumps(ledger.to_records(), sort_keys=True)
+    return hashlib.sha256(records.encode()).hexdigest()
+
+
+def test_long_ledger_snapshot_restores_and_continues():
+    """Snapshots written before the column ledger layout still load.
+
+    ``tests/golden/fd_long_ledger_snapshot.json`` was written by the
+    per-entry ledger layout (a blob-container version-2 file): N=64 tree
+    aggregation, ``ConstantLatency(0.001)``, a scripted schedule of
+    crash/rejoin epochs, worker 9 restarted at round 60 (its replica is
+    materialized, its prefix pinned) and worker 21 restarted at round
+    209 (pending at the snapshot after round 210, back at 212).
+    ``fd_long_ledger_continuation.json`` holds digests of the ledgers at
+    the snapshot and what the uninterrupted run produced in rounds
+    211-230, checked here with every round invariant."""
+    raw = (GOLDEN_DIR / "fd_long_ledger_snapshot.json").read_bytes()
+    assert json.loads(raw.partition(b"\n")[0])["version"] == 2
+    snap = Snapshot.from_bytes(raw)
+    config = snap.config
+    n = int(config["num_workers"])
+    protocol = FullyDistributedDolbie(
+        n, link=Link(ConstantLatency(0.001)), aggregation=config["aggregation"]
+    )
+    restore_protocol(protocol, snap.state["protocol"])
+    injector = ChaosInjector(protocol, FaultSchedule.from_spec(config["schedule"]))
+    restore_injector(injector, snap.state["injector"])
+    expected = json.loads(
+        (GOLDEN_DIR / "fd_long_ledger_continuation.json").read_text()
+    )
+    assert set(protocol._ledger_book.materialized) == {9}
+    assert sorted(injector.restart_prefixes) == [9, 21]
+    # Rosters were interned on load: equal rosters share one id array.
+    rosters = {tuple(e.roster.tolist()) for e in protocol.ledger}
+    assert len({id(e.roster) for e in protocol.ledger}) == len(rosters)
+    at_snapshot = expected["at_snapshot"]
+    assert _ledger_digest(protocol.ledger) == at_snapshot["ledger"]
+    for w in range(n):
+        assert (
+            _ledger_digest(protocol.worker_ledger(w))
+            == at_snapshot["worker_ledgers"][w]
+        ), f"worker {w} replica restored wrong"
+    speeds = [1.0 + 3.0 * (i / (n - 1)) for i in range(n)]
+    process = DriftingAffineProcess(
+        speeds, amplitude=0.25, period=40.0, seed=int(config["seed"])
+    )
+    for record in expected["rounds"]:
+        t = record["round"]
+        injector.apply(t)
+        observation = RoundObservation(protocol)
+        x, local, cost, straggler = protocol.run_round(t, process.costs_at(t))
+        assert check_round_invariants(
+            protocol, observation, t, local, cost, straggler,
+            injector.restart_prefixes,
+        ) == []
+        assert x.tolist() == record["allocation"]
+        assert cost == record["global_cost"]
+        assert straggler == record["straggler"]
+    assert protocol.allocation.tolist() == expected["allocation_after"]
+    assert protocol.metrics.messages_total == expected["messages_total"]
+    assert protocol.cluster.engine.now == expected["now"]
+    assert _ledger_digest(protocol.ledger) == expected["ledger"]
+    for w in range(n):
+        assert (
+            _ledger_digest(protocol.worker_ledger(w))
+            == expected["worker_ledgers"][w]
+        ), f"worker {w} replica diverged"
+    assert {
+        str(w): _ledger_digest(prefix)
+        for w, prefix in sorted(injector.restart_prefixes.items())
+    } == expected["restart_prefixes"]

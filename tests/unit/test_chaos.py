@@ -337,6 +337,33 @@ class TestInvariantChecker:
         )
         assert any("chaos hooks" in v for v in violations)
 
+    def test_deposed_worker_messages_are_pinned(self):
+        # Invariants 1 and 4 read the roster as a mask; their messages and
+        # their order (worker ascending, invariant 1 before 4) are pinned.
+        protocol = FullyDistributedDolbie(4, link=LINK())
+        process = _process(4)
+        protocol.run_round(1, process.costs_at(1))
+        protocol.crash_worker(2)
+        observation = RoundObservation(protocol)
+        _, local, global_cost, straggler = protocol.run_round(
+            2, process.costs_at(2)
+        )
+        assert protocol.roster == [0, 1, 3]
+        assert check_round_invariants(
+            protocol, observation, 2, local, global_cost, straggler
+        ) == []
+        protocol._store.x[2] = 0.125  # a deposed worker keeps a share
+        local = np.array(local, dtype=float)
+        local[1] = np.nan  # a rostered worker reports nothing
+        local[2] = 0.5  # a deposed worker reports a cost
+        assert check_round_invariants(
+            protocol, observation, 2, local, global_cost, straggler
+        ) == [
+            f"round 2: deposed worker 2 still holds {np.float64(0.125)!r}",
+            "round 2: rostered worker 1 reported no cost",
+            "round 2: deposed worker 2 reported a cost",
+        ]
+
     def test_assert_raises_invariant_violation(self):
         protocol, obs, local, global_cost, straggler = self._clean_round()
         protocol.peers[0].x += 0.25

@@ -12,9 +12,8 @@ from repro.ckpt.codec import (
     to_jsonable,
 )
 from repro.ckpt.snapshot import SNAPSHOT_VERSION, Snapshot
-from repro.ckpt.state import _pack_replica, _unpack_replica
 from repro.ckpt.store import CheckpointStore
-from repro.core.ledger import LedgerEntry
+from repro.core.ledger import LedgerBook, LedgerEntry, RoundLedger
 from repro.exceptions import CheckpointError
 
 
@@ -169,52 +168,63 @@ class TestCheckpointStore:
         assert store.rounds() == [10]
 
 
-def _entries(*rounds):
-    return tuple(
-        LedgerEntry(
-            round_index=t, straggler=0, global_cost=float(t), roster=(0, 1)
-        )
-        for t in rounds
-    )
+def _book(*rounds):
+    """A 3-worker book whose authority holds ``rounds``, all fanned out
+    to every worker (one shared roster epoch)."""
+    authority = RoundLedger()
+    book = LedgerBook(3, authority)
+    ids = np.arange(3, dtype=np.int64)
+    for t in rounds:
+        book.record(LedgerEntry(t, 0, float(t), ids))
+    return book
+
+
+def _round_trip(book):
+    """Restore ``book.state()`` into a fresh book through the codec."""
+    state = from_jsonable(to_jsonable(book.state()))
+    restored = LedgerBook(book.num_workers, RoundLedger())
+    restored.restore(state)
+    return state, restored
 
 
 class TestReplicaPacking:
     def test_full_replica_is_one_span(self):
-        auth = _entries(1, 2, 3, 4)
-        by_round = {e.round_index: i for i, e in enumerate(auth)}
-        packed = _pack_replica(auth, auth, by_round)
-        assert packed == [{"span": [0, 4]}]
-        records = [e.to_dict() for e in auth]
-        assert _unpack_replica(packed, records) == records
+        book = _book(1, 2, 3, 4)
+        state, restored = _round_trip(book)
+        assert state["start"].tolist() == [0, 0, 0]
+        assert state["stop"].tolist() == [4, 4, 4]
+        assert state["materialized"] == {}
+        # One roster epoch and one run of consecutive rounds.
+        assert state["rosters"]["sizes"].tolist() == [3]
+        assert state["authority"]["round"]["starts"].tolist() == [0]
+        assert restored.authority == book.authority
+        for w in range(3):
+            assert restored.worker_ledger(w) == book.worker_ledger(w)
 
-    def test_gap_becomes_two_spans(self):
-        auth = _entries(1, 2, 3, 4, 5)
-        by_round = {e.round_index: i for i, e in enumerate(auth)}
-        replica = (auth[0], auth[1], auth[4])  # down for rounds 3-4
-        packed = _pack_replica(replica, auth, by_round)
-        assert packed == [{"span": [0, 2]}, {"span": [4, 5]}]
-        records = [e.to_dict() for e in auth]
-        assert _unpack_replica(packed, records) == [
-            e.to_dict() for e in replica
-        ]
+    def test_gap_is_materialized_as_columns(self):
+        book = _book(1, 2, 3, 4, 5)
+        auth = book.authority
+        book.restore_replica(1, [auth[0], auth[1], auth[4]])  # down for 3-4
+        assert set(book.materialized) == {1}
+        state, restored = _round_trip(book)
+        rows = state["materialized"][1]
+        assert rows["straggler"].tolist() == [0, 0, 0]
+        assert rows["round"]["starts"].tolist() == [0, 2]
+        assert rows["round"]["values"].tolist() == [1, 5]
+        assert [e.round_index for e in restored.worker_ledger(1)] == [1, 2, 5]
+        assert restored.worker_ledger(1) == book.worker_ledger(1)
 
-    def test_divergent_entry_kept_inline(self):
-        auth = _entries(1, 2, 3)
-        by_round = {e.round_index: i for i, e in enumerate(auth)}
+    def test_divergent_row_kept_in_its_columns(self):
+        book = _book(1, 2, 3)
+        auth = book.authority
         rogue = LedgerEntry(
             round_index=2, straggler=1, global_cost=99.0, roster=(0, 1)
         )
-        replica = (auth[0], rogue, auth[2])
-        packed = _pack_replica(replica, auth, by_round)
-        assert packed == [
-            {"span": [0, 1]},
-            {"entry": rogue.to_dict()},
-            {"span": [2, 3]},
-        ]
-        records = [e.to_dict() for e in auth]
-        assert _unpack_replica(packed, records) == [
-            e.to_dict() for e in replica
-        ]
+        book.restore_replica(2, [auth[0], rogue, auth[2]])
+        state, restored = _round_trip(book)
+        # The rogue roster is a second epoch of the shared table.
+        assert state["rosters"]["sizes"].tolist() == [3, 2]
+        assert list(restored.worker_ledger(2)) == [auth[0], rogue, auth[2]]
 
 
 class TestNetworkMetricsRestore:

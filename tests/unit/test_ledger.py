@@ -1,9 +1,12 @@
 """Unit tests for round ledgers and prefix consistency."""
 
+import numpy as np
 import pytest
 
 from repro.core.ledger import (
+    LedgerBook,
     LedgerEntry,
+    RosterTable,
     RoundLedger,
     prefix_consistency_violations,
 )
@@ -95,6 +98,17 @@ class TestPrefixConsistency:
         assert any("lost its pre-crash ledger prefix" in p for p in problems)
 
 
+    def test_prefix_longer_than_the_replica_is_flagged(self):
+        authority = RoundLedger([_entry(t) for t in range(1, 6)])
+        short = RoundLedger(authority.entries[:2])
+        assert prefix_consistency_violations(
+            short, authority, preserved_prefix=authority.entries[:3]
+        ) == [
+            "restart lost its pre-crash ledger prefix (3 entries expected, "
+            "replica starts with 2)"
+        ]
+
+
 class TestReplicate:
     def test_replicate_appends_without_validation(self):
         authority = RoundLedger()
@@ -118,3 +132,82 @@ class TestReplicate:
                 replica.replicate(entry)
         assert prefix_consistency_violations(replica, authority) == []
         assert len(replica) == 3
+
+
+def _book(n=4, rounds=5):
+    """A book whose authority holds ``rounds`` rounds of workers 0..n-1."""
+    book = LedgerBook(n, RoundLedger())
+    ids = np.arange(n, dtype=np.int64)
+    for t in range(1, rounds + 1):
+        book.record(LedgerEntry(t, t % n, float(t), ids))
+    return book
+
+
+class TestRosterEpochs:
+    def test_equal_rosters_share_one_id_array(self):
+        table = RosterTable()
+        first = table.intern([0, 1, 3])
+        assert table.intern(np.array([0, 1, 3])) == first
+        assert table.intern((0, 1, 2, 3)) == first + 1
+        assert table.find([0, 1]) == -1
+        stored = table[first]
+        assert not stored.flags.writeable
+        assert table.intern(stored) == first  # found by identity
+
+    def test_rows_read_back_with_the_shared_roster(self):
+        book = _book()
+        ledger = book.authority
+        entry = ledger.entry_for(3)
+        assert entry == LedgerEntry(3, 3, 3.0, (0, 1, 2, 3))
+        assert entry.roster is ledger.entry_for(4).roster
+        assert entry.roster is book.worker_ledger(2).entry_for(3).roster
+        assert ledger.entry_for(6) is None
+
+    def test_state_round_trip_writes_each_roster_once(self):
+        book = _book()
+        book.wipe(1)
+        book.record(LedgerEntry(6, 0, 6.0, np.array([0, 2, 3])))
+        book.record(LedgerEntry(7, 0, 7.0, np.arange(4)))  # the full roster again
+        state = book.state()
+        assert state["rosters"]["sizes"].tolist() == [4, 3]
+        assert state["authority"]["epoch"]["values"].tolist() == [0, 1, 0]
+        restored = LedgerBook(4, RoundLedger())
+        restored.restore(state)
+        assert restored.authority == book.authority
+        for w in range(4):
+            assert restored.worker_ledger(w) == book.worker_ledger(w)
+
+
+class TestBookViolations:
+    def test_consistent_book_has_none(self):
+        book = _book()
+        assert book.violations(np.arange(4), 5) == []
+
+    def test_span_past_the_authority_is_reported(self):
+        book = _book()
+        book.stop[2] = 9
+        assert book.violations(np.arange(4), 5) == [
+            "worker 2 ledger replica: span [0, 9) points past the "
+            "authority's 5 rows"
+        ]
+
+    def test_divergent_row_of_a_materialized_replica_is_reported(self):
+        book = _book()
+        auth = book.authority
+        book.restore_replica(1, [auth[0], auth[2], auth[3], auth[4]])  # a gap
+        assert set(book.materialized) == {1}
+        assert book.violations(np.arange(4), 5) == []
+        book.materialized[1]._cost[1] = -1.0  # round 3's cost diverges
+        problems = book.violations(np.arange(4), 5)
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "worker 1 ledger replica: replica disagrees with authority "
+            "at round 3:"
+        )
+
+    def test_replica_missing_the_round_is_reported(self):
+        book = _book()
+        book.wipe(3)
+        assert book.violations(np.arange(4), 5) == [
+            "worker 3 ledger replica is missing this round"
+        ]
