@@ -119,28 +119,41 @@ def check_round_invariants(
         violated(f"straggler {straggler} is not on the roster {roster}")
     if not np.isfinite(global_cost):
         violated(f"global cost is not finite: {global_cost!r}")
-    peers = getattr(protocol, "peers", None)
-    if peers is not None:  # fully-distributed: per-peer replicated state
+    store = getattr(protocol, "_store", None)
+    if store is not None:  # fully-distributed: per-peer replicated state
+        # Compare the packed columns and the sparse roster overrides as
+        # arrays; decode only the flagged workers for their messages.
         roster_set = frozenset(roster)
-        agreed = None  # peers share one roster object; compare it once
-        for worker in roster:
-            peer = peers[worker]
-            if peer.roster is not agreed:
-                if peer.roster != roster_set:
-                    violated(
-                        f"peer {worker} roster {sorted(peer.roster)} != {roster}"
-                    )
-                else:
-                    agreed = peer.roster
-            if peer.straggler_id != straggler:
+        shared = store._shared_roster  # None: the full range, unbuilt
+        shared_agrees = (
+            len(roster) == num_workers if shared is None else shared == roster_set
+        )
+        roster_bad = on_roster & (not shared_agrees)
+        for worker, seen in store.roster_overrides.items():
+            roster_bad[worker] = on_roster[worker] and seen != roster_set
+        straggler_ids = store.straggler_id
+        straggler_bad = on_roster & (
+            (straggler_ids != straggler) | (straggler_ids < 0)
+        )
+        cost_bad = on_roster & (store.global_cost != global_cost)
+        flagged = roster_bad | straggler_bad | cost_bad
+        for worker in np.flatnonzero(flagged).tolist():
+            if roster_bad[worker]:
+                violated(
+                    f"peer {worker} roster {sorted(store.roster_of(worker))} "
+                    f"!= {roster}"
+                )
+            if straggler_bad[worker]:
+                seen = straggler_ids.item(worker)
                 violated(
                     f"peer {worker} disagrees on the straggler "
-                    f"({peer.straggler_id} vs {straggler})"
+                    f"({None if seen < 0 else seen} vs {straggler})"
                 )
-            if peer.global_cost != global_cost:
+            if cost_bad[worker]:
+                seen = store.global_cost.item(worker)
                 violated(
                     f"peer {worker} disagrees on the global cost "
-                    f"({peer.global_cost!r} vs {global_cost!r})"
+                    f"({None if seen != seen else seen!r} vs {global_cost!r})"
                 )
     else:  # master-worker: the master's view is authoritative
         master = protocol.master

@@ -22,9 +22,8 @@ payload keys unless a payload deliberately fakes one):
   snapshot's out-of-band binary blob instead of inline base64 (33%
   smaller and no encode/decode pass — the difference between an
   N=10⁵ checkpoint and an N=10⁶ one). Emitted only when the caller
-  passes a ``blobs`` accumulator and the array clears
-  :data:`BLOB_THRESHOLD` (``$REPRO_CKPT_BINARY_THRESHOLD`` bytes,
-  default 4096; ``<= 0`` disables blobbing);
+  passes a ``blobs`` accumulator and the array holds at least
+  :data:`BLOB_THRESHOLD` bytes;
 - ``{"__set__": [...]}`` — a set, elements sorted;
 - ``{"__pairs__": [[k, v], ...]}`` — a dict whose keys are not all
   strings (int- or tuple-keyed), entries sorted by encoded key.
@@ -41,7 +40,6 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import os
 from typing import Any
 
 import numpy as np
@@ -49,24 +47,16 @@ import numpy as np
 from repro.exceptions import CheckpointError
 
 __all__ = [
-    "BLOB_THRESHOLD_ENV",
-    "blob_threshold",
+    "BLOB_THRESHOLD",
     "to_jsonable",
     "from_jsonable",
     "canonical_dumps",
     "fingerprint",
 ]
 
-#: Environment override for the inline-vs-blob array size cutoff.
-BLOB_THRESHOLD_ENV = "REPRO_CKPT_BINARY_THRESHOLD"
-_DEFAULT_BLOB_THRESHOLD = 4096
-
-
-def blob_threshold() -> int:
-    """Arrays of at least this many bytes go to the binary blob (when
-    one is being collected); ``<= 0`` disables blobbing entirely."""
-    raw = os.environ.get(BLOB_THRESHOLD_ENV, "")
-    return int(raw) if raw.strip() else _DEFAULT_BLOB_THRESHOLD
+#: Arrays of at least this many bytes go to the binary blob (when one
+#: is being collected); ``<= 0`` keeps every array inline.
+BLOB_THRESHOLD = 4096
 
 
 def _pair_sort_key(encoded_key: Any) -> str:
@@ -87,8 +77,7 @@ def to_jsonable(obj: Any, blobs: "list[bytes] | None" = None) -> Any:
         return to_jsonable(obj.item(), blobs)
     if isinstance(obj, np.ndarray):
         arr = np.ascontiguousarray(obj)
-        threshold = blob_threshold() if blobs is not None else 0
-        if blobs is not None and threshold > 0 and arr.nbytes >= threshold:
+        if blobs is not None and 0 < BLOB_THRESHOLD <= arr.nbytes:
             le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
             offset = sum(len(chunk) for chunk in blobs)
             blobs.append(le.tobytes())

@@ -95,10 +95,10 @@ class Snapshot:
         """Deterministic snapshot bytes, file fingerprint included.
 
         The payload is serialized exactly once, with a blob accumulator
-        offered to the codec. If nothing blobbed (small arrays, or
-        blobbing disabled via ``$REPRO_CKPT_BINARY_THRESHOLD=0``), the
-        output is the inline single-line JSON: the file digest covers
-        the canonical (sorted-key) encoding of the fingerprint-less
+        offered to the codec. If nothing blobbed (every array under
+        :data:`~repro.ckpt.codec.BLOB_THRESHOLD` bytes), the output is
+        the inline single-line JSON: the file digest covers the
+        canonical (sorted-key) encoding of the fingerprint-less
         envelope, spliced in front rather than re-serializing the
         payload. With blobs the envelope carries the version plus one
         and ``"blob_bytes"``, the binary tail follows the head line's

@@ -462,18 +462,23 @@ def _restore_aggregation(protocol, agg: Mapping | None) -> None:
     if last is not None:
         from repro.net.aggtree import AggregationTree
 
-        members = np.array(
-            [w for shard in last["shards"] for w in shard], dtype=np.int64
-        )
-        sizes = np.array(
-            [len(shard) for shard in last["shards"]], dtype=np.int64
-        )
+        if "ids" in last:
+            members = np.asarray(last["ids"], dtype=np.int64)
+            offsets = np.asarray(last["offsets"], dtype=np.int64)
+        else:  # older snapshots list each shard's members
+            members = np.array(
+                [w for shard in last["shards"] for w in shard], dtype=np.int64
+            )
+            sizes = np.array(
+                [len(shard) for shard in last["shards"]], dtype=np.int64
+            )
+            offsets = np.cumsum(sizes) - sizes
         rebuilt = AggregationTree.build(
             members,
             shard_size=int(last["shard_size"]),
             branching=int(last["branching"]),
         )
-        if not rebuilt.has_shards(members, np.cumsum(sizes) - sizes):
+        if not rebuilt.has_shards(members, offsets):
             raise CheckpointError(
                 "snapshot aggregation tree is not the deterministic "
                 "rebuild of its own membership (corrupt snapshot?)"
@@ -518,10 +523,12 @@ def _capture_fully_distributed(protocol) -> dict:
             if peer._peer_costs or peer._peer_decisions or peer._seen_floods
         ],
         # Aggregation-layer identity: mode/overlay parameters plus the
-        # last overlay's shard membership. The overlay itself is a pure
-        # function of (roster, shard_size, branching), so restore
-        # *rebuilds* it and verifies the membership matches rather than
-        # trusting (or needing) a serialized tree object.
+        # last overlay's shard membership, as its int64 ``ids`` and
+        # shard ``offsets`` arrays (binary-tail columns at scale). The
+        # overlay itself is a pure function of (roster, shard_size,
+        # branching), so restore *rebuilds* it and verifies the
+        # membership matches rather than trusting (or needing) a
+        # serialized tree object.
         "aggregation": {
             "mode": protocol.aggregation,
             "shard_size": protocol.shard_size,
@@ -532,7 +539,8 @@ def _capture_fully_distributed(protocol) -> dict:
             else {
                 "shard_size": int(last_tree.shard_size),
                 "branching": int(last_tree.branching),
-                "shards": [list(shard) for shard in last_tree.shards],
+                "ids": last_tree.ids,
+                "offsets": last_tree.offsets,
             },
         },
         "ledger_book": protocol._ledger_book.state(),

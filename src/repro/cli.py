@@ -12,8 +12,9 @@ Commands
     Run the experiments and write every data series as CSV files
     (``--jobs N`` fans realization sweeps over a process pool).
 ``bench``
-    Run the engine benchmarks, write ``BENCH_results.json`` and fail on
-    speedup regressions against the committed baseline.
+    Run the benchmarks, write ``BENCH_results.json`` and fail when an
+    entry misses its gate (a ratio floor against the committed baseline,
+    a fixed ratio ceiling, or a time budget).
 ``figures``
     Render the reproduced figures as dependency-free SVG files.
 ``chaos``
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench = sub.add_parser(
-        "bench", help="run engine benchmarks and gate on speedup regressions"
+        "bench", help="run the benchmarks and hold each to its gate"
     )
     bench.add_argument(
         "--out", default="BENCH_results.json", help="results file to write"
@@ -160,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--tolerance", type=float, default=0.3,
-        help="allowed fractional speedup drop before failing (default 0.3)",
+        help="allowed fractional drop below a floor entry's baseline ratio "
+        "(default 0.3)",
     )
     bench.add_argument(
         "--quick", action="store_true",
@@ -176,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the results file then holds just that subset, so pair with "
         "a non-default --out",
     )
-    bench.add_argument("--jobs", type=int, default=1)
 
     figures = sub.add_parser(
         "figures", help="render the reproduced figures as SVG files"
@@ -434,7 +435,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         tolerance=args.tolerance,
         quick=args.quick,
         update_baseline=args.update_baseline,
-        jobs=args.jobs,
         only=args.only,
     )
 

@@ -1,20 +1,24 @@
 """Perf-regression benchmarks: ``python -m repro bench``.
 
-Times the vectorized execution engine (materialized environments, batched
-affine solves) against the incremental reference engine on the figure
-workloads and a pair of micro-benchmarks, then writes machine-readable
-results to ``BENCH_results.json`` and compares them against a committed
-baseline.
+Each entry times a candidate path against a reference and reports one
+record: the best reference seconds, the best candidate seconds, their
+ratio, and the entry's gate from :data:`GATES`. A gate is one of
 
-Gating is on **speedup ratios**, not absolute wall-clock: ratios are
-stable across machines of different absolute speed, so CI on shared
-runners can enforce "the fast path stays ~this much faster than the
-reference path" without flaking on noisy-neighbor effects. A regression
-fails when a benchmark's speedup drops more than ``tolerance`` (default
-30%) below the baseline's.
+* ``floor`` — the ratio may fall at most ``tolerance`` (default 30%)
+  below the committed baseline's. Ratios are stable across machines of
+  different absolute speed, so shared CI runners can enforce "the fast
+  path stays ~this much faster than the reference path";
+* ``ceiling`` — the ratio must stay at or below a fixed value. These
+  entries measure an overhead: the reference leg carries it, the
+  candidate leg is the same work without it;
+* ``budget`` — the candidate must finish within a fixed number of
+  seconds. There is no reference leg; the record's reference is the
+  budget itself, so its ratio is the headroom (below 1 fails).
 
-See ``docs/performance.md`` for the engine design and how to refresh the
-baseline after intentional performance changes.
+Results go to ``BENCH_results.json`` (compared against the committed
+baseline) and one line per run to ``BENCH_history.jsonl``. See
+``docs/performance.md`` for the entries and how to refresh the baseline
+after intentional performance changes.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +38,8 @@ from repro.experiments.config import QUICK, ExperimentScale
 
 __all__ = [
     "BENCH",
+    "GATES",
+    "Gate",
     "PROTOCOL_SCALES",
     "BenchmarkResult",
     "run_benchmarks",
@@ -68,37 +74,99 @@ def _machine_context() -> dict:
 
 
 #: Results-file schema version (bump on incompatible layout changes).
-SCHEMA = 1
+SCHEMA = 2
 
-#: Hard speedup ceilings, enforced regardless of baseline. The
-#: ``obs_overhead`` ratio is instrumented-but-disabled over an
-#: uninstrumented replica of the same loop, so anything above the
-#: ceiling means the tracing hooks cost real time even when off —
-#: a violation of the zero-overhead contract of :mod:`repro.obs`.
-#: ``ckpt_overhead`` is the amortized durability tax of
-#: ``--checkpoint-every`` at the recommended cadence (one snapshot per
-#: 200 rounds at fig4 scale); above the ceiling checkpointed soaks no
-#: longer run "for free" and ``docs/checkpointing.md`` is lying.
-#: ``proto_fd_flat_pairs_n32`` is per-pair message accounting's cost
-#: on steady N=32 flat FD rounds (the serving control plane's size):
-#: rounds whose pair counts are folded every round over the same rounds
-#: never read.
-OVERHEAD_GATES = {
-    "obs_overhead": 1.03,
-    "ckpt_overhead": 1.05,
-    "proto_fd_flat_pairs_n32": 1.25,
+
+class Gate(NamedTuple):
+    """How one entry passes: ``kind`` is ``floor``, ``ceiling`` or
+    ``budget``; ``limit`` is the ceiling ratio or the budget in seconds
+    (a floor's limit is the committed baseline's ratio)."""
+
+    kind: str
+    limit: float | None = None
+
+
+FLOOR = Gate("floor")
+
+#: Worker counts of the protocol-scaling suite (event engine vs. the
+#: batched fast path); rounds per timed leg are scaled down with N so the
+#: event-engine reference leg stays bounded.
+PROTOCOL_SCALES = {30: 60, 100: 20, 300: 5}
+
+#: Tree rounds at scale: ``{N: rounds}`` per timed leg, each leg building
+#: its protocol and running the rounds on the aggregation tree.
+TREE_SCALES = {1000: 10, 3000: 3}
+
+#: One steady tree round at N=100,000.
+TREE_SMOKE_N = 100_000
+
+#: Struct-of-arrays roster construction at the paper's next wall: a
+#: million-peer protocol must be *constructible* in bounded time, and
+#: the store's packed arrays must stay O(N) compact.
+PEERSTORE_CONSTRUCT_N = 1_000_000
+PEERSTORE_ARRAYS_CEILING_BYTES = 200 * 2**20
+
+#: The crash-round check: after ``crash_worker`` an N=128 tree protocol
+#: runs one failure-detection round, which must cost at most
+#: :data:`CHURN_MAX_RATIO` steady tree rounds — a crash costs a fixed
+#: number of array passes, not an O(N^2) event-engine round.
+CHURN_N = 128
+CHURN_MAX_RATIO = 5.0
+
+#: Serving throughput benchmark sizing: the vectorized dispatcher at N=32
+#: with DOLBIE control enabled.
+SERVING_BENCH_N = 32
+SERVING_BENCH_REQUESTS = 200_000
+
+#: Every entry's gate.
+#:
+#: - ``obs_overhead``: instrumented-but-disabled tracing over an
+#:   uninstrumented replica of the same loop; above the ceiling the
+#:   tracing hooks cost real time even when off, a violation of the
+#:   zero-overhead contract of :mod:`repro.obs`.
+#: - ``ckpt_overhead``: the amortized durability tax of
+#:   ``--checkpoint-every`` at the recommended cadence (one snapshot per
+#:   200 rounds at fig4 scale).
+#: - ``proto_fd_flat_pairs_n32``: per-pair message accounting on steady
+#:   N=32 flat FD rounds (the serving control plane's size), folded every
+#:   round over never read.
+#: - ``proto_fd_tree_n{1000,3000}``: the tree legs, protocol
+#:   construction included.
+#: - ``serving_throughput``: 200,000 requests in 2 s is the 100,000
+#:   dispatched req/s below which the "millions of requests" story stops
+#:   being streamable.
+GATES: dict[str, Gate] = {
+    "micro_costs_at": FLOOR,
+    "micro_minmax_solve": FLOOR,
+    "obs_overhead": Gate("ceiling", 1.03),
+    "ckpt_overhead": Gate("ceiling", 1.05),
+    "sweep_fig4_stacked": FLOOR,
+    "materialize_cache": FLOOR,
+    **{
+        f"proto_{arch}_n{n}": FLOOR
+        for arch in ("mw", "fd")
+        for n in PROTOCOL_SCALES
+    },
+    "proto_fd_tree_n1000": Gate("budget", 0.25),
+    "proto_fd_tree_n3000": Gate("budget", 0.25),
+    "proto_fd_flat_pairs_n32": Gate("ceiling", 1.25),
+    f"proto_fd_churn_n{CHURN_N}": FLOOR,
+    f"proto_fd_tree_n{TREE_SMOKE_N}": Gate("budget", 10.0),
+    "peerstore_construct_n1e6": Gate("budget", 10.0),
+    "serving_throughput": Gate("budget", 2.0),
 }
 
 
 @dataclass(frozen=True)
 class BenchmarkResult:
-    """Timed comparison of the two engines on one workload."""
+    """One entry's timing record."""
 
     name: str
-    incremental_s: float  #: best wall-clock of the reference engine
-    materialized_s: float  #: best wall-clock of the vectorized engine
-    speedup: float  #: ratio of the two best wall-clocks
+    reference_s: float  #: best reference leg; a budget entry's budget
+    candidate_s: float  #: best candidate leg
+    ratio: float  #: reference over candidate (or the entry's estimate of it)
     rounds: int  #: total algorithm-rounds executed per timed leg
+    gate: Gate = FLOOR
     #: process peak RSS (bytes) sampled right after this benchmark ran —
     #: a high-water mark, so the first benchmark to allocate a big
     #: working set dominates every later entry. 0 when unavailable.
@@ -106,7 +174,30 @@ class BenchmarkResult:
 
     @property
     def rounds_per_s(self) -> float:
-        return self.rounds / self.materialized_s
+        return self.rounds / self.candidate_s
+
+
+def _result(
+    name: str,
+    reference_s: float,
+    candidate_s: float,
+    rounds: int,
+    ratio: float | None = None,
+) -> BenchmarkResult:
+    """The record for ``name``, gated by its :data:`GATES` entry."""
+    return BenchmarkResult(
+        name=name,
+        reference_s=reference_s,
+        candidate_s=candidate_s,
+        ratio=reference_s / candidate_s if ratio is None else ratio,
+        rounds=rounds,
+        gate=GATES[name],
+    )
+
+
+def _within_budget(name: str, seconds: float, rounds: int) -> BenchmarkResult:
+    """A budget entry's record: its budget stands in for the reference."""
+    return _result(name, GATES[name].limit, seconds, rounds)
 
 
 def _peak_rss_bytes() -> int:
@@ -134,12 +225,12 @@ def _time_once(fn: Callable[[], object]) -> float:
 
 def _paired(
     name: str,
-    incremental: Callable[[], object],
-    materialized: Callable[[], object],
+    reference: Callable[[], object],
+    candidate: Callable[[], object],
     repetitions: int,
     rounds: int,
 ) -> BenchmarkResult:
-    """Time both engines, interleaved, best-of-``repetitions`` each.
+    """Time both legs, interleaved, best-of-``repetitions`` each.
 
     The gated statistic is the ratio of the two minima. Timing noise is
     strictly additive, so the minimum over repetitions is the standard
@@ -148,18 +239,11 @@ def _paired(
     machine-wide load (noisy neighbors, frequency scaling) inflates both
     legs' minima roughly equally and mostly cancels in the ratio.
     """
-    inc_times, mat_times = [], []
+    ref_times, cand_times = [], []
     for _ in range(repetitions):
-        inc_times.append(_time_once(incremental))
-        mat_times.append(_time_once(materialized))
-    best_inc, best_mat = min(inc_times), min(mat_times)
-    return BenchmarkResult(
-        name=name,
-        incremental_s=best_inc,
-        materialized_s=best_mat,
-        speedup=best_inc / best_mat,
-        rounds=rounds,
-    )
+        ref_times.append(_time_once(reference))
+        cand_times.append(_time_once(candidate))
+    return _result(name, min(ref_times), min(cand_times), rounds)
 
 
 def _bench_micro_costs_at(scale: ExperimentScale, repetitions: int) -> BenchmarkResult:
@@ -227,7 +311,7 @@ def _bench_obs_overhead(repetitions: int) -> BenchmarkResult:
     A 3% ceiling sits far below one-off scheduler noise, so unlike the
     other benchmarks the gated statistic is not a ratio of minima: each
     instrumented leg is paired with an immediately following replica
-    leg (so slow bursts hit both), and ``speedup`` is the **median of
+    leg (so slow bursts hit both), and the ratio is the **median of
     the paired ratios** — empirically stable to ~±2% on a noisy shared
     machine where per-leg minima still drift ~±10%. An accidental
     unguarded record construction costs tens of microseconds per round
@@ -289,12 +373,9 @@ def _bench_obs_overhead(repetitions: int) -> BenchmarkResult:
         inc_times.append(inc)
         raw_times.append(raw)
         ratios.append(inc / raw)
-    return BenchmarkResult(
-        name="obs_overhead",
-        incremental_s=min(inc_times),
-        materialized_s=min(raw_times),
-        speedup=statistics.median(ratios),
-        rounds=rounds,
+    return _result(
+        "obs_overhead", min(inc_times), min(raw_times), rounds,
+        ratio=statistics.median(ratios),
     )
 
 
@@ -310,8 +391,8 @@ def _bench_ckpt_overhead(repetitions: int) -> BenchmarkResult:
     Instead the two components are measured separately — the median
     wall-clock of a plain soak leg and the median wall-clock of one
     snapshot save at the *horizon* (the largest snapshot the soak would
-    write, so the estimate is conservative) — and ``speedup`` is the
-    amortized ratio ``1 + snapshot / leg``. A uniform machine slowdown
+    write, so the estimate is conservative) — and the ratio is the
+    amortized ``1 + snapshot / leg``. A uniform machine slowdown
     inflates both medians and cancels; empirically the estimator is
     stable to ~±0.5% where per-leg ratios drift ±15%. ``repetitions``
     is ignored for the same reason as ``obs_overhead``.
@@ -375,31 +456,7 @@ def _bench_ckpt_overhead(repetitions: int) -> BenchmarkResult:
 
     leg = statistics.median(leg_times)
     snapshot = statistics.median(save_times)
-    return BenchmarkResult(
-        name="ckpt_overhead",
-        incremental_s=leg + snapshot,
-        materialized_s=leg,
-        speedup=1.0 + snapshot / leg,
-        rounds=rounds,
-    )
-
-
-#: Worker counts of the protocol-scaling suite; rounds per timed leg are
-#: scaled down with N so the event-engine reference leg stays bounded.
-PROTOCOL_SCALES = {30: 60, 100: 20, 300: 5}
-
-#: Worker counts of the hierarchical-aggregation suite; the reference leg
-#: here is the *flat batched* fast path (not the event engine), so larger
-#: N stays affordable. Rounds shrink with N to bound the O(N^2)-message
-#: flat leg.
-TREE_SCALES = {1000: 10, 3000: 3}
-
-#: Completion-only scale: one tree round at N=100,000 must
-#: finish in bounded time. There is nothing sane to ratio against at
-#: this size — the entry records throughput with speedup pinned to 1.0
-#: and gates on completing within :data:`TREE_SMOKE_BUDGET_S` seconds.
-TREE_SMOKE_N = 100_000
-TREE_SMOKE_BUDGET_S = 10.0
+    return _result("ckpt_overhead", leg + snapshot, leg, rounds)
 
 
 def _bench_protocol(arch: str, n: int, rounds: int, repetitions: int) -> BenchmarkResult:
@@ -437,57 +494,40 @@ def _bench_protocol(arch: str, n: int, rounds: int, repetitions: int) -> Benchma
     )
 
 
-def _make_tree_run(n: int, rounds: int) -> Callable[[str], None]:
+def _bench_protocol_tree(n: int, rounds: int, repetitions: int) -> BenchmarkResult:
+    """FD rounds at scale on the aggregation tree, within a budget.
+
+    Each leg builds a fresh protocol and runs ``rounds`` tree rounds on
+    the same seeded world; the best leg is held to the entry's budget.
+    """
     from repro.costs.timevarying import RandomAffineProcess
     from repro.net.links import Link, UniformLatency
     from repro.protocols.fully_distributed import FullyDistributedDolbie
 
     speeds = [1.0 + (i % 23) for i in range(n)]
 
-    def run(aggregation: str) -> None:
+    def run() -> None:
         process = RandomAffineProcess(
             speeds, sigma=0.1, comm_scale=0.01, seed=n
         )
         link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(n)))
-        protocol = FullyDistributedDolbie(
-            n, link=link, aggregation=aggregation
-        )
+        protocol = FullyDistributedDolbie(n, link=link, aggregation="tree")
         protocol.run(process, rounds)
-        if aggregation == "tree" and protocol.tree_rounds != rounds:
+        if protocol.tree_rounds != rounds:
             raise RuntimeError(
                 f"tree leg fell back to the event engine "
                 f"({protocol.tree_rounds}/{rounds} tree rounds)"
             )
 
-    return run
-
-
-def _bench_protocol_tree(n: int, rounds: int, repetitions: int) -> BenchmarkResult:
-    """FD round loop at scale: flat batched all-to-all vs. aggregation tree.
-
-    Unlike :func:`_bench_protocol` the reference leg is already the
-    batched fast path — the ratio isolates what the hierarchical overlay
-    buys on top of vectorized delivery by cutting per-round messages
-    from ``N(N-1)`` to ``~3N``.
-    """
-    run = _make_tree_run(n, rounds)
-    return _paired(
-        f"proto_fd_tree_n{n}",
-        lambda: run("flat"),
-        lambda: run("tree"),
-        repetitions,
-        rounds,
-    )
+    best = min(_time_once(run) for _ in range(repetitions))
+    return _within_budget(f"proto_fd_tree_n{n}", best, rounds)
 
 
 def _bench_protocol_tree_smoke(repetitions: int) -> BenchmarkResult:
-    """N=100,000 completion smoke: one tree round must finish.
+    """N=100,000 completion smoke: one tree round within its budget.
 
-    Records the round's wall-clock in both columns (speedup 1.0), so the
-    baseline comparison can never flag it — the gates are that the round
-    completes at all and does so within :data:`TREE_SMOKE_BUDGET_S`
-    seconds. Nothing reads the per-pair counts, so the round builds no
-    pair table, and the smoke pins the protocol's memory story, which
+    Nothing reads the per-pair counts, so the round builds no pair
+    table, and the smoke pins the protocol's memory story, which
     ``peak_rss_bytes`` records. Protocol construction (100k peers, the
     aggregation tree, the frame plans) happens outside the timed window;
     the timing is the round itself.
@@ -516,27 +556,7 @@ def _bench_protocol_tree_smoke(repetitions: int) -> BenchmarkResult:
             f"n{n} smoke fell off the tree path "
             f"({protocol.tree_rounds}/{state['t']} tree rounds)"
         )
-    best = min(times)
-    if best > TREE_SMOKE_BUDGET_S:
-        raise RuntimeError(
-            f"n{n} tree round took {best:.1f}s "
-            f"(budget {TREE_SMOKE_BUDGET_S:.0f}s)"
-        )
-    return BenchmarkResult(
-        name=f"proto_fd_tree_n{n}",
-        incremental_s=best,
-        materialized_s=best,
-        speedup=1.0,
-        rounds=rounds,
-    )
-
-
-#: The crash-round gate: after ``crash_worker`` an N=128 tree protocol
-#: runs one failure-detection round, which must cost at most
-#: :data:`CHURN_MAX_RATIO` steady tree rounds — a crash costs a fixed
-#: number of array passes, not an O(N^2) event-engine round.
-CHURN_N = 128
-CHURN_MAX_RATIO = 5.0
+    return _within_budget(f"proto_fd_tree_n{n}", min(times), rounds)
 
 
 def _bench_protocol_churn(repetitions: int) -> BenchmarkResult:
@@ -546,11 +566,12 @@ def _bench_protocol_churn(repetitions: int) -> BenchmarkResult:
     Each leg builds a fresh protocol, runs warm-up
     tree rounds, times steady tree rounds, crashes one worker and times
     the round after the crash — with ``use_fast_path=False`` for that
-    round in the incremental leg (the event-engine round the detection
-    used to take), on the production route in the materialized leg.
-    Both legs replay the same seeded costs and link delays. Gate: the
-    production crash round, best of at least three repetitions, within
-    :data:`CHURN_MAX_RATIO` times the best steady tree round.
+    round in the reference leg (the event-engine round the detection
+    used to take), on the production route in the candidate leg.
+    Both legs replay the same seeded costs and link delays. Besides the
+    entry's floor, the production crash round, best of at least three
+    repetitions, must stay within :data:`CHURN_MAX_RATIO` times the best
+    steady tree round.
     """
     from repro.costs.affine_vector import AffineCostVector
     from repro.costs.timevarying import RandomAffineProcess
@@ -601,13 +622,7 @@ def _bench_protocol_churn(repetitions: int) -> BenchmarkResult:
             f"{CHURN_MAX_RATIO:.0f}x the steady tree round "
             f"({best_steady * 1e3:.2f} ms)"
         )
-    return BenchmarkResult(
-        name=f"proto_fd_churn_n{n}",
-        incremental_s=best_event,
-        materialized_s=best_crash,
-        speedup=best_event / best_crash,
-        rounds=1,
-    )
+    return _result(f"proto_fd_churn_n{n}", best_event, best_crash, 1)
 
 
 def _bench_flat_pairs(repetitions: int) -> BenchmarkResult:
@@ -620,9 +635,9 @@ def _bench_flat_pairs(repetitions: int) -> BenchmarkResult:
     <repro.net.metrics.NetworkMetrics.fold>`, what every pair read runs
     first), the other never reads its pairs. After warm-up each timed
     leg runs the next ``rounds`` rounds of its protocol, interleaved,
-    best of at least five. ``speedup`` is the folded/unread ratio, gated
-    by :data:`OVERHEAD_GATES`: the per-pair breakdown of the complexity
-    reproduction must not cost more than the round it measures.
+    best of at least five. The ratio is folded over unread, held to a
+    ceiling: the per-pair breakdown of the complexity reproduction must
+    not cost more than the round it measures.
     """
     from repro.costs.affine_vector import AffineCostVector
     from repro.costs.timevarying import RandomAffineProcess
@@ -664,23 +679,14 @@ def _bench_flat_pairs(repetitions: int) -> BenchmarkResult:
     )
 
 
-#: Struct-of-arrays roster construction at the paper's next wall: a
-#: million-peer protocol must be *constructible* in bounded time, and
-#: the store's packed arrays must stay O(N) compact.
-PEERSTORE_CONSTRUCT_N = 1_000_000
-PEERSTORE_CONSTRUCT_BUDGET_S = 10.0
-PEERSTORE_ARRAYS_CEILING_BYTES = 200 * 2**20
-
-
 def _bench_peerstore_construct(repetitions: int) -> BenchmarkResult:
     """Construction-only gate for the N=10^6 roster.
 
     Times building a full tree protocol (packed
     peer arrays, ledger spans, aggregation tree, lazy node table — no
-    rounds). Gates: under :data:`PEERSTORE_CONSTRUCT_BUDGET_S` seconds,
-    and the store's packed arrays total under
-    :data:`PEERSTORE_ARRAYS_CEILING_BYTES` — the assertion that peer
-    state is O(N) arrays, not a million objects. (Process-wide peak RSS
+    rounds) against the entry's budget. The store's packed arrays must
+    also total under :data:`PEERSTORE_ARRAYS_CEILING_BYTES` — the
+    assertion that peer state is O(N) arrays, not a million objects. (Process-wide peak RSS
     is stamped by the runner but not gated here: it is monotonic across
     the whole bench suite.)
     """
@@ -698,12 +704,6 @@ def _bench_peerstore_construct(repetitions: int) -> BenchmarkResult:
         )
 
     times = [_time_once(construct) for _ in range(max(1, min(repetitions, 2)))]
-    best = min(times)
-    if best > PEERSTORE_CONSTRUCT_BUDGET_S:
-        raise RuntimeError(
-            f"n{n} construction took {best:.1f}s "
-            f"(budget {PEERSTORE_CONSTRUCT_BUDGET_S:.0f}s)"
-        )
     store = holder["protocol"]._store
     packed = sum(
         getattr(store, field).nbytes
@@ -717,35 +717,17 @@ def _bench_peerstore_construct(repetitions: int) -> BenchmarkResult:
             f"n{n} peer store packs {packed / 2**20:.0f} MiB "
             f"(ceiling {PEERSTORE_ARRAYS_CEILING_BYTES / 2**20:.0f} MiB)"
         )
-    return BenchmarkResult(
-        name="peerstore_construct_n1e6",
-        incremental_s=best,
-        materialized_s=best,
-        speedup=1.0,
-        rounds=1,
-    )
-
-
-#: Serving throughput benchmark sizing and its hard floor: the
-#: vectorized dispatcher must sustain at least this many dispatched
-#: requests per wall-clock second at N=32 with DOLBIE control enabled —
-#: below it the "millions of requests" story stops being streamable.
-SERVING_BENCH_N = 32
-SERVING_BENCH_REQUESTS = 200_000
-SERVING_MIN_RPS = 100_000.0
+    return _within_budget("peerstore_construct_n1e6", min(times), 1)
 
 
 def _bench_serving_throughput(repetitions: int) -> BenchmarkResult:
-    """Open-loop serving dispatch rate, completion-gate style.
+    """Open-loop serving dispatch rate, within a budget.
 
     Times a full seeded run — streaming arrivals, golden-ratio weighted
     routing, per-worker Lindley recursion, quantile sketch, DOLBIE
-    control updates — and records the wall-clock in both columns
-    (speedup 1.0) so the baseline ratio check can never flag it. The
-    hard gate is throughput: below :data:`SERVING_MIN_RPS` dispatched
-    requests/s the benchmark raises. ``peak_rss_bytes`` (stamped by the
-    runner) doubles as the streaming-memory record for the acceptance
-    criterion.
+    control updates — against the entry's budget; ``rounds_per_s`` is
+    the dispatch rate. ``peak_rss_bytes`` (stamped by the runner)
+    doubles as the streaming-memory record.
     """
     from repro.experiments.serving_experiment import fleet_service_rates
     from repro.serving import PoissonArrivals, ServingSimulator, make_policy
@@ -768,40 +750,7 @@ def _bench_serving_throughput(repetitions: int) -> BenchmarkResult:
             )
 
     times = [_time_once(one_run) for _ in range(max(1, min(repetitions, 3)))]
-    best = min(times)
-    rps = requests / best
-    if rps < SERVING_MIN_RPS:
-        raise RuntimeError(
-            f"serving throughput {rps:,.0f} req/s fell below the "
-            f"{SERVING_MIN_RPS:,.0f} req/s floor (N={n}, {requests} requests)"
-        )
-    return BenchmarkResult(
-        name="serving_throughput",
-        incremental_s=best,
-        materialized_s=best,
-        speedup=1.0,
-        rounds=requests,
-    )
-
-
-def _bench_figure(
-    name: str,
-    runner: Callable[[ExperimentScale], object],
-    scale: ExperimentScale,
-    repetitions: int,
-) -> BenchmarkResult:
-    from repro.experiments.config import ALL_ALGORITHMS
-
-    incremental_scale = replace(scale, materialize=False, jobs=1)
-    materialized_scale = replace(scale, materialize=True)
-    total_rounds = scale.rounds * scale.realizations * len(ALL_ALGORITHMS)
-    return _paired(
-        name,
-        lambda: runner(incremental_scale),
-        lambda: runner(materialized_scale),
-        repetitions,
-        total_rounds,
-    )
+    return _within_budget("serving_throughput", min(times), requests)
 
 
 def _bench_stacked_sweep(
@@ -810,36 +759,42 @@ def _bench_stacked_sweep(
     """Realization-stacked sweep engine vs. the per-realization loop.
 
     A Fig. 4-shaped workload — many realizations, paper-length horizon —
-    where stacking has the most rows to amortize over. The serial leg
-    runs the classic one-realization-at-a-time sweep (``stacked=False``);
-    the stacked leg advances every realization in lockstep through the
-    batched policies (:mod:`repro.experiments.stacked`). The
-    materialization cache is warmed for every seed first so neither leg
-    pays the trace walk and the ratio isolates the engine itself.
+    where stacking has the most rows to amortize over. The reference leg
+    runs one realization at a time (:meth:`RealizationSpec.run
+    <repro.experiments.harness.RealizationSpec.run>`, the serial sweep's
+    fallback loop); the candidate leg is the serial sweep itself, which
+    advances every realization in lockstep through the batched policies
+    (:mod:`repro.experiments.stacked`). The materialization cache is
+    warmed for every seed first so neither leg pays the trace walk and
+    the ratio isolates the engine itself.
     """
     from repro.experiments.config import ALL_ALGORITHMS
-    from repro.experiments.harness import sweep_realizations
+    from repro.experiments.harness import RealizationSpec, sweep_realizations
     from repro.mlsim.cache import materialize_cached
     from repro.mlsim.environment import TrainingEnvironment
 
-    sweep_scale = replace(
-        scale, realizations=24, rounds=100, materialize=True, jobs=1
-    )
-    for r in range(sweep_scale.realizations):
-        env = TrainingEnvironment(
-            "ResNet18",
-            num_workers=sweep_scale.num_workers,
-            global_batch=sweep_scale.global_batch,
-            seed=sweep_scale.base_seed + r,
+    sweep_scale = replace(scale, realizations=24, rounds=100)
+    specs = [
+        RealizationSpec.from_scale(
+            "ResNet18", sweep_scale, None, sweep_scale.base_seed + r,
+            ALL_ALGORITHMS,
         )
-        materialize_cached(env, sweep_scale.rounds)
-    serial_scale = replace(sweep_scale, stacked=False)
+        for r in range(sweep_scale.realizations)
+    ]
+    for spec in specs:
+        env = TrainingEnvironment(
+            spec.model,
+            num_workers=spec.num_workers,
+            global_batch=spec.global_batch,
+            seed=spec.seed,
+        )
+        materialize_cached(env, spec.rounds)
     total_rounds = (
         sweep_scale.rounds * sweep_scale.realizations * len(ALL_ALGORITHMS)
     )
     return _paired(
         "sweep_fig4_stacked",
-        lambda: sweep_realizations("ResNet18", serial_scale),
+        lambda: [spec.run() for spec in specs],
         lambda: sweep_realizations("ResNet18", sweep_scale),
         repetitions,
         total_rounds,
@@ -894,10 +849,48 @@ def _bench_materialize_cache(repetitions: int) -> BenchmarkResult:
     return result
 
 
+def _suite(
+    scale: ExperimentScale, repetitions: int
+) -> dict[str, Callable[[], BenchmarkResult]]:
+    """Every entry by name, in run order."""
+    suite: dict[str, Callable[[], BenchmarkResult]] = {
+        "micro_costs_at": lambda: _bench_micro_costs_at(scale, repetitions),
+        "micro_minmax_solve": lambda: _bench_micro_minmax(scale, repetitions),
+        "obs_overhead": lambda: _bench_obs_overhead(repetitions),
+        "ckpt_overhead": lambda: _bench_ckpt_overhead(repetitions),
+        "sweep_fig4_stacked": lambda: _bench_stacked_sweep(scale, repetitions),
+        "materialize_cache": lambda: _bench_materialize_cache(repetitions),
+    }
+    for arch in ("mw", "fd"):
+        for n, rounds in sorted(PROTOCOL_SCALES.items()):
+            suite[f"proto_{arch}_n{n}"] = (
+                lambda arch=arch, n=n, rounds=rounds: _bench_protocol(
+                    arch, n, rounds, repetitions
+                )
+            )
+    for n, rounds in sorted(TREE_SCALES.items()):
+        suite[f"proto_fd_tree_n{n}"] = (
+            lambda n=n, rounds=rounds: _bench_protocol_tree(
+                n, rounds, repetitions
+            )
+        )
+    suite.update({
+        "proto_fd_flat_pairs_n32": lambda: _bench_flat_pairs(repetitions),
+        f"proto_fd_churn_n{CHURN_N}": lambda: _bench_protocol_churn(repetitions),
+        f"proto_fd_tree_n{TREE_SMOKE_N}": (
+            lambda: _bench_protocol_tree_smoke(repetitions)
+        ),
+        "peerstore_construct_n1e6": (
+            lambda: _bench_peerstore_construct(repetitions)
+        ),
+        "serving_throughput": lambda: _bench_serving_throughput(repetitions),
+    })
+    return suite
+
+
 def run_benchmarks(
     scale: ExperimentScale = BENCH,
     repetitions: int = 5,
-    jobs: int = 1,
     only: Sequence[str] | None = None,
 ) -> list[BenchmarkResult]:
     """Run the suite; ``repetitions=1`` is the CI ``--quick`` mode.
@@ -905,99 +898,41 @@ def run_benchmarks(
     ``only`` selects a subset by name (e.g. ``["proto_fd_n100"]``) —
     handy when refreshing one baseline entry without re-timing the rest.
     """
-    from repro.experiments import fig4_latency_ci, fig5_cumulative_latency
-
-    scale = replace(scale, jobs=jobs)
-    suite: list[tuple[str, Callable[[], BenchmarkResult]]] = [
-        ("micro_costs_at", lambda: _bench_micro_costs_at(scale, repetitions)),
-        ("micro_minmax_solve", lambda: _bench_micro_minmax(scale, repetitions)),
-        ("obs_overhead", lambda: _bench_obs_overhead(repetitions)),
-        ("ckpt_overhead", lambda: _bench_ckpt_overhead(repetitions)),
-        (
-            "fig4",
-            lambda: _bench_figure("fig4", fig4_latency_ci.run, scale, repetitions),
-        ),
-        (
-            "fig5",
-            lambda: _bench_figure(
-                "fig5", fig5_cumulative_latency.run, scale, repetitions
-            ),
-        ),
-        (
-            "sweep_fig4_stacked",
-            lambda: _bench_stacked_sweep(scale, repetitions),
-        ),
-        (
-            "materialize_cache",
-            lambda: _bench_materialize_cache(repetitions),
-        ),
-    ]
-    for arch in ("mw", "fd"):
-        for n, rounds in sorted(PROTOCOL_SCALES.items()):
-            suite.append(
-                (
-                    f"proto_{arch}_n{n}",
-                    lambda arch=arch, n=n, rounds=rounds: _bench_protocol(
-                        arch, n, rounds, repetitions
-                    ),
-                )
-            )
-    for n, rounds in sorted(TREE_SCALES.items()):
-        suite.append(
-            (
-                f"proto_fd_tree_n{n}",
-                lambda n=n, rounds=rounds: _bench_protocol_tree(
-                    n, rounds, repetitions
-                ),
-            )
-        )
-    suite.append(
-        ("proto_fd_flat_pairs_n32", lambda: _bench_flat_pairs(repetitions))
-    )
-    suite.append(
-        (
-            f"proto_fd_churn_n{CHURN_N}",
-            lambda: _bench_protocol_churn(repetitions),
-        )
-    )
-    suite.append(
-        (
-            f"proto_fd_tree_n{TREE_SMOKE_N}",
-            lambda: _bench_protocol_tree_smoke(repetitions),
-        )
-    )
-    suite.append(
-        (
-            "peerstore_construct_n1e6",
-            lambda: _bench_peerstore_construct(repetitions),
-        )
-    )
-    suite.append(
-        (
-            "serving_throughput",
-            lambda: _bench_serving_throughput(repetitions),
-        )
-    )
+    suite = _suite(scale, repetitions)
     if only is not None:
-        unknown = set(only) - {name for name, _ in suite}
+        unknown = set(only) - set(suite)
         if unknown:
             raise ValueError(
                 f"unknown benchmark(s) {sorted(unknown)}; "
-                f"available: {[name for name, _ in suite]}"
+                f"available: {list(suite)}"
             )
-        suite = [(name, fn) for name, fn in suite if name in set(only)]
+        suite = {name: fn for name, fn in suite.items() if name in set(only)}
     # Stamp each result with the process peak RSS observed right after
     # it ran: memory regressions (a path that suddenly materializes all
     # ~3N frames again) show up in the results/history files alongside
     # the wall-clock they would eventually also ruin.
-    return [replace(fn(), peak_rss_bytes=_peak_rss_bytes()) for _, fn in suite]
+    return [
+        replace(fn(), peak_rss_bytes=_peak_rss_bytes()) for fn in suite.values()
+    ]
+
+
+def _entry(result: BenchmarkResult) -> dict:
+    """One result as written to the results and history files."""
+    return {
+        "reference_s": round(result.reference_s, 6),
+        "candidate_s": round(result.candidate_s, 6),
+        "ratio": round(result.ratio, 3),
+        "gate": result.gate.kind,
+        "limit": result.gate.limit,
+        "rounds_per_s": round(result.rounds_per_s, 1),
+        "peak_rss_bytes": int(result.peak_rss_bytes),
+    }
 
 
 def write_results(
     results: list[BenchmarkResult],
     path: str | Path,
     scale: ExperimentScale = BENCH,
-    jobs: int = 1,
 ) -> Path:
     payload = {
         "schema": SCHEMA,
@@ -1008,41 +943,27 @@ def write_results(
             "rounds": scale.rounds,
             "realizations": scale.realizations,
         },
-        "jobs": jobs,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        # Machine context: speedup ratios transfer across hardware, but
-        # when a gate fails on a different runner this says what ran it.
+        # Machine context: ratios transfer across hardware, but when a
+        # gate fails on a different runner this says what ran it.
         "machine": _machine_context(),
-        "benchmarks": {
-            r.name: {
-                "incremental_s": round(r.incremental_s, 6),
-                "materialized_s": round(r.materialized_s, 6),
-                "speedup": round(r.speedup, 3),
-                "rounds_per_s": round(r.rounds_per_s, 1),
-                "peak_rss_bytes": int(r.peak_rss_bytes),
-            }
-            for r in results
-        },
+        "benchmarks": {r.name: _entry(r) for r in results},
     }
     out = Path(path)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     return out
 
 
-def append_history(
-    results: list[BenchmarkResult],
-    path: str | Path,
-    jobs: int = 1,
-) -> Path:
+def append_history(results: list[BenchmarkResult], path: str | Path) -> Path:
     """Append one JSON line for this gated run to ``BENCH_history.jsonl``.
 
     The results file is overwritten on every run; the history file is the
     longitudinal record — one line per invocation with a UTC timestamp,
-    the git commit it ran at, and every benchmark's numbers — so speedup
-    drift across commits can be inspected without re-running old
-    revisions. Best-effort like the cache: an unwritable history file
-    never fails the bench.
+    the git commit it ran at, and every benchmark's numbers — so drift
+    across commits can be inspected without re-running old revisions.
+    Best-effort like the cache: an unwritable history file never fails
+    the bench.
     """
     import subprocess
     from datetime import datetime, timezone
@@ -1062,19 +983,10 @@ def append_history(
     line = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_sha": sha,
-        "jobs": jobs,
         # Same machine context as the results file: history lines from
         # different runners must be distinguishable when eyeballing drift.
         "machine": _machine_context(),
-        "benchmarks": {
-            r.name: {
-                "incremental_s": round(r.incremental_s, 6),
-                "materialized_s": round(r.materialized_s, 6),
-                "speedup": round(r.speedup, 3),
-                "peak_rss_bytes": int(r.peak_rss_bytes),
-            }
-            for r in results
-        },
+        "benchmarks": {r.name: _entry(r) for r in results},
     }
     out = Path(path)
     try:
@@ -1096,43 +1008,67 @@ def load_results(path: str | Path) -> dict:
 
 def compare_to_baseline(
     results: list[BenchmarkResult],
-    baseline: dict,
+    baseline: dict | None,
     tolerance: float = 0.3,
 ) -> tuple[list[str], list[str]]:
-    """``(failures, notices)`` — failures empty = gate passes.
+    """Hold every result to its gate: ``(failures, notices)``, failures
+    empty = the run passes.
 
-    A benchmark *fails* when its speedup falls more than ``tolerance``
-    (fractional) below the baseline speedup. A benchmark with no usable
-    baseline — a brand-new benchmark the committed baseline predates, or
-    an entry without a ``speedup`` field — is a *notice*, not a failure:
-    a fresh benchmark must be able to land before its baseline exists
-    (the baseline is refreshed with ``repro bench --update-baseline``),
-    and a KeyError here would turn every new benchmark into a red CI.
+    Ceilings and budgets are fixed. A floor fails when the ratio falls
+    more than ``tolerance`` (fractional) below the baseline's; with no
+    baseline (``None``) floors go unchecked. A floor entry the baseline
+    lacks — a brand-new benchmark, or an entry without a ``ratio`` — is
+    a *notice*, not a failure: a fresh benchmark must be able to land
+    before its baseline exists (the baseline is refreshed with ``repro
+    bench --update-baseline``).
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must lie in [0, 1), got {tolerance}")
     failures: list[str] = []
     notices: list[str] = []
-    base = baseline.get("benchmarks", {})
+    base = (baseline or {}).get("benchmarks", {})
     for result in results:
-        entry = base.get(result.name)
-        if entry is None or "speedup" not in entry:
-            reason = (
-                "not in baseline" if entry is None
-                else "baseline entry has no speedup"
-            )
-            notices.append(
-                f"{result.name}: no baseline ({reason}) — refresh with "
-                "`repro bench --update-baseline`"
-            )
-            continue
-        floor = entry["speedup"] * (1.0 - tolerance)
-        if result.speedup < floor:
-            failures.append(
-                f"{result.name}: speedup {result.speedup:.2f}x fell below "
-                f"{floor:.2f}x (baseline {entry['speedup']:.2f}x - {tolerance:.0%})"
-            )
+        name, (kind, limit) = result.name, result.gate
+        if kind == "ceiling":
+            if result.ratio > limit:
+                failures.append(
+                    f"{name}: ratio {result.ratio:.3f}x exceeds its ceiling "
+                    f"{limit:.2f}x"
+                )
+        elif kind == "budget":
+            if result.candidate_s > limit:
+                failures.append(
+                    f"{name}: {result.candidate_s:.3f}s exceeds its budget "
+                    f"{limit:g}s"
+                )
+        elif baseline is not None:
+            entry = base.get(name)
+            if entry is None or "ratio" not in entry:
+                reason = (
+                    "not in baseline" if entry is None
+                    else "baseline entry has no ratio"
+                )
+                notices.append(
+                    f"{name}: no baseline ({reason}) — refresh with "
+                    "`repro bench --update-baseline`"
+                )
+                continue
+            floor = entry["ratio"] * (1.0 - tolerance)
+            if result.ratio < floor:
+                failures.append(
+                    f"{name}: ratio {result.ratio:.2f}x fell below "
+                    f"{floor:.2f}x (baseline {entry['ratio']:.2f}x - "
+                    f"{tolerance:.0%})"
+                )
     return failures, notices
+
+
+def _gate_label(gate: Gate) -> str:
+    if gate.kind == "ceiling":
+        return f"<= {gate.limit:g}x"
+    if gate.kind == "budget":
+        return f"<= {gate.limit:g}s"
+    return "floor"
 
 
 def main(
@@ -1141,7 +1077,6 @@ def main(
     tolerance: float = 0.3,
     quick: bool = False,
     update_baseline: bool = False,
-    jobs: int = 1,
     only: Sequence[str] | None = None,
 ) -> int:
     """Entry point behind ``python -m repro bench``; returns exit code.
@@ -1160,51 +1095,34 @@ def main(
         baseline_data = load_results(baseline_path)
 
     repetitions = 1 if quick else 5
-    results = run_benchmarks(BENCH, repetitions=repetitions, jobs=jobs, only=only)
+    results = run_benchmarks(BENCH, repetitions=repetitions, only=only)
 
     print_table(
-        f"Engine benchmarks — BENCH scale ({BENCH.realizations} realizations, "
-        f"{BENCH.rounds} rounds), best of {repetitions}",
-        ["benchmark", "incremental_s", "materialized_s", "speedup", "rounds/s",
-         "peak_rss_mb"],
+        f"Benchmarks — best of {repetitions}",
+        ["benchmark", "reference_s", "candidate_s", "ratio", "gate",
+         "rounds/s", "peak_rss_mb"],
         [
-            [r.name, f"{r.incremental_s:.3f}", f"{r.materialized_s:.3f}",
-             f"{r.speedup:.2f}x", f"{r.rounds_per_s:.0f}",
+            [r.name, f"{r.reference_s:.3f}", f"{r.candidate_s:.3f}",
+             f"{r.ratio:.2f}x", _gate_label(r.gate), f"{r.rounds_per_s:.0f}",
              f"{r.peak_rss_bytes / 2**20:.0f}"]
             for r in results
         ],
     )
 
     target = baseline_path if update_baseline else Path(out)
-    written = write_results(results, target, BENCH, jobs=jobs)
+    written = write_results(results, target, BENCH)
     print(f"wrote {written}")
-    history = append_history(
-        results, written.parent / "BENCH_history.jsonl", jobs=jobs
-    )
+    history = append_history(results, written.parent / "BENCH_history.jsonl")
     print(f"appended run to {history}")
 
-    gate_failures = [
-        f"{r.name}: ratio {r.speedup:.3f}x exceeds hard ceiling "
-        f"{OVERHEAD_GATES[r.name]:.2f}x"
-        for r in results
-        if r.name in OVERHEAD_GATES and r.speedup > OVERHEAD_GATES[r.name]
-    ]
-    if gate_failures:
-        for failure in gate_failures:
-            print(f"OVERHEAD GATE: {failure}", file=sys.stderr)
+    failures, notices = compare_to_baseline(results, baseline_data, tolerance)
+    for notice in notices:
+        print(f"NOTE: {notice}")
+    for failure in failures:
+        print(f"GATE: {failure}", file=sys.stderr)
+    if failures:
         return 1
-
-    if baseline_data is not None:
-        failures, notices = compare_to_baseline(
-            results, baseline_data, tolerance
-        )
-        for notice in notices:
-            print(f"NOTE: {notice}")
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"baseline check passed (tolerance {tolerance:.0%})")
-    elif not update_baseline:
-        print(f"no baseline at {baseline_path}; skipping regression check")
+    if baseline_data is None and not update_baseline:
+        print(f"no baseline at {baseline_path}; floors unchecked")
+    print(f"every gate passed (floor tolerance {tolerance:.0%})")
     return 0

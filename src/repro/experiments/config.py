@@ -45,17 +45,15 @@ def paper_balancer(name: str, num_workers: int) -> OnlineLoadBalancer:
 class ExperimentScale:
     """Sizing and execution knobs shared by the experiment modules.
 
-    The trailing fields control the performance layer (see
+    The trailing fields control the execution layer (see
     ``docs/performance.md``): ``jobs`` fans realization sweeps out over a
-    process pool, ``materialize`` precomputes each environment's ``(T, N)``
-    cost traces once per (seed, model) and shares them across algorithms,
-    ``include_overhead`` keeps the measured per-round decision time in
-    the wall-clock series (Fig. 11 needs it; set False for bitwise
-    reproducible exports, since measured time is inherently noisy),
-    ``stacked`` lets serial sweeps advance all realizations in lockstep
-    as one batched policy (bit-identical to the per-realization loop),
-    and ``cache`` persists materialized traces on disk under
-    ``~/.cache/repro`` so reruns skip the trace walk entirely.
+    process pool, and ``include_overhead`` keeps the measured per-round
+    decision time in the wall-clock series (Fig. 11 needs it; set False
+    for bitwise reproducible exports, since measured time is inherently
+    noisy). Every realization's ``(T, N)`` cost traces are materialized
+    once through the on-disk cache (``REPRO_CACHE=0`` turns the cache
+    off), and a serial sweep advances all realizations in lockstep
+    whenever the stacked engine supports its algorithms.
 
     ``checkpoint_dir`` makes realization sweeps durable: every finished
     realization is persisted there and an interrupted sweep resumes
@@ -73,10 +71,7 @@ class ExperimentScale:
     complexity_worker_counts: tuple[int, ...] = (5, 10, 20, 30, 50)
     base_seed: int = 0
     jobs: int = 1
-    materialize: bool = True
     include_overhead: bool = True
-    stacked: bool = True
-    cache: bool = True
     checkpoint_dir: str | None = None
 
 

@@ -6,8 +6,8 @@ Two execution-layer optimizations live here (design notes in
 * **Shared materialized environments** — every algorithm inside one
   realization replays the identical world, so :func:`train_all` builds
   the :class:`~repro.mlsim.environment.TrainingEnvironment` once,
-  materializes its ``(T, N)`` cost traces (bit-identical to the
-  incremental accessors), and reuses that one
+  materializes its ``(T, N)`` cost traces through the on-disk cache
+  (bit-identical to the incremental accessors), and reuses that one
   :class:`~repro.mlsim.materialized.MaterializedEnvironment` across all
   algorithms instead of re-walking the fluctuation traces per algorithm.
 * **Parallel sweeps** — :func:`sweep_realizations` fans independent
@@ -53,6 +53,9 @@ class RealizationSpec:
     config and seed and materializes the ``(T, N)`` cost traces locally,
     so the (potentially large) matrices are computed where they are used
     instead of being pickled across the process boundary.
+
+    :meth:`run` is also the per-realization reference the stacked engine
+    is pinned bit-identical to.
     """
 
     model: str
@@ -60,10 +63,8 @@ class RealizationSpec:
     global_batch: int
     rounds: int
     seed: int
-    materialize: bool
     include_overhead: bool
     algorithms: tuple[str, ...]
-    cache: bool = True
 
     @classmethod
     def from_scale(
@@ -80,27 +81,24 @@ class RealizationSpec:
             global_batch=scale.global_batch,
             rounds=rounds if rounds is not None else scale.rounds,
             seed=seed,
-            materialize=scale.materialize,
             include_overhead=scale.include_overhead,
             algorithms=tuple(algorithms),
-            cache=scale.cache,
         )
 
     def run(self) -> dict[str, TrainingRun]:
-        """Build, (optionally) materialize, and train every algorithm."""
-        env = TrainingEnvironment(
-            self.model,
-            num_workers=self.num_workers,
-            global_batch=self.global_batch,
-            seed=self.seed,
-        )
-        if self.materialize:
-            if self.cache:
-                from repro.mlsim.cache import materialize_cached
+        """Build and materialize the environment, then train every
+        algorithm on it."""
+        from repro.mlsim.cache import materialize_cached
 
-                env = materialize_cached(env, self.rounds)
-            else:
-                env = env.materialize(self.rounds)
+        env = materialize_cached(
+            TrainingEnvironment(
+                self.model,
+                num_workers=self.num_workers,
+                global_batch=self.global_batch,
+                seed=self.seed,
+            ),
+            self.rounds,
+        )
         trainer = SyncTrainer(
             env, include_overhead_in_wallclock=self.include_overhead
         )
@@ -121,10 +119,8 @@ def train_all(
 ) -> dict[str, TrainingRun]:
     """Run every algorithm once on the same environment realization.
 
-    With ``scale.materialize`` (the default) the realization's cost
-    traces are precomputed once and shared by all algorithms; the
-    incremental path is kept for ``materialize=False`` (the benchmark
-    baseline and a debugging aid).
+    The realization's cost traces are materialized once and shared by
+    all algorithms.
     """
     algorithms = list(algorithms) if algorithms is not None else list(ALL_ALGORITHMS)
     seed = seed if seed is not None else scale.base_seed
@@ -261,10 +257,10 @@ def sweep_realizations(
     IPC boundary.
 
     Serial sweeps (``jobs == 1``) take the realization-stacked fast path
-    of :mod:`repro.experiments.stacked` whenever its preconditions hold
-    (materialized environments, every algorithm batched-supported),
-    falling back to the per-realization loop otherwise; set
-    ``scale.stacked = False`` to force the fallback. All three execution
+    of :mod:`repro.experiments.stacked` whenever it returns a result
+    (every algorithm batched-supported, positive slopes for the
+    oracle), falling back to the per-realization loop otherwise. All
+    three execution
     modes run the identical simulated trajectories, so every simulated
     series (round latency, costs, accuracy) is byte-identical across
     them. The one exception is measured balancer overhead
@@ -339,7 +335,7 @@ def sweep_realizations(
         # The stacked fast path advances every realization at once, so
         # it has no per-realization boundary to checkpoint at; use it
         # only when the whole sweep runs in one piece.
-        if scale.stacked and checkpoint is None:
+        if checkpoint is None:
             from repro.experiments.stacked import sweep_stacked
 
             stacked = sweep_stacked(model, scale, rounds, algorithms)

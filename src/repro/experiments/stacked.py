@@ -15,8 +15,8 @@ vectorized fast path statement for statement:
 
 1. each realization's :class:`~repro.mlsim.materialized.MaterializedEnvironment`
    (seed ``base_seed + r``) contributes its ``(T, N)`` speed/comm/slope
-   matrices to stacked ``(R, T, N)`` tensors (optionally through the
-   on-disk cache, :mod:`repro.mlsim.cache`);
+   matrices to stacked ``(R, T, N)`` tensors (through the on-disk
+   cache, :mod:`repro.mlsim.cache`);
 2. per round, the ``(R, N)`` cost slices drive one
    :class:`~repro.core.batched.BatchedPolicy` holding all ``R``
    allocation rows;
@@ -36,8 +36,8 @@ CSVs are therefore byte-identical between the two paths — pinned by
 the stacked engine reports each batch lap divided evenly across the
 ``R`` realizations.
 
-When any precondition fails (incremental environments requested, an
-algorithm without a batched twin, an oracle facing non-positive slopes)
+When any precondition fails (an algorithm without a batched twin, an
+oracle facing non-positive slopes)
 :func:`sweep_stacked` returns ``None`` and the caller falls back to the
 per-realization loop.
 """
@@ -73,10 +73,8 @@ def stacked_supported(scale: ExperimentScale, algorithms: Sequence[str]) -> bool
     batched waterfilling solve) is only checkable after materialization;
     :func:`sweep_stacked` handles that one itself.
     """
-    return (
-        scale.materialize
-        and scale.realizations >= 1
-        and all(name in BATCHED_ALGORITHMS for name in algorithms)
+    return scale.realizations >= 1 and all(
+        name in BATCHED_ALGORITHMS for name in algorithms
     )
 
 
@@ -102,19 +100,18 @@ def sweep_stacked(
 
     from repro.mlsim.cache import materialize_cached
 
-    envs = []
-    for r in range(scale.realizations):
-        env = TrainingEnvironment(
-            model,
-            num_workers=scale.num_workers,
-            global_batch=scale.global_batch,
-            seed=scale.base_seed + r,
+    envs = [
+        materialize_cached(
+            TrainingEnvironment(
+                model,
+                num_workers=scale.num_workers,
+                global_batch=scale.global_batch,
+                seed=scale.base_seed + r,
+            ),
+            rounds,
         )
-        envs.append(
-            materialize_cached(env, rounds)
-            if scale.cache
-            else env.materialize(rounds)
-        )
+        for r in range(scale.realizations)
+    ]
 
     speed = np.stack([env.speed_matrix for env in envs])  # (R, T, N)
     comm = np.stack([env.comm_matrix for env in envs])

@@ -100,6 +100,34 @@ def test_invariant_check_calls_do_not_grow_with_rounds():
     assert calls[2000] == calls[10]
 
 
+def test_invariant_check_calls_do_not_grow_with_workers():
+    """The check compares the peers' columns as arrays: at N=1024 it
+    makes as many Python calls as at N=128 (both overlays have eight
+    shards, so only the roster size differs), before and after a crash
+    shrinks the roster."""
+    calls = {}
+    for n in (128, 1024):
+        link = Link(UniformLatency(0.0005, 0.005, np.random.default_rng(1)))
+        protocol = FullyDistributedDolbie(
+            n, link=link, aggregation="tree", shard_size=n // 8
+        )
+        pool = _cost_pool(n, 4)
+        for t in range(1, 7):
+            if t == 4:
+                protocol.crash_worker(7)
+            observation = RoundObservation(protocol)
+            _, local, cost, straggler = protocol.run_round(t, pool[t % 4])
+            if t in (3, 6):
+                calls[n, t] = _profiled_calls(
+                    lambda: check_round_invariants(
+                        protocol, observation, t, local, cost, straggler
+                    )
+                )
+        assert protocol.roster == [w for w in range(n) if w != 7]
+    assert calls[1024, 3] == calls[128, 3]
+    assert calls[1024, 6] == calls[128, 6]
+
+
 def test_churn_retains_at_most_160_bytes_per_round():
     """Membership epochs shaped like the ``fd_churn_epochs`` benchmark op
     (three rounds, a crash, three rounds, the rejoin, three rounds) at

@@ -6,6 +6,8 @@ is bit-identity with the per-realization serial sweep: every simulated
 series matches ``==``-exactly, and CSVs exported through either path are
 byte-identical. These tests pin that contract end to end, including the
 engagement/fallback conditions and the warm-materialization-cache rerun.
+The serial loop is forced by patching ``sweep_stacked`` to return
+``None``, the signal it gives when its preconditions fail.
 
 ``decision_seconds`` (and with ``include_overhead`` the wall clock) is
 measured stopwatch time — never reproducible — so the scales here use
@@ -21,7 +23,7 @@ import pytest
 import repro.experiments.stacked as stacked_module
 from repro.experiments.config import QUICK
 from repro.experiments.export_all import export_all
-from repro.experiments.harness import sweep_realizations
+from repro.experiments.harness import RealizationSpec, sweep_realizations
 from repro.experiments.stacked import stacked_supported, sweep_stacked
 
 SMALL = replace(
@@ -58,12 +60,18 @@ def _assert_sweeps_identical(first, second, realizations):
                 ), (name, field)
 
 
+def _decline_stacked(monkeypatch):
+    """From here on sweeps run the per-realization loop."""
+    monkeypatch.setattr(
+        stacked_module, "sweep_stacked", lambda *args, **kwargs: None
+    )
+
+
 class TestStackedBitIdentity:
-    def test_stacked_and_serial_sweeps_identical(self):
+    def test_stacked_and_serial_sweeps_identical(self, monkeypatch):
         stacked = sweep_realizations("ResNet18", SMALL)
-        serial = sweep_realizations(
-            "ResNet18", replace(SMALL, stacked=False)
-        )
+        _decline_stacked(monkeypatch)
+        serial = sweep_realizations("ResNet18", SMALL)
         _assert_sweeps_identical(stacked, serial, SMALL.realizations)
 
     def test_warm_cache_rerun_is_identical(self):
@@ -71,23 +79,19 @@ class TestStackedBitIdentity:
         second = sweep_realizations("ResNet18", SMALL)  # pure hits
         _assert_sweeps_identical(first, second, SMALL.realizations)
 
-    def test_cache_disabled_sweep_is_identical(self):
+    def test_cache_disabled_sweep_is_identical(self, monkeypatch):
         cached = sweep_realizations("ResNet18", SMALL)
-        uncached = sweep_realizations(
-            "ResNet18", replace(SMALL, cache=False)
-        )
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        uncached = sweep_realizations("ResNet18", SMALL)
         _assert_sweeps_identical(cached, uncached, SMALL.realizations)
 
     @pytest.mark.parametrize("figure", ["fig4", "fig5"])
-    def test_exported_csv_bytes_identical(self, figure, tmp_path):
+    def test_exported_csv_bytes_identical(self, figure, tmp_path, monkeypatch):
         (stacked_csv,) = export_all(
             tmp_path / "stacked", SMALL, only=[figure]
         )
-        (serial_csv,) = export_all(
-            tmp_path / "serial",
-            replace(SMALL, stacked=False),
-            only=[figure],
-        )
+        _decline_stacked(monkeypatch)
+        (serial_csv,) = export_all(tmp_path / "serial", SMALL, only=[figure])
         assert stacked_csv.read_bytes() == serial_csv.read_bytes()
 
 
@@ -105,29 +109,28 @@ class TestEngagementAndFallback:
         sweep_realizations("ResNet18", SMALL)
         assert calls == [True]
 
-    def test_stacked_false_forces_the_serial_loop(self, monkeypatch):
-        def explode(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("stacked engine engaged despite stacked=False")
+    def test_declined_stacked_sweep_runs_the_serial_loop(self, monkeypatch):
+        runs = []
+        original = RealizationSpec.run
 
-        monkeypatch.setattr(stacked_module, "sweep_stacked", explode)
-        sweeps = sweep_realizations(
-            "ResNet18", replace(SMALL, stacked=False)
-        )
+        def spy(spec):
+            runs.append(spec.seed)
+            return original(spec)
+
+        monkeypatch.setattr(RealizationSpec, "run", spy)
+        _decline_stacked(monkeypatch)
+        sweeps = sweep_realizations("ResNet18", SMALL)
+        assert runs == list(range(SMALL.realizations))
         assert len(sweeps["DOLBIE"]) == SMALL.realizations
-
-    def test_incremental_environments_are_unsupported(self):
-        incremental = replace(SMALL, materialize=False)
-        assert not stacked_supported(incremental, ["DOLBIE"])
-        assert sweep_stacked("ResNet18", incremental) is None
 
     def test_unknown_algorithm_is_unsupported(self):
         assert not stacked_supported(SMALL, ["DOLBIE", "MYSTERY"])
+        assert sweep_stacked("ResNet18", SMALL, algorithms=["MYSTERY"]) is None
 
-    def test_subset_of_algorithms_still_matches(self):
+    def test_subset_of_algorithms_still_matches(self, monkeypatch):
         algorithms = ["EQU", "DOLBIE", "OPT"]
         stacked = sweep_realizations("ResNet18", SMALL, algorithms=algorithms)
-        serial = sweep_realizations(
-            "ResNet18", replace(SMALL, stacked=False), algorithms=algorithms
-        )
+        _decline_stacked(monkeypatch)
+        serial = sweep_realizations("ResNet18", SMALL, algorithms=algorithms)
         assert sorted(stacked) == sorted(algorithms)
         _assert_sweeps_identical(stacked, serial, SMALL.realizations)

@@ -297,9 +297,30 @@ class TestCheckpointRoundTrip:
         protocol = _protocol(n, aggregation="tree", shard_size=3)
         self._advance(protocol, _process(n), 1, 3)
         state = capture_protocol(protocol)
-        shards = state["aggregation"]["last_tree"]["shards"]
-        assert shards[:2] == [[0, 1, 2], [3, 4, 5]]
-        shards[0].append(shards[1].pop(0))  # same members, other split
+        last = state["aggregation"]["last_tree"]
+        assert last["offsets"].tolist() == [0, 3, 6, 9]
+        last["offsets"] = np.array([0, 4, 6, 9])  # same members, other split
+        with pytest.raises(CheckpointError, match="deterministic rebuild"):
+            restore_protocol(
+                _protocol(n, aggregation="tree", shard_size=3), state
+            )
+
+    def test_shard_lists_of_older_snapshots_restore(self):
+        # Snapshots used to list each shard's members instead of writing
+        # the tree's ids/offsets arrays; both restore, and a tampered
+        # list is rejected like tampered offsets.
+        n = 10
+        protocol = _protocol(n, aggregation="tree", shard_size=3)
+        self._advance(protocol, _process(n), 1, 3)
+        state = capture_protocol(protocol)
+        last = state["aggregation"]["last_tree"]
+        del last["ids"], last["offsets"]
+        last["shards"] = [list(shard) for shard in protocol.last_tree.shards]
+        replica = _protocol(n, aggregation="tree", shard_size=3)
+        restore_protocol(replica, state)
+        assert replica.last_tree.shards == protocol.last_tree.shards
+        shards = last["shards"]
+        shards[0].append(shards[1].pop(0))
         with pytest.raises(CheckpointError, match="deterministic rebuild"):
             restore_protocol(
                 _protocol(n, aggregation="tree", shard_size=3), state

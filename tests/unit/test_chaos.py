@@ -364,6 +364,30 @@ class TestInvariantChecker:
             "round 2: deposed worker 2 reported a cost",
         ]
 
+    def test_disagreeing_peer_messages_are_pinned(self):
+        # Invariant 2 compares the peers' packed columns with the round
+        # outcome and decodes only the flagged workers: messages go in
+        # worker order, roster before straggler before global cost, with
+        # the columns' -1 / NaN shown as None.
+        protocol, obs, local, global_cost, straggler = self._clean_round()
+        store = protocol._store
+        other = (straggler + 1) % 4
+        protocol.peers[1].roster = frozenset({0, 1, 2})
+        store.straggler_id[1] = other
+        store.global_cost[1] = global_cost + 1.0
+        store.straggler_id[2] = -1
+        store.global_cost[3] = np.nan
+        assert check_round_invariants(
+            protocol, obs, 1, local, global_cost, straggler
+        ) == [
+            "round 1: peer 1 roster [0, 1, 2] != [0, 1, 2, 3]",
+            f"round 1: peer 1 disagrees on the straggler ({other} vs {straggler})",
+            "round 1: peer 1 disagrees on the global cost "
+            f"({global_cost + 1.0!r} vs {global_cost!r})",
+            f"round 1: peer 2 disagrees on the straggler (None vs {straggler})",
+            f"round 1: peer 3 disagrees on the global cost (None vs {global_cost!r})",
+        ]
+
     def test_assert_raises_invariant_violation(self):
         protocol, obs, local, global_cost, straggler = self._clean_round()
         protocol.peers[0].x += 0.25

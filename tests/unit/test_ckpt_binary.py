@@ -4,7 +4,7 @@ Large ndarrays escape base64-JSON's ~1.33x inflation by living as raw
 little-endian bytes in the snapshot's binary tail, referenced from the
 JSON head by ``__ndarray_blob__`` tags (see :mod:`repro.ckpt.codec`).
 Pinned here: the codec round-trips exactly across dtypes, blob offsets
-are canonical, the threshold knob works, the version-2 container
+are canonical, the size cutoff holds, the version-2 container
 verifies its whole file, version-1 files (old snapshots) still load,
 snapshot identity is independent of the container, and a large
 protocol's network metrics travel as blobbed columns.
@@ -15,12 +15,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.ckpt.codec import (
-    BLOB_THRESHOLD_ENV,
-    blob_threshold,
-    from_jsonable,
-    to_jsonable,
-)
+import repro.ckpt.codec as codec
+from repro.ckpt.codec import from_jsonable, to_jsonable
 from repro.ckpt.snapshot import BLOB_SNAPSHOT_VERSION, SNAPSHOT_VERSION, Snapshot
 from repro.ckpt.store import CheckpointStore
 from repro.exceptions import CheckpointError
@@ -60,13 +56,12 @@ class TestCodecBlobs:
         assert enc1 == enc2
         assert b"".join(blobs1) == b"".join(blobs2)
 
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv(BLOB_THRESHOLD_ENV, "16")
-        assert blob_threshold() == 16
+    def test_threshold_constant_override(self, monkeypatch):
+        monkeypatch.setattr(codec, "BLOB_THRESHOLD", 16)
         blobs = []
         encoded = to_jsonable({"s": SMALL}, blobs)
         assert "__ndarray_blob__" in encoded["s"]
-        monkeypatch.setenv(BLOB_THRESHOLD_ENV, "0")
+        monkeypatch.setattr(codec, "BLOB_THRESHOLD", 0)
         blobs = []
         encoded = to_jsonable({"a": BIG}, blobs)
         assert "__ndarray__" in encoded["a"] and blobs == []
@@ -110,7 +105,7 @@ class TestSnapshotContainer:
     def test_fingerprint_is_container_independent(self, monkeypatch):
         snap = self._blobby()
         v2 = Snapshot.from_bytes(snap.to_bytes())
-        monkeypatch.setenv(BLOB_THRESHOLD_ENV, "0")
+        monkeypatch.setattr(codec, "BLOB_THRESHOLD", 0)
         v1 = Snapshot.from_bytes(snap.to_bytes())
         assert snap.fingerprint == v1.fingerprint == v2.fingerprint
 
@@ -138,9 +133,9 @@ class TestSnapshotContainer:
         # A file written with blobbing disabled is byte-for-byte the
         # pre-binary format; it must load with blobbing enabled again.
         snap = self._blobby()
-        monkeypatch.setenv(BLOB_THRESHOLD_ENV, "0")
+        monkeypatch.setattr(codec, "BLOB_THRESHOLD", 0)
         legacy = snap.to_bytes()
-        monkeypatch.delenv(BLOB_THRESHOLD_ENV)
+        monkeypatch.undo()
         back = Snapshot.from_bytes(legacy)
         assert back.fingerprint == snap.fingerprint
         assert np.array_equal(back.state["x"], BIG)
@@ -179,6 +174,9 @@ class TestNetworkMetricsColumns:
         # made this 28.7 MiB.
         assert len(raw) <= 16 * 2**20
         head = raw.partition(b"\n")[0]
+        # Arrays, the tree's ids/offsets among them, live in the binary
+        # tail; the tree's shard lists made the head ~0.6 MB.
+        assert len(head) <= 16 * 2**10
         assert b"net.pair_messages" not in head
         assert b"net.round_" not in head
         restored = build()

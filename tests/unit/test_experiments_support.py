@@ -54,11 +54,11 @@ class TestHarnessHelpers:
         from dataclasses import replace
 
         import repro.experiments.harness as harness
+        import repro.experiments.stacked as stacked
 
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
-        tiny = replace(
-            QUICK, num_workers=4, rounds=3, realizations=2, stacked=False
-        )
+        monkeypatch.setattr(stacked, "sweep_stacked", lambda *a, **k: None)
+        tiny = replace(QUICK, num_workers=4, rounds=3, realizations=2)
         with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
             sweeps = harness.sweep_realizations(
                 "ResNet18", tiny, algorithms=["EQU"], jobs=8
@@ -74,11 +74,11 @@ class TestHarnessHelpers:
         from dataclasses import replace
 
         import repro.experiments.harness as harness
+        import repro.experiments.stacked as stacked
 
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        tiny = replace(
-            QUICK, num_workers=4, rounds=3, realizations=1, stacked=False
-        )
+        monkeypatch.setattr(stacked, "sweep_stacked", lambda *a, **k: None)
+        tiny = replace(QUICK, num_workers=4, rounds=3, realizations=1)
         with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
             harness.sweep_realizations("ResNet18", tiny, algorithms=["EQU"], jobs=2)
         assert not caplog.records
